@@ -5,7 +5,7 @@ composite evidence as a lead, and gates a transaction key on approved config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import (
@@ -22,8 +22,10 @@ from .model import (
     Nonce,
     Role,
     SigningKey,
+    _once,
     digest,
     keyed_digest,
+    sign_message,
 )
 
 
@@ -63,7 +65,7 @@ class TargetEnvironment:
         return enc.getvalue()
 
     def config_digest(self) -> Digest:
-        return digest(self.to_bytes())
+        return _once(self, "config_digest", lambda: digest(self.to_bytes()))
 
 
 def measure(env: TargetEnvironment) -> ClaimSet:
@@ -130,15 +132,11 @@ class AttestingEnvironment:
 
     # -- evidence generation ------------------------------------------------
 
-    def _sign_evidence(self, evidence: Evidence) -> Evidence:
-        sig = self.attestation_key.sign(evidence.signing_bytes())
-        return replace(evidence, signature=sig)
-
     def generate_evidence(self, env: TargetEnvironment, challenge: Nonce, clock: int) -> Evidence:
         if clock < challenge.issued_at:
             raise AttesterError("clock regression: evidence time precedes challenge issue")
-        return self._sign_evidence(
-            Evidence(self.identity, measure(env), challenge, clock)
+        return sign_message(
+            Evidence(self.identity, measure(env), challenge, clock), self.attestation_key
         )
 
     def build_layered_evidence(
@@ -147,8 +145,9 @@ class AttestingEnvironment:
         if clock < challenge.issued_at:
             raise AttesterError("clock regression: evidence time precedes challenge issue")
         chain = layer_chain_from_images(self.device_secret, layer_images)
-        return self._sign_evidence(
-            Evidence(self.identity, measure(env), challenge, clock, layer_chain=tuple(chain))
+        return sign_message(
+            Evidence(self.identity, measure(env), challenge, clock, layer_chain=tuple(chain)),
+            self.attestation_key,
         )
 
     def collate_composite(
@@ -163,7 +162,7 @@ class AttestingEnvironment:
         for i, comp in enumerate(component_evidence):
             if not comp.verify_signature():
                 raise AttesterError(f"component {i} evidence signature invalid")
-        return self._sign_evidence(
+        return sign_message(
             Evidence(
                 self.identity,
                 measure(own_env),
@@ -171,7 +170,8 @@ class AttestingEnvironment:
                 clock,
                 components=tuple(component_evidence),
                 lead_assertion=True,
-            )
+            ),
+            self.attestation_key,
         )
 
     # -- transaction-key gating ----------------------------------------------

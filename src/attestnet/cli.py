@@ -84,7 +84,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_appraise(args) -> int:
-    from .verifier import appraise_evidence
+    from .verifier import appraise_evidence, merge_reference_claims
 
     try:
         evidence = Evidence.from_bytes(Path(args.evidence).read_bytes())
@@ -108,7 +108,8 @@ def cmd_appraise(args) -> int:
 
     clock = args.clock if args.clock is not None else evidence.created_at
     verifier = SignerIdentity.create(Role.VERIFIER, "cli-verifier", random.Random(args.seed))
-    result = appraise_evidence(evidence, endorsements, policy, expected, verifier, clock)
+    references = merge_reference_claims(endorsements)
+    result = appraise_evidence(evidence, references, policy, expected, verifier, clock)
 
     if args.out:
         Path(args.out).write_bytes(result.to_bytes())

@@ -6,7 +6,7 @@ diversity, and policy/audit digests are anchored on a hash-linked ledger.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .attester import AttestingEnvironment, TargetEnvironment
@@ -18,6 +18,7 @@ from .model import (
     Encoder,
     EvidencePolicy,
     GeoFence,
+    GeoPoint,
     ModelError,
     SignerIdentity,
     Verdict,
@@ -264,10 +265,7 @@ def distribute_policies(universe: Universe):
         by_id = {r.rule_id: r for r in consortium_policy.rules}
         resolved = tuple(by_id.get(r.rule_id, r) for r in domain_policy.rules)
         if resolved != domain_policy.rules:
-            domain_policy = EvidencePolicy(
-                domain_policy.policy_id, resolved,
-                domain_policy.freshness_window, domain_policy.required_claims,
-            )
+            domain_policy = replace(domain_policy, rules=resolved)
             domain.domain_verifier.policy = domain_policy
         _record_policy_digest(universe, domain_policy)
         for node_id in domain.node_ids:
@@ -298,21 +296,11 @@ def _apply_fault(universe: Universe, fault: FaultInjection):
             raise SimError(f"node {fault.node_id} has no sw images to flip")
         name, image = env.sw_images[0]
         flipped = bytes([image[0] ^ 0x01]) + image[1:]
-        images = ((name, flipped),) + env.sw_images[1:]
-        node.target_env = TargetEnvironment(
-            env.hw_model, env.fw_version, images, env.geo, env.gpu_count, env.stake
-        )
+        node.target_env = replace(env, sw_images=((name, flipped),) + env.sw_images[1:])
     elif fault.mutation == "change_fw":
-        node.target_env = TargetEnvironment(
-            env.hw_model, fault.fw_version, env.sw_images, env.geo, env.gpu_count, env.stake
-        )
+        node.target_env = replace(env, fw_version=fault.fw_version)
     elif fault.mutation == "move_geo":
-        from .model import GeoPoint
-
-        node.target_env = TargetEnvironment(
-            env.hw_model, env.fw_version, env.sw_images,
-            GeoPoint(fault.lat, fault.lon, env.geo.altitude), env.gpu_count, env.stake,
-        )
+        node.target_env = replace(env, geo=GeoPoint(fault.lat, fault.lon, env.geo.altitude))
     elif fault.mutation == "clone_config":
         node.target_env = universe.nodes[fault.from_node].target_env
     else:
@@ -332,10 +320,10 @@ def diversity_metric(universe: Universe) -> float:
     return len(distinct) / len(nodes)
 
 
-def update_governance(universe: Universe) -> int:
-    """Evaluate the diversity rule and switch the effective majority parameter."""
+def update_governance(universe: Universe, diversity: float) -> int:
+    """Evaluate the diversity rule on this epoch's `diversity_metric` and
+    switch the effective majority parameter."""
     cfg = universe.config
-    diversity = diversity_metric(universe)
     new = cfg.raised_majority if diversity < cfg.diversity_threshold else cfg.majority_parameter
     if new != universe.effective_majority:
         universe.effective_majority = new
@@ -450,8 +438,8 @@ def run_epoch(universe: Universe) -> EpochReport:
                 LedgerRecord("audit_digest", audit_digest(domain_id, entries).value)
             )
 
-    majority = update_governance(universe)
     diversity = diversity_metric(universe)
+    majority = update_governance(universe, diversity)
 
     round_seed = universe.rng.getrandbits(64)
     validator = select_validator(universe, round_seed)

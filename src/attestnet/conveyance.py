@@ -8,9 +8,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from . import verifier
 from .attester import AttestingEnvironment, TargetEnvironment
 from .model import (
     AttestationResult,
+    ClaimValue,
     Endorsement,
     EntityId,
     Evidence,
@@ -103,7 +105,12 @@ class Transport:
 
 @dataclass
 class VerifierContext:
-    """A verifier with its policy, endorsements, nonce source, and replay cache."""
+    """A verifier with its policy, endorsements, nonce source, and replay cache.
+
+    The endorsements are merged into reference claims on the first appraisal
+    after `endorsements` changes, not on every appraisal, so each endorsement
+    signature is checked and each conflict logged once per endorsement set.
+    """
 
     identity: SignerIdentity
     policy: EvidencePolicy
@@ -111,6 +118,10 @@ class VerifierContext:
     rng: object
     seen_nonces: set = field(default_factory=set)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    # (the endorsement objects merged, their merged reference claims)
+    _merged: tuple[tuple[Endorsement, ...], dict[str, ClaimValue]] = field(
+        default_factory=lambda: ((), {}), init=False, repr=False, compare=False
+    )
 
     def issue_challenge(self, clock: int) -> Nonce:
         return new_nonce(clock, self.rng)
@@ -123,9 +134,19 @@ class VerifierContext:
             self.seen_nonces.add(nonce.value)
             return True
 
+    def references(self) -> dict[str, ClaimValue]:
+        endorsements = tuple(self.endorsements)
+        merged_from, references = self._merged
+        # tuple equality tests identity before ==, so an unchanged endorsement
+        # list costs no field comparisons
+        if endorsements != merged_from:
+            references = verifier.merge_reference_claims(endorsements)
+            self._merged = (endorsements, references)
+        return references
+
     def appraise(self, evidence: Evidence, expected_nonce: Nonce, clock: int) -> AttestationResult:
         return appraise_evidence(
-            evidence, self.endorsements, self.policy, expected_nonce, self.identity, clock
+            evidence, self.references(), self.policy, expected_nonce, self.identity, clock
         )
 
 

@@ -4,6 +4,14 @@ policies, and the canonical byte encoding that every signature covers.
 All types are immutable values after construction. The canonical encoding is
 the wire/storage format for signed structures; signatures always cover the
 encoding of a message with its signature field excluded.
+
+Because messages never change, what is derived from them is worked out at most
+once per object and stored on it: the signing bytes and signature validity of
+evidence, endorsements and results, and the digest of a policy. A changed
+message is a new object built with `dataclasses.replace`, which starts with
+nothing stored, so a stored value can never describe other field values. The
+one exception is `sign_message`: a signature is not part of the signing bytes,
+so the signed copy keeps them.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
@@ -57,6 +65,18 @@ def digest(data: bytes) -> Digest:
 def keyed_digest(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256; the keyed variant used for layer-secret derivation."""
     return hmac.new(key, data, hashlib.sha256).digest()
+
+
+def _once(value, name: str, compute):
+    """`compute()` for the immutable `value`, run on the first request only.
+
+    The result is stored in the instance dict, outside the dataclass fields,
+    so equality and repr ignore it and `dataclasses.replace` drops it.
+    """
+    memo = value.__dict__.setdefault("_memo", {})
+    if name not in memo:
+        memo[name] = compute()
+    return memo[name]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +441,46 @@ def _dec_nonce(dec: Decoder) -> Nonce:
     return Nonce(dec.raw(NONCE_LEN), dec.u64())
 
 
+# Evidence, endorsements and results share one layout: the unsigned fields
+# (`_encode_unsigned`), then the signature as a blob.
+
+
+def _unsigned_bytes(message) -> bytes:
+    def encode():
+        enc = Encoder()
+        message._encode_unsigned(enc)
+        return enc.getvalue()
+
+    return _once(message, "signing_bytes", encode)
+
+
+def _signed_bytes(message) -> bytes:
+    enc = Encoder()
+    enc.raw(message.signing_bytes())
+    enc.blob(message.signature)
+    return enc.getvalue()
+
+
+def _signature_valid(message, public_key: bytes) -> bool:
+    return _once(
+        message,
+        "signature_valid",
+        lambda: verify_bytes(message.signing_bytes(), message.signature, public_key),
+    )
+
+
+def sign_message(message, key: SigningKey):
+    """A copy of `message` (evidence, endorsement or result) signed by `key`.
+
+    The signature is not part of the signing bytes, so the signed copy keeps
+    the bytes just signed instead of encoding them again.
+    """
+    data = message.signing_bytes()
+    signed = replace(message, signature=key.sign(data))
+    _once(signed, "signing_bytes", lambda: data)
+    return signed
+
+
 # ---------------------------------------------------------------------------
 # Evidence
 # ---------------------------------------------------------------------------
@@ -468,9 +528,7 @@ class Evidence:
         return 1 + max(c._depth() for c in self.components)
 
     def signing_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        return enc.getvalue()
+        return _unsigned_bytes(self)
 
     def _encode_unsigned(self, enc: Encoder):
         _enc_entity(enc, self.attester)
@@ -500,10 +558,7 @@ class Evidence:
             enc.boolean(self.lead_assertion)
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        enc.blob(self.signature)
-        return enc.getvalue()
+        return _signed_bytes(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Evidence":
@@ -532,7 +587,7 @@ class Evidence:
         return Evidence(attester, claims, nonce, created_at, layer_chain, components, lead, sig)
 
     def verify_signature(self) -> bool:
-        return verify_bytes(self.signing_bytes(), self.signature, self.attester.public_key)
+        return _signature_valid(self, self.attester.public_key)
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +609,7 @@ class Endorsement:
             raise ModelError("product id must be non-empty")
 
     def signing_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        return enc.getvalue()
+        return _unsigned_bytes(self)
 
     def _encode_unsigned(self, enc: Encoder):
         _enc_entity(enc, self.endorser)
@@ -566,10 +619,7 @@ class Endorsement:
         enc.u64(self.issued_at)
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        enc.blob(self.signature)
-        return enc.getvalue()
+        return _signed_bytes(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Endorsement":
@@ -581,7 +631,7 @@ class Endorsement:
         return end
 
     def verify_signature(self) -> bool:
-        return verify_bytes(self.signing_bytes(), self.signature, self.endorser.public_key)
+        return _signature_valid(self, self.endorser.public_key)
 
 
 def make_endorsement(
@@ -592,14 +642,7 @@ def make_endorsement(
     intrinsic: bool = False,
 ) -> Endorsement:
     unsigned = Endorsement(endorser.entity, product_id, reference_claims, intrinsic, issued_at)
-    return Endorsement(
-        endorser.entity,
-        product_id,
-        reference_claims,
-        intrinsic,
-        issued_at,
-        endorser.key.sign(unsigned.signing_bytes()),
-    )
+    return sign_message(unsigned, endorser.key)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +676,7 @@ class AttestationResult:
             raise ModelError("verdict is compliant iff reasons are empty")
 
     def signing_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        return enc.getvalue()
+        return _unsigned_bytes(self)
 
     def _encode_unsigned(self, enc: Encoder):
         _enc_entity(enc, self.verifier)
@@ -649,10 +690,7 @@ class AttestationResult:
         enc.u64(self.created_at)
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        enc.blob(self.signature)
-        return enc.getvalue()
+        return _signed_bytes(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationResult":
@@ -669,7 +707,7 @@ class AttestationResult:
         return AttestationResult(verifier, attester, verdict, pol, nonce, reasons, created_at, sig)
 
     def verify_signature(self) -> bool:
-        return verify_bytes(self.signing_bytes(), self.signature, self.verifier.public_key)
+        return _signature_valid(self, self.verifier.public_key)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +829,7 @@ class EvidencePolicy:
         return EvidencePolicy(policy_id, tuple(rules), freshness, required)
 
     def digest(self) -> Digest:
-        return digest(self.to_bytes())
+        return _once(self, "digest", lambda: digest(self.to_bytes()))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Verifier role: appraises evidence against endorsements and policy, emits
 signed attestation results; also the relying-party appraisal of results.
 
+Appraisals take the reference claims already merged from the endorsements
+(`merge_reference_claims`), so a verifier that appraises many times merges
+and checks its endorsements once, not once per appraisal.
+
 Reason vocabulary: builtin ids "sig", "nonce", "stale", "missing_claim:<key>",
-layer ids "layer.<i>" / "layer.len" / "layer.no_secret", and policy rule ids.
+layer ids "layer.<i>" / "layer.len" / "layer.no_secret", component ids
+"component.<i>.<reason>" / "component.<i>.no_policy", and policy rule ids.
 A reason carrying the ".no_reference" suffix (or "layer.no_secret") marks a
 check the verifier could not judge; if only such reasons occur the verdict is
 `unknown` rather than `non_compliant`.
@@ -26,6 +31,7 @@ from .model import (
     SignerIdentity,
     Verdict,
     digest,
+    sign_message,
 )
 
 logger = logging.getLogger(__name__)
@@ -138,29 +144,19 @@ def _make_result(
         reasons=tuple(reasons),
         created_at=clock,
     )
-    sig = verifier.key.sign(unsigned.signing_bytes())
-    return AttestationResult(
-        unsigned.verifier,
-        unsigned.attester,
-        unsigned.verdict,
-        unsigned.policy_digest,
-        unsigned.appraised_nonce,
-        unsigned.reasons,
-        unsigned.created_at,
-        sig,
-    )
+    return sign_message(unsigned, verifier.key)
 
 
 def appraise_evidence(
     evidence: Evidence,
-    endorsements: Sequence[Endorsement],
+    references: Mapping[str, ClaimValue],
     policy: EvidencePolicy,
     expected_nonce: Nonce,
     verifier: SignerIdentity,
     clock: int,
 ) -> AttestationResult:
-    """Appraise one piece of evidence; every failure is a verdict, not an error."""
-    references = merge_reference_claims(endorsements)
+    """Appraise one piece of evidence against merged reference claims; every
+    failure is a verdict, not an error."""
     reasons = _evaluate_evidence(evidence, references, policy, expected_nonce, clock)
     return _make_result(verifier, evidence, policy, reasons, clock)
 
@@ -169,7 +165,7 @@ def appraise_layered(
     evidence: Evidence,
     golden_measurements: Sequence[Digest],
     device_secret_registry: Mapping[str, bytes],
-    endorsements: Sequence[Endorsement],
+    references: Mapping[str, ClaimValue],
     policy: EvidencePolicy,
     expected_nonce: Nonce,
     verifier: SignerIdentity,
@@ -194,39 +190,41 @@ def appraise_layered(
             if rec.measurement != golden or rec.layer_key_id != digest(current):
                 reasons.append(f"layer.{i}")
                 break
-    references = merge_reference_claims(endorsements)
     reasons.extend(_evaluate_evidence(evidence, references, policy, expected_nonce, clock))
     return _make_result(verifier, evidence, policy, reasons, clock)
 
 
 def appraise_composite(
     evidence: Evidence,
-    endorsements: Sequence[Endorsement],
+    references: Mapping[str, ClaimValue],
     policy: EvidencePolicy,
     expected_nonce: Nonce,
     verifier: SignerIdentity,
     clock: int,
     component_policies: Optional[Sequence[EvidencePolicy]] = None,
-    component_endorsements: Optional[Sequence[Sequence[Endorsement]]] = None,
 ) -> AttestationResult:
     """Appraise lead evidence plus each component against its own policy.
 
     Component nonces are not independently challenged; components inherit the
     session's freshness through the lead evidence, so only signature and rule
-    checks apply to them. Component failures surface as
+    checks apply to them. Without `component_policies` every component is held
+    to the lead policy; a component beyond the end of the list fails with
+    "component.<index>.no_policy". Component failures surface as
     "component.<index>.<rule_id>" and gate the verdict only when the lead
     policy contains a components_all_compliant rule.
     """
-    references = merge_reference_claims(endorsements)
     reasons = _evaluate_evidence(evidence, references, policy, expected_nonce, clock)
     gate = any(r.kind == RuleKind.COMPONENTS_ALL_COMPLIANT for r in policy.rules)
     if gate:
-        components = evidence.components or ()
-        for i, comp in enumerate(components):
-            comp_policy = component_policies[i] if component_policies else policy
-            comp_ends = component_endorsements[i] if component_endorsements else endorsements
-            comp_refs = merge_reference_claims(comp_ends)
-            comp_reasons = _evaluate_evidence(comp, comp_refs, comp_policy, None, clock)
+        for i, comp in enumerate(evidence.components or ()):
+            if not component_policies:
+                comp_policy = policy
+            elif i < len(component_policies):
+                comp_policy = component_policies[i]
+            else:
+                reasons.append(f"component.{i}.no_policy")
+                continue
+            comp_reasons = _evaluate_evidence(comp, references, comp_policy, None, clock)
             reasons.extend(f"component.{i}.{r}" for r in comp_reasons)
     return _make_result(verifier, evidence, policy, reasons, clock)
 

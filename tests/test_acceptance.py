@@ -51,7 +51,12 @@ from attestnet.model import (
     new_nonce,
 )
 from attestnet.scenario import build_universe, load_scenario, parse_scenario
-from attestnet.verifier import appraise_evidence, appraise_layered, appraise_result
+from attestnet.verifier import (
+    appraise_evidence,
+    appraise_layered,
+    appraise_result,
+    merge_reference_claims,
+)
 
 from .conftest import random_env
 from .oracles import chain_layer_key_ids, evaluate_policy_bruteforce, merkle_root_bruteforce
@@ -203,7 +208,7 @@ def test_criterion_5_tamper_suite(tmp_path):
         except Exception:
             detected["evidence"] += 1
             continue
-        result = appraise_evidence(bad, [], policy, nonce, verifier, 0)
+        result = appraise_evidence(bad, {}, policy, nonce, verifier, 0)
         if result.verdict != Verdict.COMPLIANT:
             detected["evidence"] += 1
 
@@ -212,7 +217,7 @@ def test_criterion_5_tamper_suite(tmp_path):
     for _ in range(100):
         nonce = new_nonce(0, rng)
         ev = att.generate_evidence(env, nonce, 0)
-        res = appraise_evidence(ev, [], policy, nonce, verifier, 0)
+        res = appraise_evidence(ev, {}, policy, nonce, verifier, 0)
         mutated = _bitflip(rng, res.to_bytes())
         try:
             bad = AttestationResult.from_bytes(mutated)
@@ -280,7 +285,7 @@ def test_criterion_6_layered_suffix_property():
         env = random_env(rng)
         nonce = new_nonce(0, rng)
         ev = att.build_layered_evidence(env, tampered, nonce, 0)
-        result = appraise_layered(ev, golden, registry, [], policy, nonce, verifier, 0)
+        result = appraise_layered(ev, golden, registry, {}, policy, nonce, verifier, 0)
         if result.verdict != Verdict.NON_COMPLIANT or result.reasons[0] != f"layer.{i}":
             mismatches += 1
             continue
@@ -324,7 +329,7 @@ def test_criterion_8_appraisal_oracle_equivalence():
         nonce = new_nonce(0, rng)
         ev = att.generate_evidence(env, nonce, 0)
         ends = [make_endorsement(endorser, "p", ClaimSet(refs), 0)] if refs else []
-        result = appraise_evidence(ev, ends, policy, nonce, verifier, 0)
+        result = appraise_evidence(ev, merge_reference_claims(ends), policy, nonce, verifier, 0)
         verdict, reasons = evaluate_policy_bruteforce(
             _oracle_view(claims), _oracle_view(ClaimSet(refs)) if refs else {},
             oracle_rules, required,

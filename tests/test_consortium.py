@@ -296,7 +296,7 @@ class TestDiversityAndGovernance:
 
     def test_baseline_majority_51(self):
         universe = fresh_universe()
-        assert update_governance(universe) == 51
+        assert update_governance(universe, diversity_metric(universe)) == 51
 
     def test_low_diversity_raises_to_70(self):
         universe = fresh_universe(
@@ -305,7 +305,7 @@ class TestDiversityAndGovernance:
                 for i in range(4)
             ]
         )
-        assert update_governance(universe) == 70
+        assert update_governance(universe, diversity_metric(universe)) == 70
         governance = [r for r in universe.pending_records if r.kind == "governance"]
         assert governance
 
@@ -321,7 +321,7 @@ class TestDiversityAndGovernance:
             ],
         )
         assert diversity_metric(universe) == 0.5
-        assert update_governance(universe) == 51
+        assert update_governance(universe, diversity_metric(universe)) == 51
 
 
 class TestHonestSubset:

@@ -49,7 +49,7 @@ class TestAppraiseEvidence:
         ev = attester.generate_evidence(env, nonce, 0)
         refs = {"sw.os.digest": ClaimValue.of_digest(digest(b"os image v3"))}
         policy = trivial_policy(rules=[PolicyRule("r.os", RuleKind.REFERENCE_MATCH, "sw.os.digest")])
-        result = appraise_evidence(ev, [endorse(rng, refs)], policy, nonce, verifier_identity, 0)
+        result = appraise_evidence(ev, merge_reference_claims([endorse(rng, refs)]), policy, nonce, verifier_identity, 0)
         assert result.verdict == Verdict.COMPLIANT and result.reasons == ()
         assert result.verify_signature()
         assert result.policy_digest == policy.digest()
@@ -57,20 +57,20 @@ class TestAppraiseEvidence:
     def test_wrong_nonce(self, attester, env, rng, verifier_identity):
         ev = attester.generate_evidence(env, new_nonce(0, rng), 0)
         other = new_nonce(0, rng)
-        result = appraise_evidence(ev, [], trivial_policy(), other, verifier_identity, 0)
+        result = appraise_evidence(ev, {}, trivial_policy(), other, verifier_identity, 0)
         assert result.verdict == Verdict.NON_COMPLIANT and result.reasons == ("nonce",)
 
     def test_stale_nonce(self, attester, env, rng, verifier_identity):
         nonce = new_nonce(0, rng)
         ev = attester.generate_evidence(env, nonce, 0)
-        result = appraise_evidence(ev, [], trivial_policy(freshness=5), nonce, verifier_identity, 6)
+        result = appraise_evidence(ev, {}, trivial_policy(freshness=5), nonce, verifier_identity, 6)
         assert result.verdict == Verdict.NON_COMPLIANT and "stale" in result.reasons
 
     def test_uncovered_reference_is_unknown(self, attester, env, rng, verifier_identity):
         nonce = new_nonce(0, rng)
         ev = attester.generate_evidence(env, nonce, 0)
         policy = trivial_policy(rules=[PolicyRule("r.os", RuleKind.REFERENCE_MATCH, "sw.os.digest")])
-        result = appraise_evidence(ev, [], policy, nonce, verifier_identity, 0)
+        result = appraise_evidence(ev, {}, policy, nonce, verifier_identity, 0)
         assert result.verdict == Verdict.UNKNOWN
         assert result.reasons == ("r.os.no_reference",)
 
@@ -84,7 +84,7 @@ class TestAppraiseEvidence:
                 mutated = Evidence.from_bytes(bytes(raw))
             except Exception:
                 continue  # decode failure is detection too
-            result = appraise_evidence(mutated, [], trivial_policy(), nonce, verifier_identity, 0)
+            result = appraise_evidence(mutated, {}, trivial_policy(), nonce, verifier_identity, 0)
             if mutated.nonce_echo.value == nonce.value and mutated.to_bytes() != ev.to_bytes():
                 assert "sig" in result.reasons
 
@@ -157,7 +157,7 @@ class TestOracleEquivalence:
             nonce = new_nonce(0, rng)
             ev = att.generate_evidence(env, nonce, 0)
             ends = [endorse(rng, refs)] if refs else []
-            result = appraise_evidence(ev, ends, policy, nonce, verifier_identity, 0)
+            result = appraise_evidence(ev, merge_reference_claims(ends), policy, nonce, verifier_identity, 0)
 
             oracle_refs = _oracle_view(ClaimSet(refs)) if refs else {}
             verdict, reasons = evaluate_policy_bruteforce(
@@ -176,14 +176,14 @@ class TestOracleEquivalence:
             nonce = new_nonce(0, rng)
             ev = att.generate_evidence(env, nonce, 0)
             base_ends = [endorse(rng, refs)] if refs else []
-            before = appraise_evidence(ev, base_ends, policy, nonce, verifier_identity, 0)
+            before = appraise_evidence(ev, merge_reference_claims(base_ends), policy, nonce, verifier_identity, 0)
 
             uncovered = [
                 k for k in claims.keys() if k.startswith("sw.") and k not in refs
             ]
             extra_refs = {k: claims.get(k) for k in uncovered} or {"x.cover": ClaimValue.of_int(1)}
             after = appraise_evidence(
-                ev, base_ends + [endorse(rng, extra_refs, issued_at=9)],
+                ev, merge_reference_claims(base_ends + [endorse(rng, extra_refs, issued_at=9)]),
                 policy, nonce, verifier_identity, 0,
             )
             if before.verdict == Verdict.COMPLIANT:
@@ -205,7 +205,7 @@ class TestAppraiseLayered:
         nonce = new_nonce(0, rng)
         ev = att.build_layered_evidence(env, images, nonce, 0)
         result = appraise_layered(
-            ev, golden, registry, [], trivial_policy(), nonce, verifier_identity, 0
+            ev, golden, registry, {}, trivial_policy(), nonce, verifier_identity, 0
         )
         assert result.verdict == Verdict.COMPLIANT
 
@@ -216,7 +216,7 @@ class TestAppraiseLayered:
         tampered[1] = b"evil" + images[1]
         ev = att.build_layered_evidence(env, tampered, nonce, 0)
         result = appraise_layered(
-            ev, golden, registry, [], trivial_policy(), nonce, verifier_identity, 0
+            ev, golden, registry, {}, trivial_policy(), nonce, verifier_identity, 0
         )
         assert result.verdict == Verdict.NON_COMPLIANT
         assert result.reasons[0] == "layer.1"
@@ -226,7 +226,7 @@ class TestAppraiseLayered:
         nonce = new_nonce(0, rng)
         ev = att.build_layered_evidence(env, images[:2], nonce, 0)
         result = appraise_layered(
-            ev, golden, registry, [], trivial_policy(), nonce, verifier_identity, 0
+            ev, golden, registry, {}, trivial_policy(), nonce, verifier_identity, 0
         )
         assert result.verdict == Verdict.NON_COMPLIANT
         assert "layer.len" in result.reasons
@@ -236,7 +236,7 @@ class TestAppraiseLayered:
         nonce = new_nonce(0, rng)
         ev = att.build_layered_evidence(env, images, nonce, 0)
         result = appraise_layered(
-            ev, golden, {}, [], trivial_policy(), nonce, verifier_identity, 0
+            ev, golden, {}, {}, trivial_policy(), nonce, verifier_identity, 0
         )
         assert result.verdict == Verdict.UNKNOWN
 
@@ -254,7 +254,7 @@ class TestAppraiseComposite:
             comps.append(a.generate_evidence(random_env(rng), new_nonce(0, rng), 0))
         nonce = new_nonce(0, rng)
         ev = attester.collate_composite(env, comps, nonce, 0)
-        result = appraise_composite(ev, [], self._gate_policy(), nonce, verifier_identity, 0)
+        result = appraise_composite(ev, {}, self._gate_policy(), nonce, verifier_identity, 0)
         assert result.verdict == Verdict.COMPLIANT
 
     def test_component_failure_surfaces_with_index(self, attester, env, rng, verifier_identity):
@@ -277,22 +277,36 @@ class TestAppraiseComposite:
         )
         nonce = new_nonce(0, rng)
         ev = attester.collate_composite(env, comps, nonce, 0)
-        result = appraise_composite(ev, [endorse(rng, stale_ref)], policy, nonce, verifier_identity, 0)
+        result = appraise_composite(ev, merge_reference_claims([endorse(rng, stale_ref)]), policy, nonce, verifier_identity, 0)
         assert result.verdict == Verdict.NON_COMPLIANT
         assert f"component.1.ref.{name}" in result.reasons
 
     def test_gate_vacuous_over_missing_components(self, attester, env, rng, verifier_identity):
         nonce = new_nonce(0, rng)
         ev = attester.collate_composite(env, [], nonce, 0)
-        result = appraise_composite(ev, [], self._gate_policy(), nonce, verifier_identity, 0)
+        result = appraise_composite(ev, {}, self._gate_policy(), nonce, verifier_identity, 0)
         assert result.verdict == Verdict.COMPLIANT
+
+    def test_component_without_policy_is_a_reason(self, attester, env, rng, verifier_identity):
+        comps = []
+        for i in range(3):
+            a = AttestingEnvironment.create(f"c{i}", rng, [])
+            comps.append(a.generate_evidence(random_env(rng), new_nonce(0, rng), 0))
+        nonce = new_nonce(0, rng)
+        ev = attester.collate_composite(env, comps, nonce, 0)
+        result = appraise_composite(
+            ev, {}, self._gate_policy(), nonce, verifier_identity, 0,
+            component_policies=[trivial_policy()],
+        )
+        assert result.verdict == Verdict.NON_COMPLIANT
+        assert result.reasons == ("component.1.no_policy", "component.2.no_policy")
 
 
 class TestAppraiseResult:
     def _result(self, attester, env, rng, verifier_identity, clock=0):
         nonce = new_nonce(clock, rng)
         ev = attester.generate_evidence(env, nonce, clock)
-        return appraise_evidence(ev, [], trivial_policy(), nonce, verifier_identity, clock)
+        return appraise_evidence(ev, {}, trivial_policy(), nonce, verifier_identity, clock)
 
     def test_fresh_compliant_accepted(self, attester, env, rng, verifier_identity):
         result = self._result(attester, env, rng, verifier_identity)
