@@ -69,7 +69,15 @@ class TargetEnvironment:
 
 
 def measure(env: TargetEnvironment) -> ClaimSet:
-    """Measure a target environment into its standard claim set."""
+    """Measure a target environment into its standard claim set.
+
+    The environment is immutable, so its claims are measured once and stored
+    on it; a changed environment is a new object with nothing stored.
+    """
+    return _once(env, "claims", lambda: _measure(env))
+
+
+def _measure(env: TargetEnvironment) -> ClaimSet:
     claims = {
         "hw.model": ClaimValue.of_text(env.hw_model),
         "fw.version": ClaimValue.of_int(env.fw_version),

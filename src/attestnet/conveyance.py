@@ -1,12 +1,17 @@
 """Attestation conveyance: passport and background-check flows run as message
 sequences over an in-memory reliable transport, with nonce replay rejection.
+
+A result message is decoded at most once: `ResultMsg.result()` stores the
+decoded result on the message, and that result stores its own signature
+check. The relying party appraises the result message it received, and the
+passport flow forwards that same message object, so the transport's
+send-time check of it is answered from what the appraisal already stored.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import verifier
 from .attester import AttestingEnvironment, TargetEnvironment
@@ -17,9 +22,11 @@ from .model import (
     EntityId,
     Evidence,
     EvidencePolicy,
+    ModelError,
     Nonce,
     ResultPolicy,
     SignerIdentity,
+    _once,
     new_nonce,
 )
 from .verifier import appraise_evidence, appraise_result
@@ -58,7 +65,7 @@ class ResultMsg:
     result_bytes: bytes  # canonical encoding; forwarded byte-identical
 
     def result(self) -> AttestationResult:
-        return AttestationResult.from_bytes(self.result_bytes)
+        return _once(self, "result", lambda: AttestationResult.from_bytes(self.result_bytes))
 
 
 FlowMessage = Union[AccessRequest, ChallengeNonce, EvidenceMsg, ResultMsg]
@@ -117,7 +124,6 @@ class VerifierContext:
     endorsements: list[Endorsement]
     rng: object
     seen_nonces: set = field(default_factory=set)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # (the endorsement objects merged, their merged reference claims)
     _merged: tuple[tuple[Endorsement, ...], dict[str, ClaimValue]] = field(
         default_factory=lambda: ((), {}), init=False, repr=False, compare=False
@@ -127,12 +133,11 @@ class VerifierContext:
         return new_nonce(clock, self.rng)
 
     def consume_nonce(self, nonce: Nonce) -> bool:
-        """Atomically mark a nonce used; False means it was already consumed."""
-        with self._lock:
-            if nonce.value in self.seen_nonces:
-                return False
-            self.seen_nonces.add(nonce.value)
-            return True
+        """Mark a nonce used; False means it was already consumed."""
+        if nonce.value in self.seen_nonces:
+            return False
+        self.seen_nonces.add(nonce.value)
+        return True
 
     def references(self) -> dict[str, ClaimValue]:
         endorsements = tuple(self.endorsements)
@@ -189,13 +194,14 @@ def run_passport_flow(
     transport.send(ResultMsg(verifier_ctx.identity.entity, result_bytes))
 
     forwarded = result_tamper(result_bytes) if result_tamper else result_bytes
+    forward = ResultMsg(attester.identity, forwarded)
     try:
-        received = AttestationResult.from_bytes(forwarded)
-    except (ValueError, KeyError):
+        received = forward.result()
+    except ModelError:
         return Decision(False, ("result_decode",))
     granted = appraise_result(received, rp_ctx.result_policy, clock)
     if granted:
-        transport.send(ResultMsg(attester.identity, forwarded))
+        transport.send(forward)
         return Decision(True)
     return Decision(False, received.reasons or ("result_rejected",))
 
@@ -223,9 +229,10 @@ def run_background_check_flow(
     if not verifier_ctx.consume_nonce(evidence.nonce_echo):
         return Decision(False, ("replay",))
     result = verifier_ctx.appraise(evidence, challenge, clock)
-    transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
+    msg = transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
 
-    granted = appraise_result(result, rp_ctx.result_policy, clock)
+    received = msg.result()
+    granted = appraise_result(received, rp_ctx.result_policy, clock)
     if granted:
         return Decision(True)
-    return Decision(False, result.reasons or ("result_rejected",))
+    return Decision(False, received.reasons or ("result_rejected",))

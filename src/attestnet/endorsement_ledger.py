@@ -6,8 +6,7 @@ depend on the manufacturer still existing.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,7 +104,6 @@ class ContentStore:
     def __init__(self, directory: Optional[Path] = None):
         self._entries: dict[bytes, bytes] = {}
         self._dir = Path(directory) if directory else None
-        self._lock = threading.Lock()
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             for f in self._dir.iterdir():
@@ -113,10 +111,9 @@ class ContentStore:
 
     def put(self, value: bytes) -> Digest:
         addr = digest(value)
-        with self._lock:
-            self._entries[addr.value] = value
-            if self._dir is not None:
-                (self._dir / addr.hex()).write_bytes(value)
+        self._entries[addr.value] = value
+        if self._dir is not None:
+            (self._dir / addr.hex()).write_bytes(value)
         return addr
 
     def get(self, address: Digest) -> Optional[bytes]:
@@ -187,16 +184,20 @@ class EndorsementRecord:
 
 
 class EndorsementsLedger:
-    """Append-only list of registered endorsement records (canonical bytes)."""
+    """Append-only list of registered endorsement records (canonical bytes),
+    indexed by those bytes so that a membership check is one set lookup."""
 
     def __init__(self):
         self._records: list[bytes] = []
+        self._index: set[bytes] = set()
 
     def append(self, record: EndorsementRecord):
-        self._records.append(record.to_bytes())
+        data = record.to_bytes()
+        self._records.append(data)
+        self._index.add(data)
 
     def includes(self, record: EndorsementRecord) -> bool:
-        return record.to_bytes() in self._records
+        return record.to_bytes() in self._index
 
     def __len__(self) -> int:
         return len(self._records)
@@ -221,14 +222,7 @@ def register_endorsement(
         refs.append((label, store.put(data)))
     root = merkle_root([addr for _, addr in refs])
     unsigned = EndorsementRecord(manufacturer.entity, product_id, root, tuple(refs), clock)
-    record = EndorsementRecord(
-        manufacturer.entity,
-        product_id,
-        root,
-        tuple(refs),
-        clock,
-        manufacturer.key.sign(unsigned.signing_bytes()),
-    )
+    record = replace(unsigned, signature=manufacturer.key.sign(unsigned.signing_bytes()))
     ledger.append(record)
     return record
 

@@ -359,7 +359,10 @@ class Decoder:
         return self._take(n)
 
     def text(self) -> str:
-        return self.blob().decode("utf-8")
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError("text field is not valid UTF-8") from exc
 
     def boolean(self) -> bool:
         return self.u8() != 0
@@ -367,6 +370,14 @@ class Decoder:
     def done(self):
         if self._pos != len(self._data):
             raise ModelError("trailing bytes after canonical encoding")
+
+
+def _dec_tag(table: dict, tag, what: str):
+    """`table[tag]`, raising `ModelError` for a tag the format does not define."""
+    value = table.get(tag)
+    if value is None:
+        raise ModelError(f"unknown {what} {tag!r}")
+    return value
 
 
 _CLAIM_TAGS = {"bytes": 1, "text": 2, "int": 3, "digest": 4, "geo": 5}
@@ -390,10 +401,7 @@ def _enc_claim_value(enc: Encoder, cv: ClaimValue):
 
 
 def _dec_claim_value(dec: Decoder) -> ClaimValue:
-    tag = dec.u8()
-    kind = _CLAIM_TAGS_REV.get(tag)
-    if kind is None:
-        raise ModelError(f"unknown claim value tag {tag}")
+    kind = _dec_tag(_CLAIM_TAGS_REV, dec.u8(), "claim value tag")
     if kind == "bytes":
         return ClaimValue.of_bytes(dec.blob())
     if kind == "text":
@@ -428,8 +436,11 @@ def _enc_entity(enc: Encoder, e: EntityId):
     enc.blob(e.public_key)
 
 
+_ROLES = {r.value: r for r in Role}
+
+
 def _dec_entity(dec: Decoder) -> EntityId:
-    return EntityId(Role(dec.text()), dec.text(), dec.blob())
+    return EntityId(_dec_tag(_ROLES, dec.text(), "role"), dec.text(), dec.blob())
 
 
 def _enc_nonce(enc: Encoder, n: Nonce):
@@ -697,7 +708,7 @@ class AttestationResult:
         dec = Decoder(data)
         verifier = _dec_entity(dec)
         attester = _dec_entity(dec)
-        verdict = _VERDICT_TAGS_REV[dec.u8()]
+        verdict = _dec_tag(_VERDICT_TAGS_REV, dec.u8(), "verdict tag")
         pol = Digest(dec.raw(DIGEST_LEN))
         nonce = _dec_nonce(dec)
         reasons = tuple(dec.text() for _ in range(dec.u64()))
@@ -816,7 +827,7 @@ class EvidencePolicy:
         rules = []
         for _ in range(dec.u64()):
             rule_id = dec.text()
-            kind = _RULE_TAGS_REV[dec.u8()]
+            kind = _dec_tag(_RULE_TAGS_REV, dec.u8(), "rule tag")
             claim_key = dec.text()
             bound = dec.i64()
             fence = None

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from attestnet.attester import AttestingEnvironment
+from attestnet import conveyance, model
+from attestnet.attester import AttestingEnvironment, TargetEnvironment
 from attestnet.conveyance import (
     Decision,
     EvidenceMsg,
@@ -15,9 +17,11 @@ from attestnet.conveyance import (
     run_passport_flow,
 )
 from attestnet.model import (
+    AttestationResult,
     ClaimSet,
     ClaimValue,
     EvidencePolicy,
+    GeoPoint,
     PolicyRule,
     ResultPolicy,
     Role,
@@ -181,3 +185,150 @@ class TestFlowProperties:
             attester, env, verifier, rp, Transport(), clock=50, evidence_override=stale_ev
         )
         assert not decision.granted
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace `owner.name` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestVerifyOnce:
+    """Each conveyed result is decoded once per message and its signature is
+    checked once per decoded result; the relying party appraises what it
+    received."""
+
+    def _granted_contexts(self, rng, env):
+        verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
+        verifier.references()  # endorsements merged (and verified) before counting
+        return verifier, rp
+
+    def test_granted_passport_flow_verifies_three_signatures(self, attester, env, rng, monkeypatch):
+        verifier, rp = self._granted_contexts(rng, env)
+        verifies = _counting(monkeypatch, model, "verify_bytes")
+        decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
+        assert decision == Decision(True)
+        # evidence at send time; the verifier's result message; the forwarded one
+        assert len(verifies) == 3
+
+    def test_granted_background_check_flow_verifies_two_signatures(
+        self, attester, env, rng, monkeypatch
+    ):
+        verifier, rp = self._granted_contexts(rng, env)
+        verifies = _counting(monkeypatch, model, "verify_bytes")
+        decision = run_background_check_flow(attester, env, rp, verifier, Transport(), clock=0)
+        assert decision == Decision(True)
+        # evidence at send time; the verifier's result message
+        assert len(verifies) == 2
+
+    def test_result_message_decodes_once(self, attester, env, rng, monkeypatch):
+        verifier, _ = make_contexts(rng, env)
+        nonce = verifier.issue_challenge(0)
+        result = verifier.appraise(attester.generate_evidence(env, nonce, 0), nonce, 0)
+        msg = ResultMsg(verifier.identity.entity, result.to_bytes())
+        decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
+        assert msg.result() is msg.result()
+        assert msg.result() == result
+        assert len(decodes) == 1
+        again = ResultMsg(msg.sender, msg.result_bytes)  # another message decodes anew
+        assert again.result() is not msg.result()
+        assert len(decodes) == 2
+
+    def test_background_check_rp_appraises_received_message(self, attester, env, rng, monkeypatch):
+        verifier, rp = make_contexts(rng, env)
+        appraised = _counting(monkeypatch, conveyance, "appraise_result")
+        transport = Transport()
+        assert run_background_check_flow(attester, env, rp, verifier, transport, clock=0).granted
+        received = [m for m in transport.log if isinstance(m, ResultMsg)]
+        assert len(received) == 1 and len(appraised) == 1
+        assert appraised[0][0] is received[0].result()
+
+    def test_passport_rp_appraises_forwarded_message(self, attester, env, rng, monkeypatch):
+        verifier, rp = make_contexts(rng, env)
+        appraised = _counting(monkeypatch, conveyance, "appraise_result")
+        transport = Transport()
+        assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
+        forwarded = transport.log[-1]
+        assert isinstance(forwarded, ResultMsg) and forwarded.sender == attester.identity
+        assert len(appraised) == 1
+        assert appraised[0][0] is forwarded.result()
+
+
+def _flip_byte(position):
+    def tamper(raw: bytes) -> bytes:
+        out = bytearray(raw)
+        out[position] ^= 1
+        return bytes(out)
+
+    return tamper
+
+
+class TestTranscripts:
+    def _expected(self, attester, verifier, kinds):
+        senders = {"attester": attester.identity, "verifier": verifier.identity.entity}
+        return "\n".join(
+            f"{kind} from {senders[who].role.value}:{senders[who].name}" for kind, who in kinds
+        )
+
+    PASSPORT_HEAD = [
+        ("AccessRequest", "attester"),
+        ("ChallengeNonce", "verifier"),
+        ("EvidenceMsg", "attester"),
+        ("ResultMsg", "verifier"),
+    ]
+
+    def test_granted_passport_transcript(self, attester, env, rng):
+        verifier, rp = make_contexts(rng, env)
+        transport = Transport()
+        assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
+        kinds = self.PASSPORT_HEAD + [("ResultMsg", "attester")]
+        assert transport.transcript() == self._expected(attester, verifier, kinds)
+
+    @pytest.mark.parametrize("tamper", [_flip_byte(-1), _flip_byte(5)], ids=["sig", "header"])
+    def test_denied_passport_transcript_omits_forward(self, attester, env, rng, tamper):
+        verifier, rp = make_contexts(rng, env)
+        transport = Transport()
+        decision = run_passport_flow(
+            attester, env, verifier, rp, transport, clock=0, result_tamper=tamper
+        )
+        assert not decision.granted
+        assert transport.transcript() == self._expected(attester, verifier, self.PASSPORT_HEAD)
+
+    def test_non_compliant_passport_transcript_omits_forward(self, attester, env, rng):
+        wrong = make_endorsement(
+            SignerIdentity.create(Role.ENDORSER, "e", rng),
+            env.hw_model,
+            ClaimSet({"sw.os.digest": ClaimValue.of_digest(digest(b"older image"))}),
+            0,
+        )
+        verifier, rp = make_contexts(rng, env, ref_rules(env), [wrong])
+        transport = Transport()
+        decision = run_passport_flow(attester, env, verifier, rp, transport, clock=0)
+        assert decision == Decision(False, ("ref.bootloader.no_reference", "ref.os"))
+        assert transport.transcript() == self._expected(attester, verifier, self.PASSPORT_HEAD)
+
+
+@given(position=st.integers(0, 1 << 16), value=st.integers(1, 255), truncate=st.booleans())
+def test_any_result_tamper_is_denied_never_raised(position, value, truncate):
+    def tamper(raw: bytes) -> bytes:
+        i = position % len(raw)
+        if truncate:
+            return raw[:i]
+        return raw[:i] + bytes([raw[i] ^ value]) + raw[i + 1 :]
+
+    rng = random.Random(0x7A3)
+    env = TargetEnvironment("fuzz-hw", 3, (("os", b"os image"),), GeoPoint(1.0, 2.0, 3.0))
+    attester = AttestingEnvironment.create("fuzz-attester", rng)
+    verifier, rp = make_contexts(rng, env)
+    decision = run_passport_flow(
+        attester, env, verifier, rp, Transport(), clock=0, result_tamper=tamper
+    )
+    assert isinstance(decision, Decision)
+    assert not decision.granted

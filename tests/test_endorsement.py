@@ -153,6 +153,18 @@ class TestRegisterEndorsement:
         assert again.to_bytes() != record.to_bytes()
         assert len(ledger) == 2
 
+    def test_ledger_counts_every_append_and_indexes_bytes(self, rng):
+        manufacturer, record, store, ledger, objects = _setup_registration(rng)
+        ledger.append(record)  # a duplicate append still counts
+        assert len(ledger) == 2
+        assert ledger.includes(record)
+        assert ledger.includes(EndorsementRecord.from_bytes(record.to_bytes()))
+        other = register_endorsement(
+            manufacturer, "widget-7", objects, store, EndorsementsLedger(), clock=11
+        )
+        assert not ledger.includes(other)
+        assert len(ledger) == 2
+
     def test_missing_mandatory_label_rejected(self, rng):
         manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)
         with pytest.raises(LedgerError, match="root_cert"):

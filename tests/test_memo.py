@@ -1,5 +1,5 @@
 """Derived values (canonical bytes, digests, signature validity, merged
-references) are stored on the objects they describe; these tests check that
+references, measured claims) are stored on the objects they describe; these tests check that
 a stored value never outlives a change to what it was derived from."""
 
 import logging
@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from attestnet.attester import measure
 from attestnet.consortium import FaultInjection, _apply_fault
 from attestnet.conveyance import VerifierContext
 from attestnet.model import (
@@ -74,16 +75,15 @@ def test_policy_digest_follows_replace():
     assert policy.digest() == first == digest(policy.to_bytes())
 
 
-@pytest.mark.parametrize(
-    "fault",
-    [
-        FaultInjection(0, "n1", "flip_sw_byte"),
-        FaultInjection(0, "n1", "change_fw", fw_version=9),
-        FaultInjection(0, "n1", "move_geo", lat=10.0, lon=20.0),
-        FaultInjection(0, "n1", "clone_config", from_node="n2"),
-    ],
-    ids=lambda f: f.mutation,
-)
+FAULTS = [
+    FaultInjection(0, "n1", "flip_sw_byte"),
+    FaultInjection(0, "n1", "change_fw", fw_version=9),
+    FaultInjection(0, "n1", "move_geo", lat=10.0, lon=20.0),
+    FaultInjection(0, "n1", "clone_config", from_node="n2"),
+]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.mutation)
 def test_fault_mutated_environment_gets_new_config_digest(fault):
     universe = fresh_universe()
     before = universe.nodes["n1"].target_env.config_digest()
@@ -91,6 +91,29 @@ def test_fault_mutated_environment_gets_new_config_digest(fault):
     after = universe.nodes["n1"].target_env
     assert after.config_digest() != before
     assert after.config_digest() == digest(after.to_bytes())
+
+
+def test_measure_stores_claims_per_environment(env):
+    claims = measure(env)
+    assert measure(env) is claims
+    same = replace(env)  # an equal environment with nothing stored
+    assert measure(same) is not claims
+    assert measure(same) == claims
+    newer = replace(env, fw_version=env.fw_version + 1)
+    changed = dict(measure(newer).items())
+    assert changed["fw.version"] == ClaimValue.of_int(env.fw_version + 1)
+    assert changed["config.digest"] == ClaimValue.of_digest(newer.config_digest())
+    assert measure(env) is claims
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.mutation)
+def test_fault_mutated_environment_gets_new_claims(fault):
+    universe = fresh_universe()
+    before = measure(universe.nodes["n1"].target_env)
+    _apply_fault(universe, fault)
+    after = universe.nodes["n1"].target_env
+    assert measure(after) != before
+    assert measure(after).get("config.digest") == ClaimValue.of_digest(after.config_digest())
 
 
 def _reference_context(rng, env, endorsements):

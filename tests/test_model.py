@@ -1,15 +1,21 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from attestnet.model import (
+    AttestationResult,
     ClaimSet,
     ClaimValue,
+    Decoder,
     Digest,
+    EntityId,
     Evidence,
     EvidencePolicy,
+    GeoFence,
     GeoPoint,
+    LayerRecord,
     ModelError,
     Nonce,
     PolicyRule,
@@ -17,9 +23,11 @@ from attestnet.model import (
     RuleKind,
     SignerIdentity,
     SigningKey,
+    Verdict,
     canonical_serialize,
     digest,
     new_nonce,
+    sign_message,
     verify_bytes,
 )
 from attestnet.attester import measure
@@ -213,3 +221,105 @@ class TestInvariantConstructors:
     def test_freshness_window_minimum(self):
         with pytest.raises(ModelError):
             EvidencePolicy("p", (), freshness_window=0)
+
+
+# ---------------------------------------------------------------------------
+# Decoders raise only ModelError
+# ---------------------------------------------------------------------------
+
+_FUZZ_KEY = SigningKey(b"\x09" * 32)
+_FUZZ_VERIFIER = EntityId(Role.VERIFIER, "fuzz-verifier", _FUZZ_KEY.public_bytes)
+
+
+@functools.cache
+def _encodings() -> dict:
+    """One canonical encoding per decoded type, covering every field kind."""
+    result = AttestationResult(
+        _FUZZ_VERIFIER, _entity(), Verdict.NON_COMPLIANT, digest(b"policy"),
+        Nonce(b"\x02" * 16, 3), ("fw.min", "missing_claim:geo"), 4,
+    )
+    policy = EvidencePolicy(
+        "fuzz-policy",
+        (
+            PolicyRule("ref.os", RuleKind.REFERENCE_MATCH, "sw.os.digest"),
+            PolicyRule("fence", RuleKind.GEO_FENCE, "geo", fence=GeoFence(0.0, 1.0, 0.0, 1.0)),
+        ),
+        5,
+        ("config.digest",),
+    )
+    claims = ClaimSet({
+        "b": ClaimValue.of_bytes(b"\x00\xff"),
+        "t": ClaimValue.of_text("text"),
+        "i": ClaimValue.of_int(-7),
+        "d": ClaimValue.of_digest(digest(b"d")),
+        "g": ClaimValue.of_geo(1.0, 2.0, 3.0),
+    })
+    evidence = Evidence(
+        _entity(), claims, Nonce(b"\x03" * 16, 1), 2,
+        layer_chain=(LayerRecord(0, digest(b"layer"), digest(b"key")),),
+    )
+    return {
+        AttestationResult: sign_message(result, _FUZZ_KEY).to_bytes(),
+        EvidencePolicy: policy.to_bytes(),
+        Evidence: sign_message(evidence, _FUZZ_KEY).to_bytes(),
+    }
+
+
+def _decodes_or_model_error(cls, data: bytes):
+    try:
+        cls.from_bytes(data)
+    except ModelError:
+        pass
+
+
+def _entity_len(entity: EntityId) -> int:
+    return 12 + len(entity.role.value) + len(entity.name) + len(entity.public_key)
+
+
+class TestDecoderErrors:
+    def test_unknown_verdict_tag(self):
+        blob = bytearray(_encodings()[AttestationResult])
+        blob[_entity_len(_FUZZ_VERIFIER) + _entity_len(_entity())] = 9
+        with pytest.raises(ModelError, match="verdict"):
+            AttestationResult.from_bytes(bytes(blob))
+
+    def test_unknown_rule_tag(self):
+        blob = bytearray(_encodings()[EvidencePolicy])
+        blob[4 + len("fuzz-policy") + 8 + 4 + len("ref.os")] = 99
+        with pytest.raises(ModelError, match="rule"):
+            EvidencePolicy.from_bytes(bytes(blob))
+
+    def test_unknown_role(self):
+        blob = _encodings()[AttestationResult].replace(b"verifier", b"verifiex", 1)
+        with pytest.raises(ModelError, match="role"):
+            AttestationResult.from_bytes(blob)
+
+    def test_invalid_utf8_text(self):
+        with pytest.raises(ModelError, match="UTF-8"):
+            Decoder(b"\x00\x00\x00\x01\xff").text()
+
+    @pytest.mark.parametrize("cls", [AttestationResult, EvidencePolicy, Evidence],
+                             ids=lambda c: c.__name__)
+    def test_every_truncation_and_byte_flip(self, cls):
+        blob = _encodings()[cls]
+        assert cls.from_bytes(blob).to_bytes() == blob
+        for cut in range(len(blob)):
+            with pytest.raises(ModelError):
+                cls.from_bytes(blob[:cut])
+        for pos in range(len(blob)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(blob)
+                mutated[pos] ^= flip
+                _decodes_or_model_error(cls, bytes(mutated))
+
+    @pytest.mark.parametrize("cls", [AttestationResult, EvidencePolicy, Evidence],
+                             ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_truncated_or_mutated_encoding_raises_only_model_error(self, cls, data):
+        blob = _encodings()[cls]
+        _decodes_or_model_error(cls, blob[: data.draw(st.integers(0, len(blob)), label="cut")])
+        mutated = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            mutated[pos] = data.draw(st.integers(0, 255), label="byte")
+        _decodes_or_model_error(cls, bytes(mutated))
