@@ -9,11 +9,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import (
+    BLOB,
+    DIGEST,
+    GEO,
+    I64,
+    SIGNING_KEY,
+    TEXT,
+    U64,
     ClaimSet,
     ClaimValue,
-    Decoder,
     Digest,
-    Encoder,
     EntityId,
     Evidence,
     GeoPoint,
@@ -22,9 +27,14 @@ from .model import (
     Nonce,
     Role,
     SigningKey,
+    Table,
     _once,
+    decode,
     digest,
+    encode,
     keyed_digest,
+    pair,
+    seq,
     sign_message,
 )
 
@@ -50,22 +60,21 @@ class TargetEnvironment:
             raise ModelError("gpu count and stake must be non-negative")
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.text(self.hw_model)
-        enc.i64(self.fw_version)
-        enc.u64(len(self.sw_images))
-        for name, image in self.sw_images:
-            enc.text(name)
-            enc.blob(image)
-        enc.f64(self.geo.latitude)
-        enc.f64(self.geo.longitude)
-        enc.f64(self.geo.altitude)
-        enc.u64(self.gpu_count)
-        enc.u64(self.stake)
-        return enc.getvalue()
+        return encode(_TARGET, self)
 
     def config_digest(self) -> Digest:
         return _once(self, "config_digest", lambda: digest(self.to_bytes()))
+
+
+_TARGET = Table(
+    TargetEnvironment,
+    ("hw_model", TEXT),
+    ("fw_version", I64),
+    ("sw_images", seq(pair(TEXT, BLOB))),
+    ("geo", GEO),
+    ("gpu_count", U64),
+    ("stake", U64),
+)
 
 
 def measure(env: TargetEnvironment) -> ClaimSet:
@@ -202,29 +211,21 @@ class AttestingEnvironment:
     # -- persistence (models reboot as destroy/reconstruct) ------------------
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.text(self.identity.name)
-        enc.blob(self.attestation_key.private_bytes)
-        enc.blob(self.device_secret)
-        enc.blob(self.tx_key.private_bytes)
-        enc.u64(len(self.approved_configs))
-        for d in self.approved_configs:
-            enc.raw(d.value)
-        return enc.getvalue()
+        return encode(_STATE, self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestingEnvironment":
-        dec = Decoder(data)
-        name = dec.text()
-        att_key = SigningKey(dec.blob())
-        secret = dec.blob()
-        tx_key = SigningKey(dec.blob())
-        approved = [Digest(dec.raw(32)) for _ in range(dec.u64())]
-        dec.done()
-        return AttestingEnvironment(
-            identity=EntityId(Role.ATTESTER, name, att_key.public_bytes),
-            attestation_key=att_key,
-            device_secret=secret,
-            approved_configs=approved,
-            tx_key=tx_key,
-        )
+        return decode(_STATE, data)
+
+
+# The persisted state: the identity is rebuilt from the name and the key.
+_STATE = Table(
+    lambda name, key, secret, tx_key, approved: AttestingEnvironment(
+        EntityId(Role.ATTESTER, name, key.public_bytes), key, secret, list(approved), tx_key
+    ),
+    ("identity.name", TEXT),
+    ("attestation_key", SIGNING_KEY),
+    ("device_secret", BLOB),
+    ("tx_key", SIGNING_KEY),
+    ("approved_configs", seq(DIGEST)),
+)

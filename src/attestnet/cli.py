@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import consortium, scenario
 from .model import (
-    AttestationResult,
-    Decoder,
-    Encoder,
+    ROLE,
+    SIGNING_KEY,
+    TEXT,
     Endorsement,
     EntityId,
     Evidence,
@@ -25,8 +25,10 @@ from .model import (
     Nonce,
     Role,
     SignerIdentity,
-    SigningKey,
+    Table,
     Verdict,
+    decode,
+    encode,
 )
 
 EXIT_OK = 0
@@ -41,21 +43,20 @@ EXIT_INTEGRITY = 5
 # ---------------------------------------------------------------------------
 
 
+_IDENTITY = Table(
+    lambda role, name, key: SignerIdentity(EntityId(role, name, key.public_bytes), key),
+    ("entity.role", ROLE),
+    ("entity.name", TEXT),
+    ("key", SIGNING_KEY),
+)
+
+
 def save_identity(identity: SignerIdentity, path: Path):
-    enc = Encoder()
-    enc.text(identity.entity.role.value)
-    enc.text(identity.entity.name)
-    enc.blob(identity.key.private_bytes)
-    path.write_bytes(enc.getvalue())
+    path.write_bytes(encode(_IDENTITY, identity))
 
 
 def load_identity(path: Path) -> SignerIdentity:
-    dec = Decoder(path.read_bytes())
-    role = Role(dec.text())
-    name = dec.text()
-    key = SigningKey(dec.blob())
-    dec.done()
-    return SignerIdentity(EntityId(role, name, key.public_bytes), key)
+    return decode(_IDENTITY, path.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def cmd_appraise(args) -> int:
         endorsements = [
             Endorsement.from_bytes(Path(p).read_bytes()) for p in args.endorsement
         ]
-    except (OSError, ModelError, KeyError, ValueError) as exc:
+    except (OSError, ModelError) as exc:
         print(f"appraise: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -155,10 +156,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_ledger(args) -> int:
     try:
-        blocks = consortium.import_ledger(Path(args.ledger).read_text())
-    except (OSError, ModelError, ValueError, KeyError) as exc:
+        blocks = consortium.import_ledger(Path(args.ledger).read_text(errors="replace"))
+    except (OSError, ModelError) as exc:
         print(f"ledger: cannot decode export: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY if isinstance(exc, (ModelError, ValueError, KeyError)) else EXIT_USAGE
+        return EXIT_INTEGRITY if isinstance(exc, ModelError) else EXIT_USAGE
     if args.verify:
         fault = consortium.verify_chain(blocks)
         if fault is not None:

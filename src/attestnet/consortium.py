@@ -12,18 +12,26 @@ from typing import Optional, Sequence
 from .attester import AttestingEnvironment, TargetEnvironment
 from .conveyance import VerifierContext
 from .model import (
+    BLOB,
+    DIGEST,
+    F64,
+    TEXT,
+    U64,
     AttestationResult,
-    Decoder,
     Digest,
-    Encoder,
     EvidencePolicy,
     GeoFence,
     GeoPoint,
     ModelError,
     SignerIdentity,
+    Table,
     Verdict,
     ZERO_DIGEST,
+    decode,
     digest,
+    encode,
+    pair,
+    seq,
 )
 
 GENESIS_PREV = Digest(ZERO_DIGEST)
@@ -56,40 +64,28 @@ class LedgerBlock:
     block_digest: Digest = field(default=GENESIS_PREV)
 
     def content_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.u64(self.height)
-        enc.raw(self.prev_digest.value)
-        enc.u64(len(self.records))
-        for rec in self.records:
-            enc.text(rec.kind)
-            enc.blob(rec.payload)
-        enc.text(self.forger)
-        enc.u64(self.tick)
-        return enc.getvalue()
+        return encode(_BLOCK, self)
 
     def sealed(self) -> "LedgerBlock":
-        return LedgerBlock(
-            self.height, self.prev_digest, self.records, self.forger, self.tick,
-            digest(self.content_bytes()),
-        )
+        return replace(self, block_digest=digest(self.content_bytes()))
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.raw(self.content_bytes())
-        enc.raw(self.block_digest.value)
-        return enc.getvalue()
+        return self.content_bytes() + self.block_digest.value
 
     @staticmethod
     def from_bytes(data: bytes) -> "LedgerBlock":
-        dec = Decoder(data)
-        height = dec.u64()
-        prev = Digest(dec.raw(32))
-        records = tuple(LedgerRecord(dec.text(), dec.blob()) for _ in range(dec.u64()))
-        forger = dec.text()
-        tick = dec.u64()
-        block_digest = Digest(dec.raw(32))
-        dec.done()
-        return LedgerBlock(height, prev, records, forger, tick, block_digest)
+        return decode(_BLOCK, data)
+
+
+_BLOCK = Table(
+    LedgerBlock,
+    ("height", U64),
+    ("prev_digest", DIGEST),
+    ("records", seq(Table(LedgerRecord, ("kind", TEXT), ("payload", BLOB)))),
+    ("forger", TEXT),
+    ("tick", U64),
+    trailer=DIGEST,
+)
 
 
 def verify_chain(blocks: Sequence[LedgerBlock]) -> Optional[str]:
@@ -119,7 +115,6 @@ class Node:
     target_env: TargetEnvironment
     local_verifier: VerifierContext
     last_result: Optional[AttestationResult] = None
-    ledger_copy: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -161,10 +156,10 @@ class Transaction:
     payload: bytes
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.blob(self.originator_key)
-        enc.blob(self.payload)
-        return enc.getvalue()
+        return encode(_TRANSACTION, self)
+
+
+_TRANSACTION = Table(Transaction, ("originator_key", BLOB), ("payload", BLOB))
 
 
 @dataclass(frozen=True)
@@ -327,30 +322,23 @@ def update_governance(universe: Universe, diversity: float) -> int:
     new = cfg.raised_majority if diversity < cfg.diversity_threshold else cfg.majority_parameter
     if new != universe.effective_majority:
         universe.effective_majority = new
-        enc = Encoder()
-        enc.u64(new)
-        enc.f64(diversity)
-        universe.pending_records.append(LedgerRecord("governance", enc.getvalue()))
+        universe.pending_records.append(
+            LedgerRecord("governance", encode(pair(U64, F64), (new, diversity)))
+        )
     return universe.effective_majority
 
 
-def _node_in_fence(universe: Universe, node: Node) -> bool:
-    fence = universe.config.geo_fence
-    return fence is None or fence.contains(node.target_env.geo)
-
-
 def eligible_nodes(universe: Universe) -> list[Node]:
-    out = []
-    for node in universe.sorted_nodes():
-        result = node.last_result
-        if result is None or result.verdict != Verdict.COMPLIANT:
-            continue
-        if universe.clock - result.created_at > universe.config.epoch_length:
-            continue
-        if not _node_in_fence(universe, node):
-            continue
-        out.append(node)
-    return out
+    """Nodes whose latest consortium result is compliant, fresh, and from
+    inside the geo fence: the only nodes that may forge a block."""
+    cfg = universe.config
+    return [
+        node for node in universe.sorted_nodes()
+        if node.last_result is not None
+        and node.last_result.verdict == Verdict.COMPLIANT
+        and universe.clock - node.last_result.created_at <= cfg.epoch_length
+        and (cfg.geo_fence is None or cfg.geo_fence.contains(node.target_env.geo))
+    ]
 
 
 def _stake_weighted_pick(nodes: Sequence[Node], round_seed: int) -> Optional[str]:
@@ -378,9 +366,6 @@ def forge_block(universe: Universe, validator: str, records: Sequence[LedgerReco
         len(universe.ledger), prev, tuple(records), validator, universe.clock
     ).sealed()
     universe.ledger.append(block)
-    raw = block.to_bytes()
-    for node in universe.nodes.values():
-        node.ledger_copy.append(raw)
     return block
 
 
@@ -466,12 +451,7 @@ def run_epoch(universe: Universe) -> EpochReport:
 
 
 def audit_digest(domain_id: str, entries: Sequence[bytes]) -> Digest:
-    enc = Encoder()
-    enc.text(domain_id)
-    enc.u64(len(entries))
-    for e in entries:
-        enc.blob(e)
-    return digest(enc.getvalue())
+    return digest(encode(pair(TEXT, seq(BLOB)), (domain_id, entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +465,12 @@ def honest_subset_round(
     pending_txs: Sequence[Transaction],
     round_seed: int,
 ) -> tuple[Optional[LedgerBlock], list[Transaction]]:
-    """An honest node (compliant latest verdict) forges a block containing only
+    """An honest node (one of `eligible_nodes`) forges a block containing only
     transactions from pre-registered user keys; others stay pending. The
     forger is credited with a remuneration record."""
     if not universe.permissionless:
         raise SimError("honest subset rounds require permissionless mode")
-    honest = [
-        n for n in universe.sorted_nodes()
-        if n.last_result is not None and n.last_result.verdict == Verdict.COMPLIANT
-    ]
-    forger = _stake_weighted_pick(honest, round_seed)
+    forger = _stake_weighted_pick(eligible_nodes(universe), round_seed)
     if forger is None:
         universe.pending_records.append(LedgerRecord("no_eligible", b""))
         return None, list(pending_txs)
@@ -523,7 +499,11 @@ def import_ledger(text: str) -> list[LedgerBlock]:
     for line in text.splitlines():
         line = line.strip()
         if line:
-            blocks.append(LedgerBlock.from_bytes(bytes.fromhex(line)))
+            try:
+                data = bytes.fromhex(line)
+            except ValueError as exc:
+                raise ModelError(f"ledger export line is not hex: {exc}") from exc
+            blocks.append(LedgerBlock.from_bytes(data))
     return blocks
 
 

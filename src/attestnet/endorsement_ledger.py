@@ -11,17 +11,23 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import (
-    Decoder,
+    BLOB,
+    DIGEST,
+    ENTITY,
+    TEXT,
+    U64,
     Digest,
-    Encoder,
     Endorsement,
     EntityId,
     ModelError,
     SignerIdentity,
+    Table,
+    decode,
     digest,
+    encode,
+    pair,
+    seq,
     verify_bytes,
-    _dec_entity,
-    _enc_entity,
 )
 
 MANDATORY_LABELS = ("endorsement", "manufacturer_cert", "root_cert")
@@ -83,10 +89,9 @@ def merkle_prove(leaves: Sequence[Digest], index: int) -> list[tuple[bool, Diges
     return proof
 
 
-def merkle_verify(root: Digest, leaf: Digest, index: int, proof: Sequence[tuple[bool, Digest]]) -> bool:
-    # index is not folded in: promoted odd nodes skip levels, so the sibling
-    # side flags in the proof drive the reconstruction
-    del index
+def merkle_verify(root: Digest, leaf: Digest, proof: Sequence[tuple[bool, Digest]]) -> bool:
+    # promoted odd nodes skip levels, so the sibling side flags in the proof,
+    # not a leaf index, drive the reconstruction
     node = _leaf_hash(leaf)
     for is_left, sibling in proof:
         node = _node_hash(sibling, node) if is_left else _node_hash(node, sibling)
@@ -150,37 +155,25 @@ class EndorsementRecord:
             raise ModelError(f"endorsement record missing mandatory objects: {missing}")
 
     def signing_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        return enc.getvalue()
-
-    def _encode_unsigned(self, enc: Encoder):
-        _enc_entity(enc, self.manufacturer)
-        enc.text(self.product_id)
-        enc.raw(self.merkle_root.value)
-        enc.u64(len(self.object_refs))
-        for label, addr in self.object_refs:
-            enc.text(label)
-            enc.raw(addr.value)
-        enc.u64(self.registered_at)
+        return encode(_RECORD, self)
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        self._encode_unsigned(enc)
-        enc.blob(self.signature)
-        return enc.getvalue()
+        return self.signing_bytes() + encode(BLOB, self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "EndorsementRecord":
-        dec = Decoder(data)
-        manufacturer = _dec_entity(dec)
-        product_id = dec.text()
-        root = Digest(dec.raw(32))
-        refs = tuple((dec.text(), Digest(dec.raw(32))) for _ in range(dec.u64()))
-        registered_at = dec.u64()
-        sig = dec.blob()
-        dec.done()
-        return EndorsementRecord(manufacturer, product_id, root, refs, registered_at, sig)
+        return decode(_RECORD, data)
+
+
+_RECORD = Table(
+    EndorsementRecord,
+    ("manufacturer", ENTITY),
+    ("product_id", TEXT),
+    ("merkle_root", DIGEST),
+    ("object_refs", seq(pair(TEXT, DIGEST))),
+    ("registered_at", U64),
+    trailer=BLOB,
+)
 
 
 class EndorsementsLedger:
@@ -232,15 +225,13 @@ def verify_product(
     record: EndorsementRecord,
     store: ContentStore,
     ledger: EndorsementsLedger,
-    manufacturer_active: bool = False,
 ) -> tuple[bool, Optional[str]]:
     """Check a product against its ledger-registered endorsement record.
 
-    The manufacturer_active flag never participates: verification relies only
-    on the ledger, the stored objects, and the record's signature, so it holds
-    after the manufacturer is gone. Returns (ok, reason).
+    Verification relies only on the ledger, the stored objects, and the
+    record's signature, so it holds after the manufacturer is gone. Returns
+    (ok, reason).
     """
-    del manufacturer_active  # outcome is independent of manufacturer liveness
     if not ledger.includes(record):
         return False, "ledger_mismatch"
 
@@ -253,11 +244,13 @@ def verify_product(
     if merkle_root([addr for _, addr in record.object_refs]) != record.merkle_root:
         return False, "root_mismatch"
 
-    cert = EntityId(record.manufacturer.role, record.manufacturer.name, objects["manufacturer_cert"])
-    if not verify_bytes(record.signing_bytes(), record.signature, cert.public_key):
+    if not verify_bytes(record.signing_bytes(), record.signature, objects["manufacturer_cert"]):
         return False, "signature_invalid"
 
-    endorsement = Endorsement.from_bytes(objects["endorsement"])
+    try:
+        endorsement = Endorsement.from_bytes(objects["endorsement"])
+    except ModelError:
+        return False, "endorsement_malformed"
     ref = endorsement.reference_claims.get(PRODUCT_DIGEST_CLAIM)
     if ref is None or ref.kind != "digest" or ref.value != digest(product_bytes):
         return False, "digest_mismatch"

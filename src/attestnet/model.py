@@ -1,9 +1,21 @@
 """Core message model: claims, identities, evidence, endorsements, results,
 policies, and the canonical byte encoding that every signature covers.
 
-All types are immutable values after construction. The canonical encoding is
-the wire/storage format for signed structures; signatures always cover the
-encoding of a message with its signature field excluded.
+All types are immutable values after construction. Every wire and storage
+format is declared once, as a field table (`Table`) next to its class: the
+fields in encoding order, each with a kind (`U64`, `TEXT`, `DIGEST`,
+`seq(...)`, `optional(...)`, `tag(...)`, a nested table, ...). `encode` and
+`decode` walk a table; nothing else reads or writes fields. The fields are
+what a signature covers (a message's signing bytes, a block's content
+bytes); the trailer, the signature or the block digest, follows them in
+`to_bytes`.
+
+Decoding accepts only the canonical encoding, so equal values have one byte
+image and a signed message cannot be re-encoded under the same signature:
+claim keys strictly ascending in UTF-8 byte order, flag and presence bytes
+exactly 0 or 1, known tags, valid UTF-8, no trailing bytes, and component
+evidence nested at most `MAX_COMPONENT_DEPTH` deep, checked before it is
+decoded. Every decoding failure raises `ModelError`.
 
 Because messages never change, what is derived from them is worked out at most
 once per object and stored on it: the signing bytes and signature validity of
@@ -21,7 +33,8 @@ import hmac
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -99,6 +112,7 @@ class GeoPoint:
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_CLAIM_TYPES = {"bytes": bytes, "text": str, "int": int, "digest": Digest, "geo": GeoPoint}
 
 
 @dataclass(frozen=True)
@@ -108,19 +122,12 @@ class ClaimValue:
     kind: str
     value: Union[bytes, str, int, Digest, GeoPoint]
 
-    _KINDS = ("bytes", "text", "int", "digest", "geo")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _CLAIM_TYPES:
             raise ModelError(f"unknown claim kind {self.kind!r}")
-        ok = {
-            "bytes": lambda v: isinstance(v, bytes),
-            "text": lambda v: isinstance(v, str),
-            "int": lambda v: isinstance(v, int) and _INT64_MIN <= v <= _INT64_MAX,
-            "digest": lambda v: isinstance(v, Digest),
-            "geo": lambda v: isinstance(v, GeoPoint),
-        }[self.kind](self.value)
-        if not ok:
+        if not isinstance(self.value, _CLAIM_TYPES[self.kind]) or (
+            self.kind == "int" and not _INT64_MIN <= self.value <= _INT64_MAX
+        ):
             raise ModelError(f"claim value {self.value!r} invalid for kind {self.kind}")
 
     @staticmethod
@@ -290,73 +297,30 @@ def new_nonce(clock: int, rng) -> Nonce:
 
 
 # ---------------------------------------------------------------------------
-# Canonical encoding primitives
+# Canonical encoding: field kinds and tables
 # ---------------------------------------------------------------------------
 
-
-class Encoder:
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def u8(self, v: int):
-        self._parts.append(struct.pack(">B", v))
-
-    def u64(self, v: int):
-        self._parts.append(struct.pack(">Q", v))
-
-    def i64(self, v: int):
-        self._parts.append(struct.pack(">q", v))
-
-    def f64(self, v: float):
-        self._parts.append(struct.pack(">d", v))
-
-    def raw(self, b: bytes):
-        self._parts.append(b)
-
-    def blob(self, b: bytes):
-        self._parts.append(struct.pack(">I", len(b)))
-        self._parts.append(b)
-
-    def text(self, s: str):
-        self.blob(s.encode("utf-8"))
-
-    def boolean(self, v: bool):
-        self.u8(1 if v else 0)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+_U32, _U64 = struct.Struct(">I"), struct.Struct(">Q")  # blob lengths, sequence counts
 
 
 class Decoder:
-    def __init__(self, data: bytes):
+    """Reads one encoding front to back; `depth` is the component nesting
+    level of the evidence being decoded (1 at the top)."""
+
+    def __init__(self, data: bytes, depth: int = 1):
         self._data = data
         self._pos = 0
+        self.depth = depth
 
-    def _take(self, n: int) -> bytes:
+    def raw(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
             raise ModelError("truncated canonical encoding")
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
     def blob(self) -> bytes:
-        n = struct.unpack(">I", self._take(4))[0]
-        return self._take(n)
+        return self.raw(_U32.unpack(self.raw(_U32.size))[0])
 
     def text(self) -> str:
         try:
@@ -365,111 +329,171 @@ class Decoder:
             raise ModelError("text field is not valid UTF-8") from exc
 
     def boolean(self) -> bool:
-        return self.u8() != 0
+        flag = self.raw(1)[0]
+        if flag > 1:
+            raise ModelError(f"flag byte {flag} is neither 0 nor 1")
+        return flag == 1
 
     def done(self):
         if self._pos != len(self._data):
             raise ModelError("trailing bytes after canonical encoding")
 
 
-def _dec_tag(table: dict, tag, what: str):
-    """`table[tag]`, raising `ModelError` for a tag the format does not define."""
-    value = table.get(tag)
-    if value is None:
-        raise ModelError(f"unknown {what} {tag!r}")
+class Kind(NamedTuple):
+    """How a field's value is written (to a list of byte strings) and read back."""
+
+    put: Callable[[list, Any], None]
+    get: Callable[[Decoder], Any]
+
+
+class Table:
+    """A record format: its fields in encoding order, each an (attribute,
+    kind) pair, where the attribute may be a dotted path. `make` builds the
+    value from the decoded fields, in the same order. A `trailer` (a
+    signature, or a block's digest) is read after the fields but is not
+    written by `put`: the fields alone are what gets signed or hashed.
+
+    A table is itself a kind, so records nest."""
+
+    def __init__(self, make, *fields: tuple[str, Kind], trailer: Optional[Kind] = None):
+        self._make = make
+        self._puts = tuple((attrgetter(name), kind.put) for name, kind in fields)
+        self._gets = tuple(kind.get for _, kind in fields) + ((trailer.get,) if trailer else ())
+
+    def put(self, out: list, value):
+        for get, put in self._puts:
+            put(out, get(value))
+
+    def get(self, dec: Decoder):
+        return self._make(*[get(dec) for get in self._gets])
+
+
+def encode(kind, value) -> bytes:
+    """The canonical bytes of `value` (a table's fields exclude its trailer)."""
+    out: list[bytes] = []
+    kind.put(out, value)
+    return b"".join(out)
+
+
+def decode(kind, data: bytes, depth: int = 1):
+    """The value that `data` encodes, trailer included; anything left over,
+    missing or non-canonical raises `ModelError`."""
+    dec = Decoder(data, depth)
+    value = kind.get(dec)
+    dec.done()
     return value
 
 
-_CLAIM_TAGS = {"bytes": 1, "text": 2, "int": 3, "digest": 4, "geo": 5}
-_CLAIM_TAGS_REV = {v: k for k, v in _CLAIM_TAGS.items()}
+def _fixed(fmt: str) -> Kind:
+    layout = struct.Struct(fmt)
+    pack, unpack, size = layout.pack, layout.unpack, layout.size
+    return Kind(lambda out, v: out.append(pack(v)), lambda dec: unpack(dec.raw(size))[0])
 
 
-def _enc_claim_value(enc: Encoder, cv: ClaimValue):
-    enc.u8(_CLAIM_TAGS[cv.kind])
-    if cv.kind == "bytes":
-        enc.blob(cv.value)
-    elif cv.kind == "text":
-        enc.text(cv.value)
-    elif cv.kind == "int":
-        enc.i64(cv.value)
-    elif cv.kind == "digest":
-        enc.raw(cv.value.value)
-    else:
-        enc.f64(cv.value.latitude)
-        enc.f64(cv.value.longitude)
-        enc.f64(cv.value.altitude)
+def _put_blob(out: list, b: bytes):
+    out.append(_U32.pack(len(b)))
+    out.append(b)
 
 
-def _dec_claim_value(dec: Decoder) -> ClaimValue:
-    kind = _dec_tag(_CLAIM_TAGS_REV, dec.u8(), "claim value tag")
-    if kind == "bytes":
-        return ClaimValue.of_bytes(dec.blob())
-    if kind == "text":
-        return ClaimValue.of_text(dec.text())
-    if kind == "int":
-        return ClaimValue.of_int(dec.i64())
-    if kind == "digest":
-        return ClaimValue.of_digest(Digest(dec.raw(DIGEST_LEN)))
-    return ClaimValue.of_geo(dec.f64(), dec.f64(), dec.f64())
+U8, U64, I64, F64 = (_fixed(fmt) for fmt in (">B", ">Q", ">q", ">d"))
+BOOL = Kind(lambda out, v: out.append(b"\x01" if v else b"\x00"), Decoder.boolean)
+BLOB = Kind(_put_blob, Decoder.blob)
+TEXT = Kind(lambda out, s: _put_blob(out, s.encode("utf-8")), Decoder.text)
+DIGEST = Kind(lambda out, d: out.append(d.value), lambda dec: Digest(dec.raw(DIGEST_LEN)))
+SIGNING_KEY = Kind(lambda out, k: _put_blob(out, k.private_bytes),
+                   lambda dec: SigningKey(dec.blob()))
 
 
-def _enc_claim_set(enc: Encoder, cs: ClaimSet):
-    items = list(cs.items())
-    enc.u64(len(items))
-    for k, v in items:
-        enc.text(k)
-        _enc_claim_value(enc, v)
+def tag(table: dict, what: str, code: Kind = U8) -> Kind:
+    """A value among `table`'s keys, written as its code in `table`."""
+    values = {c: v for v, c in table.items()}
+    codes = {v: encode(code, c) for v, c in table.items()}
+    read = code.get
+
+    def get(dec: Decoder):
+        c = read(dec)
+        if c not in values:
+            raise ModelError(f"unknown {what} {c!r}")
+        return values[c]
+
+    return Kind(lambda out, v: out.append(codes[v]), get)
 
 
-def _dec_claim_set(dec: Decoder) -> ClaimSet:
-    n = dec.u64()
-    entries = {}
-    for _ in range(n):
-        k = dec.text()
-        entries[k] = _dec_claim_value(dec)
-    return ClaimSet(entries)
+def seq(kind: Kind) -> Kind:
+    """A tuple of values: the count as u64, then each value."""
+    put_item, get_item = kind.put, kind.get
+
+    def put(out: list, values):
+        out.append(_U64.pack(len(values)))
+        for v in values:
+            put_item(out, v)
+
+    return Kind(put, lambda dec: tuple([get_item(dec) for _ in range(U64.get(dec))]))
 
 
-def _enc_entity(enc: Encoder, e: EntityId):
-    enc.text(e.role.value)
-    enc.text(e.name)
-    enc.blob(e.public_key)
+def optional(kind: Kind) -> Kind:
+    """A value or None: a presence flag, then the value if present."""
+
+    def put(out: list, v):
+        if v is None:
+            out.append(b"\x00")
+        else:
+            out.append(b"\x01")
+            kind.put(out, v)
+
+    return Kind(put, lambda dec: kind.get(dec) if dec.boolean() else None)
 
 
-_ROLES = {r.value: r for r in Role}
+def pair(first: Kind, second: Kind) -> Kind:
+    def put(out: list, v):
+        first.put(out, v[0])
+        second.put(out, v[1])
+
+    return Kind(put, lambda dec: (first.get(dec), second.get(dec)))
 
 
-def _dec_entity(dec: Decoder) -> EntityId:
-    return EntityId(_dec_tag(_ROLES, dec.text(), "role"), dec.text(), dec.blob())
+GEO = Table(GeoPoint, ("latitude", F64), ("longitude", F64), ("altitude", F64))
+ROLE = tag({r: r.value for r in Role}, "role", TEXT)
+ENTITY = Table(EntityId, ("role", ROLE), ("name", TEXT), ("public_key", BLOB))
+NONCE = Table(
+    Nonce, ("value", Kind(list.append, lambda dec: dec.raw(NONCE_LEN))), ("issued_at", U64)
+)
+
+_CLAIM_KIND = tag({"bytes": 1, "text": 2, "int": 3, "digest": 4, "geo": 5}, "claim value tag")
+_CLAIM_VALUES = {"bytes": BLOB, "text": TEXT, "int": I64, "digest": DIGEST, "geo": GEO}
 
 
-def _enc_nonce(enc: Encoder, n: Nonce):
-    enc.raw(n.value)
-    enc.u64(n.issued_at)
+def _put_claim(out: list, cv: ClaimValue):
+    _CLAIM_KIND.put(out, cv.kind)
+    _CLAIM_VALUES[cv.kind].put(out, cv.value)
 
 
-def _dec_nonce(dec: Decoder) -> Nonce:
-    return Nonce(dec.raw(NONCE_LEN), dec.u64())
+def _get_claim(dec: Decoder) -> ClaimValue:
+    kind = _CLAIM_KIND.get(dec)
+    return ClaimValue(kind, _CLAIM_VALUES[kind].get(dec))
 
 
-# Evidence, endorsements and results share one layout: the unsigned fields
-# (`_encode_unsigned`), then the signature as a blob.
+_CLAIM_ENTRIES = seq(pair(TEXT, Kind(_put_claim, _get_claim)))
 
 
-def _unsigned_bytes(message) -> bytes:
-    def encode():
-        enc = Encoder()
-        message._encode_unsigned(enc)
-        return enc.getvalue()
+def _get_claims(dec: Decoder) -> ClaimSet:
+    entries = _CLAIM_ENTRIES.get(dec)
+    keys = [key.encode() for key, _ in entries]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ModelError("claim keys are not strictly ascending")
+    return ClaimSet(dict(entries))
 
-    return _once(message, "signing_bytes", encode)
+
+# A claim set: its entries in ascending key byte order, each key once.
+CLAIMS = Kind(lambda out, cs: _CLAIM_ENTRIES.put(out, list(cs.items())), _get_claims)
 
 
-def _signed_bytes(message) -> bytes:
-    enc = Encoder()
-    enc.raw(message.signing_bytes())
-    enc.blob(message.signature)
-    return enc.getvalue()
+# Evidence, endorsements and results are signed messages: their signing bytes
+# are the fields of their table, and `to_bytes` appends the signature as a blob.
+
+
+def _signing_bytes(message, table: Table) -> bytes:
+    return _once(message, "signing_bytes", lambda: encode(table, message))
 
 
 def _signature_valid(message, public_key: bytes) -> bool:
@@ -508,12 +532,6 @@ class LayerRecord:
             raise ModelError("layer index must be non-negative")
 
 
-def _check_layer_chain(chain: Sequence[LayerRecord]):
-    for i, rec in enumerate(chain):
-        if rec.index != i:
-            raise ModelError("layer chain indices must be consecutive from 0")
-
-
 @dataclass(frozen=True)
 class Evidence:
     attester: EntityId
@@ -528,8 +546,10 @@ class Evidence:
     def __post_init__(self):
         if self.components and self.lead_assertion is None:
             raise ModelError("component evidence requires a lead assertion")
-        if self.layer_chain is not None:
-            _check_layer_chain(self.layer_chain)
+        if self.layer_chain is not None and any(
+            rec.index != i for i, rec in enumerate(self.layer_chain)
+        ):
+            raise ModelError("layer chain indices must be consecutive from 0")
         if self._depth() > MAX_COMPONENT_DEPTH:
             raise ModelError("component nesting exceeds depth 4")
 
@@ -539,66 +559,40 @@ class Evidence:
         return 1 + max(c._depth() for c in self.components)
 
     def signing_bytes(self) -> bytes:
-        return _unsigned_bytes(self)
-
-    def _encode_unsigned(self, enc: Encoder):
-        _enc_entity(enc, self.attester)
-        _enc_claim_set(enc, self.target_claims)
-        _enc_nonce(enc, self.nonce_echo)
-        enc.u64(self.created_at)
-        if self.layer_chain is None:
-            enc.u8(0)
-        else:
-            enc.u8(1)
-            enc.u64(len(self.layer_chain))
-            for rec in self.layer_chain:
-                enc.u64(rec.index)
-                enc.raw(rec.measurement.value)
-                enc.raw(rec.layer_key_id.value)
-        if self.components is None:
-            enc.u8(0)
-        else:
-            enc.u8(1)
-            enc.u64(len(self.components))
-            for comp in self.components:
-                enc.blob(comp.to_bytes())
-        if self.lead_assertion is None:
-            enc.u8(0)
-        else:
-            enc.u8(1)
-            enc.boolean(self.lead_assertion)
+        return _signing_bytes(self, _EVIDENCE)
 
     def to_bytes(self) -> bytes:
-        return _signed_bytes(self)
+        return self.signing_bytes() + encode(BLOB, self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Evidence":
-        dec = Decoder(data)
-        ev = Evidence._decode(dec)
-        dec.done()
-        return ev
-
-    @staticmethod
-    def _decode(dec: Decoder) -> "Evidence":
-        attester = _dec_entity(dec)
-        claims = _dec_claim_set(dec)
-        nonce = _dec_nonce(dec)
-        created_at = dec.u64()
-        layer_chain = None
-        if dec.u8():
-            layer_chain = tuple(
-                LayerRecord(dec.u64(), Digest(dec.raw(DIGEST_LEN)), Digest(dec.raw(DIGEST_LEN)))
-                for _ in range(dec.u64())
-            )
-        components = None
-        if dec.u8():
-            components = tuple(Evidence.from_bytes(dec.blob()) for _ in range(dec.u64()))
-        lead = dec.boolean() if dec.u8() else None
-        sig = dec.blob()
-        return Evidence(attester, claims, nonce, created_at, layer_chain, components, lead, sig)
+        return decode(_EVIDENCE, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.attester.public_key)
+
+
+def _get_component(dec: Decoder) -> Evidence:
+    # checked before descending, so hostile nesting never recurses deeply
+    if dec.depth >= MAX_COMPONENT_DEPTH:
+        raise ModelError("component nesting exceeds depth 4")
+    return decode(_EVIDENCE, dec.blob(), dec.depth + 1)
+
+
+_COMPONENT = Kind(lambda out, ev: _put_blob(out, ev.to_bytes()), _get_component)
+_EVIDENCE = Table(
+    Evidence,
+    ("attester", ENTITY),
+    ("target_claims", CLAIMS),
+    ("nonce_echo", NONCE),
+    ("created_at", U64),
+    ("layer_chain", optional(seq(Table(
+        LayerRecord, ("index", U64), ("measurement", DIGEST), ("layer_key_id", DIGEST)
+    )))),
+    ("components", optional(seq(_COMPONENT))),
+    ("lead_assertion", optional(BOOL)),
+    trailer=BLOB,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -620,29 +614,28 @@ class Endorsement:
             raise ModelError("product id must be non-empty")
 
     def signing_bytes(self) -> bytes:
-        return _unsigned_bytes(self)
-
-    def _encode_unsigned(self, enc: Encoder):
-        _enc_entity(enc, self.endorser)
-        enc.text(self.product_id)
-        _enc_claim_set(enc, self.reference_claims)
-        enc.boolean(self.intrinsic)
-        enc.u64(self.issued_at)
+        return _signing_bytes(self, _ENDORSEMENT)
 
     def to_bytes(self) -> bytes:
-        return _signed_bytes(self)
+        return self.signing_bytes() + encode(BLOB, self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Endorsement":
-        dec = Decoder(data)
-        end = Endorsement(
-            _dec_entity(dec), dec.text(), _dec_claim_set(dec), dec.boolean(), dec.u64(), dec.blob()
-        )
-        dec.done()
-        return end
+        return decode(_ENDORSEMENT, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.endorser.public_key)
+
+
+_ENDORSEMENT = Table(
+    Endorsement,
+    ("endorser", ENTITY),
+    ("product_id", TEXT),
+    ("reference_claims", CLAIMS),
+    ("intrinsic", BOOL),
+    ("issued_at", U64),
+    trailer=BLOB,
+)
 
 
 def make_endorsement(
@@ -667,10 +660,6 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-_VERDICT_TAGS = {Verdict.COMPLIANT: 1, Verdict.NON_COMPLIANT: 2, Verdict.UNKNOWN: 3}
-_VERDICT_TAGS_REV = {v: k for k, v in _VERDICT_TAGS.items()}
-
-
 @dataclass(frozen=True)
 class AttestationResult:
     verifier: EntityId
@@ -687,38 +676,31 @@ class AttestationResult:
             raise ModelError("verdict is compliant iff reasons are empty")
 
     def signing_bytes(self) -> bytes:
-        return _unsigned_bytes(self)
-
-    def _encode_unsigned(self, enc: Encoder):
-        _enc_entity(enc, self.verifier)
-        _enc_entity(enc, self.attester)
-        enc.u8(_VERDICT_TAGS[self.verdict])
-        enc.raw(self.policy_digest.value)
-        _enc_nonce(enc, self.appraised_nonce)
-        enc.u64(len(self.reasons))
-        for r in self.reasons:
-            enc.text(r)
-        enc.u64(self.created_at)
+        return _signing_bytes(self, _RESULT)
 
     def to_bytes(self) -> bytes:
-        return _signed_bytes(self)
+        return self.signing_bytes() + encode(BLOB, self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationResult":
-        dec = Decoder(data)
-        verifier = _dec_entity(dec)
-        attester = _dec_entity(dec)
-        verdict = _dec_tag(_VERDICT_TAGS_REV, dec.u8(), "verdict tag")
-        pol = Digest(dec.raw(DIGEST_LEN))
-        nonce = _dec_nonce(dec)
-        reasons = tuple(dec.text() for _ in range(dec.u64()))
-        created_at = dec.u64()
-        sig = dec.blob()
-        dec.done()
-        return AttestationResult(verifier, attester, verdict, pol, nonce, reasons, created_at, sig)
+        return decode(_RESULT, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.verifier.public_key)
+
+
+_RESULT = Table(
+    AttestationResult,
+    ("verifier", ENTITY),
+    ("attester", ENTITY),
+    ("verdict", tag({Verdict.COMPLIANT: 1, Verdict.NON_COMPLIANT: 2, Verdict.UNKNOWN: 3},
+                    "verdict tag")),
+    ("policy_digest", DIGEST),
+    ("appraised_nonce", NONCE),
+    ("reasons", seq(TEXT)),
+    ("created_at", U64),
+    trailer=BLOB,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -774,16 +756,6 @@ class PolicyRule:
             raise ModelError("geo_fence rule requires fence bounds")
 
 
-_RULE_TAGS = {
-    RuleKind.REFERENCE_MATCH: 1,
-    RuleKind.VERSION_AT_LEAST: 2,
-    RuleKind.GEO_FENCE: 3,
-    RuleKind.CLAIM_PRESENT: 4,
-    RuleKind.COMPONENTS_ALL_COMPLIANT: 5,
-}
-_RULE_TAGS_REV = {v: k for k, v in _RULE_TAGS.items()}
-
-
 @dataclass(frozen=True)
 class EvidencePolicy:
     policy_id: str
@@ -798,49 +770,39 @@ class EvidencePolicy:
             raise ModelError("freshness window must be >= 1 tick")
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.text(self.policy_id)
-        enc.u64(len(self.rules))
-        for r in self.rules:
-            enc.text(r.rule_id)
-            enc.u8(_RULE_TAGS[r.kind])
-            enc.text(r.claim_key)
-            enc.i64(r.bound)
-            if r.fence is None:
-                enc.u8(0)
-            else:
-                enc.u8(1)
-                enc.f64(r.fence.lat_min)
-                enc.f64(r.fence.lat_max)
-                enc.f64(r.fence.lon_min)
-                enc.f64(r.fence.lon_max)
-        enc.u64(self.freshness_window)
-        enc.u64(len(self.required_claims))
-        for c in self.required_claims:
-            enc.text(c)
-        return enc.getvalue()
+        return encode(_POLICY, self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "EvidencePolicy":
-        dec = Decoder(data)
-        policy_id = dec.text()
-        rules = []
-        for _ in range(dec.u64()):
-            rule_id = dec.text()
-            kind = _dec_tag(_RULE_TAGS_REV, dec.u8(), "rule tag")
-            claim_key = dec.text()
-            bound = dec.i64()
-            fence = None
-            if dec.u8():
-                fence = GeoFence(dec.f64(), dec.f64(), dec.f64(), dec.f64())
-            rules.append(PolicyRule(rule_id, kind, claim_key, bound, fence))
-        freshness = dec.u64()
-        required = tuple(dec.text() for _ in range(dec.u64()))
-        dec.done()
-        return EvidencePolicy(policy_id, tuple(rules), freshness, required)
+        return decode(_POLICY, data)
 
     def digest(self) -> Digest:
         return _once(self, "digest", lambda: digest(self.to_bytes()))
+
+
+_RULE = Table(
+    PolicyRule,
+    ("rule_id", TEXT),
+    ("kind", tag({
+        RuleKind.REFERENCE_MATCH: 1,
+        RuleKind.VERSION_AT_LEAST: 2,
+        RuleKind.GEO_FENCE: 3,
+        RuleKind.CLAIM_PRESENT: 4,
+        RuleKind.COMPONENTS_ALL_COMPLIANT: 5,
+    }, "rule tag")),
+    ("claim_key", TEXT),
+    ("bound", I64),
+    ("fence", optional(Table(
+        GeoFence, ("lat_min", F64), ("lat_max", F64), ("lon_min", F64), ("lon_max", F64)
+    ))),
+)
+_POLICY = Table(
+    EvidencePolicy,
+    ("policy_id", TEXT),
+    ("rules", seq(_RULE)),
+    ("freshness_window", U64),
+    ("required_claims", seq(TEXT)),
+)
 
 
 @dataclass(frozen=True)
@@ -854,10 +816,6 @@ class ResultPolicy:
             raise ModelError("result policy needs at least one accepted verifier")
 
 
-# ---------------------------------------------------------------------------
-# canonical_serialize / debug export
-# ---------------------------------------------------------------------------
-
 SignedMessage = Union[Evidence, Endorsement, AttestationResult, EvidencePolicy]
 
 
@@ -866,28 +824,3 @@ def canonical_serialize(message: SignedMessage) -> bytes:
     if isinstance(message, EvidencePolicy):
         return message.to_bytes()
     return message.signing_bytes()
-
-
-def debug_render(message) -> str:
-    """Key-sorted human-readable rendering; never the signed image."""
-
-    def conv(obj):
-        if isinstance(obj, bytes):
-            return obj.hex()
-        if isinstance(obj, Digest):
-            return obj.hex()
-        if isinstance(obj, ClaimSet):
-            return {k: conv(v) for k, v in obj.items()}
-        if isinstance(obj, ClaimValue):
-            return {"kind": obj.kind, "value": conv(obj.value)}
-        if isinstance(obj, Enum):
-            return obj.value
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f: conv(getattr(obj, f)) for f in sorted(obj.__dataclass_fields__)}
-        if isinstance(obj, (tuple, list)):
-            return [conv(x) for x in obj]
-        return obj
-
-    import json
-
-    return json.dumps(conv(message), indent=2, sort_keys=True)

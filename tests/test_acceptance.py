@@ -313,8 +313,8 @@ def test_criterion_7_merkle_oracle_equivalence():
         root = merkle_root(leaves)
         for i in range(n):
             proof = merkle_prove(leaves, i)
-            assert merkle_verify(root, leaves[i], i, proof)
-            assert not merkle_verify(root, digest(b"outsider"), i, proof)
+            assert merkle_verify(root, leaves[i], proof)
+            assert not merkle_verify(root, digest(b"outsider"), proof)
     report(7, "roots and inclusion proofs match brute force for all trees of 1-8 leaves")
 
 
@@ -375,10 +375,10 @@ def test_criterion_10_endorsement_longevity():
         ],
         store, ledger, 0,
     )
-    ok, reason = verify_product(product, record, store, ledger, manufacturer_active=False)
+    ok, reason = verify_product(product, record, store, ledger)
     assert (ok, reason) == (True, None)
     altered = bytearray(product)
     altered[3] ^= 1
-    ok2, reason2 = verify_product(bytes(altered), record, store, ledger, manufacturer_active=False)
+    ok2, reason2 = verify_product(bytes(altered), record, store, ledger)
     assert (ok2, reason2) == (False, "digest_mismatch")
     report(10, "genuine product verifies with manufacturer gone; altered byte -> digest_mismatch")

@@ -170,6 +170,15 @@ class TestLedgerCommand:
         export.write_text(flipped)
         assert main(["ledger", str(export), "--verify"]) == EXIT_INTEGRITY
 
+    def test_non_hex_line_exit_5(self, export, capsys):
+        export.write_text(export.read_text() + "not hex\n")
+        assert main(["ledger", str(export), "--verify"]) == EXIT_INTEGRITY
+        assert "not hex" in capsys.readouterr().err
+
+    def test_non_utf8_export_exit_5(self, export):
+        export.write_bytes(b"\xff\xfe" + export.read_bytes())
+        assert main(["ledger", str(export)]) == EXIT_INTEGRITY
+
     def test_height_beyond_tip_exit_2(self, export):
         assert main(["ledger", str(export), "--height", "999"]) == EXIT_USAGE
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from attestnet.consortium import (
     update_governance,
     verify_chain,
 )
-from attestnet.model import Verdict, digest
+from attestnet.model import GeoPoint, Verdict, digest
 from attestnet.scenario import (
     ScenarioError,
     build_universe,
@@ -234,14 +235,6 @@ class TestLedger:
         assert genesis.prev_digest.value == b"\x00" * 32
         assert digest(genesis.content_bytes()) == genesis.block_digest
 
-    def test_all_node_copies_identical(self):
-        universe = fresh_universe()
-        for _ in range(3):
-            run_epoch(universe)
-        copies = {tuple(n.ledger_copy) for n in universe.nodes.values()}
-        assert len(copies) == 1
-        assert list(copies)[0] == tuple(b.to_bytes() for b in universe.ledger)
-
     def test_export_import_round_trip(self):
         universe = fresh_universe()
         for _ in range(2):
@@ -359,6 +352,21 @@ class TestHonestSubset:
             assert forger != "n2"
         block, _ = honest_subset_round(universe, set(), [], round_seed=3)
         assert block.forger != "n2"
+
+
+    def test_stale_or_fenced_out_node_never_forges(self):
+        universe = self._universe(
+            geo_fence={"lat_min": -1.0, "lat_max": 1.0, "lon_min": -1.0, "lon_max": 1.0}
+        )
+        stale = universe.nodes["n2"].last_result
+        run_epoch(universe)
+        universe.nodes["n2"].last_result = stale  # n2 missed the latest appraisal
+        n3 = universe.nodes["n3"]
+        n3.target_env = replace(n3.target_env, geo=GeoPoint(10.0, 10.0, 0.0))  # moved out
+        assert [n.node_id for n in eligible_nodes(universe)] == ["n1"]
+        for round_seed in range(200):
+            block, _ = honest_subset_round(universe, set(), [], round_seed)
+            assert block.forger == "n1"
 
 
 class TestDeterminism:

@@ -67,7 +67,7 @@ class TestMerkleProofs:
         root = merkle_root(ls)
         for i in range(n):
             proof = merkle_prove(ls, i)
-            assert merkle_verify(root, ls[i], i, proof)
+            assert merkle_verify(root, ls[i], proof)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_wrong_leaf_rejected_matches_membership_oracle(self, n):
@@ -77,14 +77,14 @@ class TestMerkleProofs:
         assert not merkle_member_bruteforce([l.value for l in ls], outsider.value)
         for i in range(n):
             proof = merkle_prove(ls, i)
-            assert not merkle_verify(root, outsider, i, proof)
+            assert not merkle_verify(root, outsider, proof)
 
     def test_mutated_proof_rejected(self):
         ls = leaves(5)
         root = merkle_root(ls)
         proof = merkle_prove(ls, 2)
         bad = [(flag, digest(d.value[::-1])) for flag, d in proof]
-        assert not merkle_verify(root, ls[2], 2, bad)
+        assert not merkle_verify(root, ls[2], bad)
 
     def test_out_of_range_index(self):
         with pytest.raises(LedgerError):
@@ -178,18 +178,8 @@ class TestRegisterEndorsement:
 class TestVerifyProduct:
     def test_genuine_product_manufacturer_gone(self, rng):
         _, record, store, ledger, _ = _setup_registration(rng)
-        ok, reason = verify_product(
-            b"firmware image v7", record, store, ledger, manufacturer_active=False
-        )
+        ok, reason = verify_product(b"firmware image v7", record, store, ledger)
         assert ok and reason is None
-
-    def test_flag_and_time_independence(self, rng):
-        _, record, store, ledger, _ = _setup_registration(rng)
-        outcomes = {
-            verify_product(b"firmware image v7", record, store, ledger, manufacturer_active=flag)
-            for flag in (True, False)
-        }
-        assert outcomes == {(True, None)}
 
     def test_altered_product_digest_mismatch(self, rng):
         _, record, store, ledger, _ = _setup_registration(rng)
@@ -213,6 +203,17 @@ class TestVerifyProduct:
         store._corrupt(addr, b"junk")
         ok, reason = verify_product(b"firmware image v7", record, store, ledger)
         assert not ok and reason == "store_corrupt"
+
+    @pytest.mark.parametrize("label, data, reason", [
+        ("endorsement", b"x", "endorsement_malformed"),
+        ("manufacturer_cert", b"", "signature_invalid"),
+    ])
+    def test_malformed_object_is_a_verdict(self, rng, label, data, reason):
+        manufacturer, _, _, _, objects = _setup_registration(rng)
+        objects = [(name, data if name == label else value) for name, value in objects]
+        store, ledger = ContentStore(), EndorsementsLedger()
+        record = register_endorsement(manufacturer, "widget-7", objects, store, ledger, clock=10)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (False, reason)
 
     def test_record_roundtrip(self, rng):
         _, record, _, _, _ = _setup_registration(rng)

@@ -1,15 +1,19 @@
 import functools
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
+from attestnet.consortium import LedgerBlock, LedgerRecord
+from attestnet.endorsement_ledger import MANDATORY_LABELS, EndorsementRecord
 from attestnet.model import (
     AttestationResult,
     ClaimSet,
     ClaimValue,
     Decoder,
     Digest,
+    Endorsement,
     EntityId,
     Evidence,
     EvidencePolicy,
@@ -26,6 +30,7 @@ from attestnet.model import (
     Verdict,
     canonical_serialize,
     digest,
+    make_endorsement,
     new_nonce,
     sign_message,
     verify_bytes,
@@ -323,3 +328,145 @@ class TestDecoderErrors:
             pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
             mutated[pos] = data.draw(st.integers(0, 255), label="byte")
         _decodes_or_model_error(cls, bytes(mutated))
+
+
+# ---------------------------------------------------------------------------
+# Decoders accept only the canonical encoding
+# ---------------------------------------------------------------------------
+
+_ENTITY_KEY = SigningKey(b"\x07" * 32)  # the key of _entity()
+
+
+def _signed_evidence(claims: ClaimSet) -> Evidence:
+    return sign_message(Evidence(_entity(), claims, Nonce(b"\x01" * 16, 0), 0), _ENTITY_KEY)
+
+
+def _claim_entry(key: str, value: int) -> bytes:
+    return struct.pack(">I", len(key)) + key.encode() + b"\x03" + struct.pack(">q", value)
+
+
+class TestCanonicalOnly:
+    def _with_claim_entries(self, entries: list[bytes]) -> bytes:
+        """The encoding of `_signed_evidence(ClaimSet({"k": 1}))` with its
+        claim entries replaced, signature kept."""
+        blob = _signed_evidence(ClaimSet({"k": ClaimValue.of_int(1)})).to_bytes()
+        start = _entity_len(_entity())
+        end = start + 8 + len(_claim_entry("k", 1))
+        return blob[:start] + struct.pack(">Q", len(entries)) + b"".join(entries) + blob[end:]
+
+    def test_claim_entries_round_trip(self):
+        evidence = _signed_evidence(ClaimSet({"k": ClaimValue.of_int(1)}))
+        assert self._with_claim_entries([_claim_entry("k", 1)]) == evidence.to_bytes()
+
+    def test_repeated_claim_key_rejected(self):
+        blob = self._with_claim_entries([_claim_entry("k", 2), _claim_entry("k", 1)])
+        with pytest.raises(ModelError, match="ascending"):
+            Evidence.from_bytes(blob)
+
+    def test_descending_claim_keys_rejected(self):
+        blob = self._with_claim_entries([_claim_entry("k", 1), _claim_entry("j", 1)])
+        with pytest.raises(ModelError, match="ascending"):
+            Evidence.from_bytes(blob)
+
+    @pytest.mark.parametrize("flag", [0x02, 0x07, 0xFF])
+    def test_bool_byte_must_be_0_or_1(self, flag):
+        endorsement = make_endorsement(SignerIdentity(_FUZZ_VERIFIER, _FUZZ_KEY), "p",
+                                       ClaimSet(), 0, intrinsic=True)
+        blob = bytearray(endorsement.to_bytes())
+        intrinsic = len(endorsement.signing_bytes()) - 9  # before issued_at (u64)
+        assert blob[intrinsic] == 1
+        blob[intrinsic] = flag
+        with pytest.raises(ModelError, match="neither 0 nor 1"):
+            Endorsement.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("flag", [0x02, 0x80])
+    def test_presence_byte_must_be_0_or_1(self, flag):
+        evidence = _signed_evidence(ClaimSet())
+        blob = bytearray(evidence.to_bytes())
+        presence = len(evidence.signing_bytes()) - 3  # layer chain, components, lead
+        assert blob[presence : presence + 3] == b"\x00\x00\x00"
+        blob[presence] = flag
+        with pytest.raises(ModelError, match="neither 0 nor 1"):
+            Evidence.from_bytes(bytes(blob))
+
+    @staticmethod
+    def _nested(levels: int) -> bytes:
+        """Evidence nested `levels` deep, each level one component of the next."""
+        leaf = Evidence(_entity(), ClaimSet(), Nonce(b"\x01" * 16, 0), 0)
+        head = leaf.signing_bytes()[:-3]  # without the three presence flags
+        blob = leaf.to_bytes()
+        for _ in range(levels - 1):
+            blob = (head + b"\x00\x01" + struct.pack(">QI", 1, len(blob)) + blob
+                    + b"\x01\x01" + struct.pack(">I", 0))
+        return blob
+
+    def test_nesting_up_to_depth_4_decodes(self):
+        evidence = Evidence.from_bytes(self._nested(4))
+        assert evidence._depth() == 4
+        assert evidence.to_bytes() == self._nested(4)
+
+    @pytest.mark.parametrize("levels", [5, 3000])
+    def test_deep_nesting_raises_model_error(self, levels):
+        with pytest.raises(ModelError, match="depth 4"):
+            Evidence.from_bytes(self._nested(levels))
+
+
+@functools.cache
+def _canonical_cases() -> dict:
+    """(type, canonical encoding) for every decodable message type."""
+    encodings = _encodings()
+    component = sign_message(Evidence(_entity(), ClaimSet(), Nonce(b"\x04" * 16, 1), 1),
+                             _ENTITY_KEY)
+    composite = sign_message(
+        Evidence(_entity(), ClaimSet({"g": ClaimValue.of_geo(1.0, 2.0)}), Nonce(b"\x05" * 16, 1),
+                 2, components=(component,), lead_assertion=True),
+        _ENTITY_KEY,
+    )
+    endorsement = make_endorsement(SignerIdentity(_FUZZ_VERIFIER, _FUZZ_KEY), "p",
+                                   ClaimSet({"a": ClaimValue.of_text("x")}), 3, intrinsic=True)
+    refs = tuple((label, digest(label.encode())) for label in MANDATORY_LABELS)
+    record = EndorsementRecord(_FUZZ_VERIFIER, "p", digest(b"root"), refs, 5, b"\x06" * 64)
+    block = LedgerBlock(1, digest(b"prev"), (LedgerRecord("audit_digest", b"\x07" * 32),),
+                        "n1", 10).sealed()
+    return {
+        "evidence": (Evidence, encodings[Evidence]),
+        "composite_evidence": (Evidence, composite.to_bytes()),
+        "result": (AttestationResult, encodings[AttestationResult]),
+        "endorsement": (Endorsement, endorsement.to_bytes()),
+        "policy": (EvidencePolicy, encodings[EvidencePolicy]),
+        "record": (EndorsementRecord, record.to_bytes()),
+        "block": (LedgerBlock, block.to_bytes()),
+    }
+
+
+_CASES = ["evidence", "composite_evidence", "result", "endorsement", "policy", "record", "block"]
+
+
+def _decodes_only_canonically(cls, data: bytes):
+    try:
+        value = cls.from_bytes(data)
+    except ModelError:
+        return
+    assert value.to_bytes() == data
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_every_single_byte_change_that_decodes_is_canonical(case):
+    cls, blob = _canonical_cases()[case]
+    assert cls.from_bytes(blob).to_bytes() == blob
+    for pos in range(len(blob)):
+        for value in {0x00, 0x01, 0x02, 0x7F, 0xFF, blob[pos] ^ 0x01}:
+            mutated = bytearray(blob)
+            mutated[pos] = value
+            _decodes_only_canonically(cls, bytes(mutated))
+
+
+@pytest.mark.parametrize("case", _CASES)
+@given(data=st.data())
+def test_mutated_encoding_that_decodes_is_canonical(case, data):
+    cls, blob = _canonical_cases()[case]
+    mutated = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        mutated[pos] = data.draw(st.integers(0, 255), label="byte")
+    _decodes_only_canonically(cls, bytes(mutated))
