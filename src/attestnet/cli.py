@@ -1,8 +1,9 @@
 """Command-line front door: key generation, standalone appraisal, scenario
 simulation, and ledger inspection.
 
-Exit codes are a stable contract: 0 ok/compliant, 2 usage/parse error,
-3 non-compliant, 4 unknown verdict, 5 integrity failure.
+Exit codes are a stable contract: 0 ok/compliant, 2 usage/parse error
+(every malformed scenario included), 3 non-compliant, 4 unknown verdict,
+5 integrity failure.
 """
 
 from __future__ import annotations
@@ -127,18 +128,19 @@ def cmd_appraise(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = scenario.load_scenario(args.scenario)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        # a scenario can still break a model or simulation invariant here,
+        # such as a stake below 0 or a repeated domain id
+        universe = scenario.build_universe(cfg)
+        consortium.distribute_policies(universe)
+        reports = [consortium.run_epoch(universe) for _ in range(cfg.epochs)]
     except OSError as exc:
         print(f"simulate: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except scenario.ScenarioError as exc:
+    except (scenario.ScenarioError, ModelError, consortium.SimError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        cfg.seed = args.seed
-
-    universe = scenario.build_universe(cfg)
-    consortium.distribute_policies(universe)
-    reports = [consortium.run_epoch(universe) for _ in range(cfg.epochs)]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,13 @@ decoded result on the message, and that result stores its own signature
 check. The relying party appraises the result message it received, and the
 passport flow forwards that same message object, so the transport's
 send-time check of it is answered from what the appraisal already stored.
+
+In the passport flow the attester forwards the bytes of the result message
+that the transport carried from the verifier (`ResultMsg.forwarded_by`).
+Decoding is canonical-only, so equal bytes decode to an equal result whose
+signature check gives the same answer: a byte-identical forward shares the
+carried message's decoded and checked result, and a forward with any byte
+changed is decoded and checked anew.
 """
 
 from __future__ import annotations
@@ -66,6 +73,14 @@ class ResultMsg:
 
     def result(self) -> AttestationResult:
         return _once(self, "result", lambda: AttestationResult.from_bytes(self.result_bytes))
+
+    def forwarded_by(self, sender: EntityId, result_bytes: bytes) -> "ResultMsg":
+        """`result_bytes` conveyed on by `sender`; if they equal this message's
+        bytes, the forward shares this message's decoded result."""
+        forward = ResultMsg(sender, result_bytes)
+        if result_bytes == self.result_bytes:
+            _once(forward, "result", self.result)
+        return forward
 
 
 FlowMessage = Union[AccessRequest, ChallengeNonce, EvidenceMsg, ResultMsg]
@@ -190,11 +205,10 @@ def run_passport_flow(
     if not verifier_ctx.consume_nonce(evidence.nonce_echo):
         return Decision(False, ("replay",))
     result = verifier_ctx.appraise(evidence, challenge, clock)
-    result_bytes = result.to_bytes()
-    transport.send(ResultMsg(verifier_ctx.identity.entity, result_bytes))
+    carried = transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
 
-    forwarded = result_tamper(result_bytes) if result_tamper else result_bytes
-    forward = ResultMsg(attester.identity, forwarded)
+    forwarded = result_tamper(carried.result_bytes) if result_tamper else carried.result_bytes
+    forward = carried.forwarded_by(attester.identity, forwarded)
     try:
         received = forward.result()
     except ModelError:

@@ -21,9 +21,12 @@ Because messages never change, what is derived from them is worked out at most
 once per object and stored on it: the signing bytes and signature validity of
 evidence, endorsements and results, and the digest of a policy. A changed
 message is a new object built with `dataclasses.replace`, which starts with
-nothing stored, so a stored value can never describe other field values. The
-one exception is `sign_message`: a signature is not part of the signing bytes,
-so the signed copy keeps them.
+nothing stored, so a stored value can never describe other field values. There
+are two exceptions, both for the signing bytes. `sign_message` stores them on
+the signed copy, because a signature is not part of them. Decoding a signed
+message stores the bytes it received without the trailing signature blob:
+decoding is canonical-only, so those are exactly the bytes that encoding the
+decoded value would give, and checking a received message never re-encodes it.
 """
 
 from __future__ import annotations
@@ -223,17 +226,26 @@ class EntityId:
 
 
 class SigningKey:
-    """Ed25519 signing key; deterministic signatures over canonical bytes."""
+    """Ed25519 signing key; deterministic signatures over canonical bytes.
+
+    It holds the 32-byte seed and builds the Ed25519 key on the first `sign`
+    or `public_bytes`, so a key that is never used costs no key setup.
+    """
 
     def __init__(self, private_bytes: bytes):
         if len(private_bytes) != 32:
             raise ModelError("signing key seed must be 32 bytes")
-        self._priv = Ed25519PrivateKey.from_private_bytes(private_bytes)
         self._priv_bytes = private_bytes
+        self._priv: Optional[Ed25519PrivateKey] = None
 
     @staticmethod
     def generate(rng) -> "SigningKey":
         return SigningKey(rng.randbytes(32))
+
+    def _key(self) -> Ed25519PrivateKey:
+        if self._priv is None:
+            self._priv = Ed25519PrivateKey.from_private_bytes(self._priv_bytes)
+        return self._priv
 
     @property
     def private_bytes(self) -> bytes:
@@ -241,10 +253,10 @@ class SigningKey:
 
     @property
     def public_bytes(self) -> bytes:
-        return self._priv.public_key().public_bytes_raw()
+        return self._key().public_key().public_bytes_raw()
 
     def sign(self, data: bytes) -> bytes:
-        return self._priv.sign(data)
+        return self._key().sign(data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SigningKey) and self._priv_bytes == other._priv_bytes
@@ -504,6 +516,15 @@ def _signature_valid(message, public_key: bytes) -> bool:
     )
 
 
+def _decode_signed(table: Table, data: bytes, depth: int = 1):
+    """The signed message that `data` encodes, holding the bytes it was
+    signed over: `data` without the trailing signature blob."""
+    message = decode(table, data, depth)
+    end = len(data) - _U32.size - len(message.signature)
+    _once(message, "signing_bytes", lambda: data[:end])
+    return message
+
+
 def sign_message(message, key: SigningKey):
     """A copy of `message` (evidence, endorsement or result) signed by `key`.
 
@@ -566,7 +587,7 @@ class Evidence:
 
     @staticmethod
     def from_bytes(data: bytes) -> "Evidence":
-        return decode(_EVIDENCE, data)
+        return _decode_signed(_EVIDENCE, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.attester.public_key)
@@ -576,7 +597,7 @@ def _get_component(dec: Decoder) -> Evidence:
     # checked before descending, so hostile nesting never recurses deeply
     if dec.depth >= MAX_COMPONENT_DEPTH:
         raise ModelError("component nesting exceeds depth 4")
-    return decode(_EVIDENCE, dec.blob(), dec.depth + 1)
+    return _decode_signed(_EVIDENCE, dec.blob(), dec.depth + 1)
 
 
 _COMPONENT = Kind(lambda out, ev: _put_blob(out, ev.to_bytes()), _get_component)
@@ -621,7 +642,7 @@ class Endorsement:
 
     @staticmethod
     def from_bytes(data: bytes) -> "Endorsement":
-        return decode(_ENDORSEMENT, data)
+        return _decode_signed(_ENDORSEMENT, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.endorser.public_key)
@@ -683,7 +704,7 @@ class AttestationResult:
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationResult":
-        return decode(_RESULT, data)
+        return _decode_signed(_RESULT, data)
 
     def verify_signature(self) -> bool:
         return _signature_valid(self, self.verifier.public_key)
@@ -724,7 +745,8 @@ class GeoFence:
     lon_max: float
 
     def __post_init__(self):
-        if self.lat_min > self.lat_max or self.lon_min > self.lon_max:
+        # written so that a NaN bound fails too
+        if not (self.lat_min <= self.lat_max and self.lon_min <= self.lon_max):
             raise ModelError("geo fence bounds must satisfy min <= max")
 
     def contains(self, geo: GeoPoint) -> bool:

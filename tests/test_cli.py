@@ -1,7 +1,11 @@
+import copy
+import json
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attestnet.cli import (
     EXIT_INTEGRITY,
@@ -150,6 +154,93 @@ class TestSimulate:
         bad.write_text('{"epochs": 1}')
         assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
+
+
+HEALTHY = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
+
+
+def _set(path, value):
+    """A copy of the healthy scenario with the field at `path` replaced."""
+    def edit(doc):
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return edit
+
+
+BAD_SCENARIOS = {
+    # each raised or exited 0 before: ValueError, ModelError x3, SimError,
+    # exit 0 with an empty ledger x2, a fault silently ignored
+    "fw_version_text": _set(("products", 0, "fw_version"), "x"),
+    "latitude_100": _set(("nodes", 0, "geo", 0), 100.0),
+    "negative_stake": _set(("nodes", 0, "stake"), -3),
+    "majority_30": _set(("majority_parameter",), 30),
+    "duplicate_domain": lambda doc: doc["domains"].append({"domain_id": "d2"}),
+    "nan_fence": _set(("geo_fence",), {"lat_min": math.nan, "lat_max": 90.0,
+                                       "lon_min": -180.0, "lon_max": 180.0}),
+    "negative_epochs": _set(("epochs",), -5),
+    "negative_fault_tick": _set(("faults",), [{"node_id": "n1", "mutation": "change_fw",
+                                               "fw_version": 1, "tick": -4}]),
+}
+
+
+def _simulate(tmp_path, doc) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", str(path), "--out", str(tmp_path / "o")])
+
+
+class TestBadScenario:
+    @pytest.mark.parametrize("name", sorted(BAD_SCENARIOS))
+    def test_exit_2_without_output(self, name, tmp_path, capsys):
+        doc = copy.deepcopy(HEALTHY)
+        BAD_SCENARIOS[name](doc)
+        assert _simulate(tmp_path, doc) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("simulate: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        (("products", 0, "fw_version"), "x", "fw_version"),
+        (("nodes", 0, "geo", 0), 100.0, "latitude"),
+        (("geo_fence",), {"lat_min": math.nan}, "lat_min"),
+        (("epochs",), -5, "epochs"),
+        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": -4}], "tick"),
+        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": 40}], "tick"),
+        (("diversity_threshold",), math.inf, "diversity_threshold"),
+    ])
+    def test_error_names_the_field(self, field, value, named, tmp_path, capsys):
+        doc = copy.deepcopy(HEALTHY)
+        _set(field, value)(doc)
+        assert _simulate(tmp_path, doc) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_not_utf8_exit_2(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+SUBSTITUTES = [None, -5, 0, math.nan, math.inf, "x", "", [], {}, [1, 2], True, -1.5]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(list(_field_paths(HEALTHY))), value=st.sampled_from(SUBSTITUTES))
+def test_any_single_field_substitution_exits_0_or_2(field, value, tmp_path, capsys):
+    doc = copy.deepcopy(HEALTHY)
+    _set(field, value)(doc)
+    assert _simulate(tmp_path, doc) in (EXIT_OK, EXIT_USAGE)
+    capsys.readouterr()
 
 
 class TestLedgerCommand:

@@ -210,13 +210,14 @@ class TestVerifyOnce:
         verifier.references()  # endorsements merged (and verified) before counting
         return verifier, rp
 
-    def test_granted_passport_flow_verifies_three_signatures(self, attester, env, rng, monkeypatch):
+    def test_granted_passport_flow_verifies_two_signatures(self, attester, env, rng, monkeypatch):
         verifier, rp = self._granted_contexts(rng, env)
         verifies = _counting(monkeypatch, model, "verify_bytes")
         decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
         assert decision == Decision(True)
-        # evidence at send time; the verifier's result message; the forwarded one
-        assert len(verifies) == 3
+        # evidence at send time; the verifier's result message (the forward of
+        # the same bytes shares its check)
+        assert len(verifies) == 2
 
     def test_granted_background_check_flow_verifies_two_signatures(
         self, attester, env, rng, monkeypatch
@@ -240,6 +241,35 @@ class TestVerifyOnce:
         again = ResultMsg(msg.sender, msg.result_bytes)  # another message decodes anew
         assert again.result() is not msg.result()
         assert len(decodes) == 2
+
+    def test_untampered_forward_shares_the_carried_result(self, attester, env, rng, monkeypatch):
+        verifier, _ = make_contexts(rng, env)
+        nonce = verifier.issue_challenge(0)
+        result = verifier.appraise(attester.generate_evidence(env, nonce, 0), nonce, 0)
+        carried = Transport().send(ResultMsg(verifier.identity.entity, result.to_bytes()))
+        decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
+        verifies = _counting(monkeypatch, model, "verify_bytes")
+        equal_copy = bytes(bytearray(carried.result_bytes))  # equal, not the same object
+        assert equal_copy is not carried.result_bytes
+        forward = carried.forwarded_by(attester.identity, equal_copy)
+        assert forward.result() is carried.result()
+        assert forward.result().verify_signature()
+        assert decodes == [] and verifies == []
+
+    def test_changed_forward_decodes_anew_and_is_denied(self, attester, env, rng, monkeypatch):
+        verifier, rp = make_contexts(rng, env)
+        decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
+        transport = Transport()
+        assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
+        assert len(decodes) == 1  # the carried message; the forward shares it
+        for position in range(len(transport.log[-1].result_bytes)):
+            decodes.clear()
+            decision = run_passport_flow(
+                attester, env, verifier, rp, Transport(), clock=0,
+                result_tamper=_flip_byte(position),
+            )
+            assert not decision.granted
+            assert len(decodes) == 2  # the carried message, then the changed forward
 
     def test_background_check_rp_appraises_received_message(self, attester, env, rng, monkeypatch):
         verifier, rp = make_contexts(rng, env)

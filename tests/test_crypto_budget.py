@@ -1,0 +1,87 @@
+"""Exact counts of the expensive operations: Ed25519 private-key
+constructions, signs and verifies, and result decodes. A change that adds
+crypto work fails here instead of hiding in benchmark noise; a change that
+removes some updates the pinned counts."""
+
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from attestnet import model
+from attestnet.cli import EXIT_OK, main
+from attestnet.conveyance import Decision, Transport, run_background_check_flow, run_passport_flow
+
+from .test_conveyance import endorse_env, make_contexts, ref_rules
+
+SCENARIO_DIR = Path("src/attestnet/scenarios")
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Counts the Ed25519 private keys built and the signs and verifies made
+    through `attestnet.model`, and the `AttestationResult.from_bytes` calls."""
+    counts = {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0}
+    private, public = model.Ed25519PrivateKey, model.Ed25519PublicKey
+    sign = model.SigningKey.sign
+    decode_result = model.AttestationResult.from_bytes
+
+    def counting_key(seed):
+        counts["keys"] += 1
+        return private.from_private_bytes(seed)
+
+    def counting_sign(key, data):
+        counts["signs"] += 1
+        return sign(key, data)
+
+    class CountingPublicKey:
+        def __init__(self, raw):
+            self._key = public.from_public_bytes(raw)
+
+        def verify(self, signature, data):
+            counts["verifies"] += 1
+            return self._key.verify(signature, data)
+
+    def counting_decode(data):
+        counts["result_decodes"] += 1
+        return decode_result(data)
+
+    monkeypatch.setattr(model, "Ed25519PrivateKey", SimpleNamespace(from_private_bytes=counting_key))
+    monkeypatch.setattr(model.SigningKey, "sign", counting_sign)
+    monkeypatch.setattr(model, "Ed25519PublicKey",
+                        SimpleNamespace(from_public_bytes=CountingPublicKey))
+    monkeypatch.setattr(model.AttestationResult, "from_bytes", staticmethod(counting_decode))
+    return counts
+
+
+def test_simulate_healthy_4nodes(budget, tmp_path, capsys):
+    scenario = SCENARIO_DIR / "healthy-4nodes.json"
+    assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
+    # keys: the endorser, the consortium verifier, 2 domain verifiers and
+    # 2 owners, and per node its attestation key and local verifier (the
+    # nodes' transaction keys are never used)
+    assert budget == {"keys": 14, "signs": 68, "verifies": 36, "result_decodes": 0}
+
+
+def _granted_world(rng, env):
+    verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
+    verifier.references()  # endorsements merged (and verified) before counting
+    return verifier, rp
+
+
+def test_granted_passport_flow(attester, env, rng, budget):
+    verifier, rp = _granted_world(rng, env)
+    budget.update(dict.fromkeys(budget, 0))
+    decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
+    assert decision == Decision(True)
+    # evidence and result signed; evidence at send time and the verifier's
+    # result message verified, which the byte-identical forward shares
+    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 1}
+
+
+def test_granted_background_check_flow(attester, env, rng, budget):
+    verifier, rp = _granted_world(rng, env)
+    budget.update(dict.fromkeys(budget, 0))
+    decision = run_background_check_flow(attester, env, rp, verifier, Transport(), clock=0)
+    assert decision == Decision(True)
+    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 1}

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from attestnet import model
 from attestnet.attester import measure
 from attestnet.consortium import FaultInjection, _apply_fault
 from attestnet.conveyance import VerifierContext
@@ -56,6 +57,43 @@ def test_replaced_signature_fails_after_verification(build, rng, attester, env, 
     assert not forged.verify_signature()
     assert forged.to_bytes() != message.to_bytes()
     assert forged.signing_bytes() == message.signing_bytes()
+
+
+def _composite(rng, attester, env, verifier_identity):
+    component = _evidence(rng, attester, env, verifier_identity)
+    return attester.collate_composite(env, [component], new_nonce(0, rng), 0)
+
+
+@pytest.mark.parametrize("build", [_evidence, _composite, _endorsement, _result])
+def test_decoded_message_keeps_the_bytes_it_received(
+    build, rng, attester, env, verifier_identity, monkeypatch
+):
+    message = build(rng, attester, env, verifier_identity)
+    decoded = type(message).from_bytes(message.to_bytes())
+    fresh = replace(decoded)  # nothing stored: encodes anew
+    parts = [decoded] + list(getattr(decoded, "components", None) or ())
+    encodes = []
+    monkeypatch.setattr(model, "encode", lambda *args: encodes.append(args))
+    stored = [part.signing_bytes() for part in parts]
+    assert encodes == []  # decoding stored them; nothing was re-encoded
+    monkeypatch.undo()
+    assert stored[0] == fresh.signing_bytes() == message.signing_bytes()
+    assert stored[1:] == [replace(part).signing_bytes() for part in parts[1:]]
+    assert decoded.verify_signature()
+
+
+@pytest.mark.parametrize("signature", [b"", bytes(64), bytes(65)], ids=["empty", "zero", "long"])
+@pytest.mark.parametrize("build", [_evidence, _endorsement, _result])
+def test_decoded_copy_with_changed_signature_fails(
+    build, signature, rng, attester, env, verifier_identity
+):
+    message = build(rng, attester, env, verifier_identity)
+    flipped = bytearray(message.to_bytes())
+    flipped[-1] ^= 1
+    for data in (bytes(flipped), replace(message, signature=signature).to_bytes()):
+        decoded = type(message).from_bytes(data)
+        assert decoded.signing_bytes() == message.signing_bytes()
+        assert not decoded.verify_signature()
 
 
 def test_replaced_field_changes_bytes_and_fails(rng, attester, env, verifier_identity):

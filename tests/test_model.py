@@ -5,6 +5,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from attestnet import model
 from attestnet.consortium import LedgerBlock, LedgerRecord
 from attestnet.endorsement_ledger import MANDATORY_LABELS, EndorsementRecord
 from attestnet.model import (
@@ -21,6 +22,7 @@ from attestnet.model import (
     GeoPoint,
     LayerRecord,
     ModelError,
+    SIGNING_KEY,
     Nonce,
     PolicyRule,
     Role,
@@ -29,13 +31,15 @@ from attestnet.model import (
     SigningKey,
     Verdict,
     canonical_serialize,
+    decode,
     digest,
+    encode,
     make_endorsement,
     new_nonce,
     sign_message,
     verify_bytes,
 )
-from attestnet.attester import measure
+from attestnet.attester import AttestingEnvironment, measure
 
 from .conftest import random_env
 
@@ -180,6 +184,56 @@ class TestSignatures:
             else:
                 sig[rng.randrange(len(sig))] ^= rng.randint(1, 255)
             assert not verify_bytes(bytes(msg), bytes(sig), key.public_bytes)
+
+
+def _count_key_builds(monkeypatch) -> list:
+    """Count the Ed25519 private keys that `model` builds from here on."""
+    built = []
+    real = model.Ed25519PrivateKey
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(seed):
+            built.append(seed)
+            return real.from_private_bytes(seed)
+
+    monkeypatch.setattr(model, "Ed25519PrivateKey", Counting)
+    return built
+
+
+class TestLazyKey:
+    def test_unused_key_builds_nothing(self, monkeypatch):
+        built = _count_key_builds(monkeypatch)
+        key = SigningKey.generate(random.Random(1))
+        assert SigningKey(key.private_bytes) == key
+        assert encode(SIGNING_KEY, key) == struct.pack(">I", 32) + key.private_bytes
+        assert built == []
+
+    def test_key_is_built_once_on_first_use(self, monkeypatch):
+        built = _count_key_builds(monkeypatch)
+        key = SigningKey.generate(random.Random(2))
+        sig = key.sign(b"payload")
+        assert key.public_bytes == key.public_bytes
+        key.sign(b"other")
+        assert len(built) == 1
+        assert verify_bytes(b"payload", sig, key.public_bytes)
+
+    def test_equality_and_round_trip_ignore_use(self):
+        unused, used = SigningKey(b"\x05" * 32), SigningKey(b"\x05" * 32)
+        used.sign(b"x")
+        assert unused == used and unused != SigningKey(b"\x06" * 32)
+        back = decode(SIGNING_KEY, encode(SIGNING_KEY, used))
+        assert back == used and back.public_bytes == used.public_bytes
+        assert back.sign(b"x") == used.sign(b"x")
+
+    def test_tx_key_built_on_first_use(self, env, monkeypatch):
+        built = _count_key_builds(monkeypatch)
+        attester = AttestingEnvironment.create("lazy", random.Random(3), [env.config_digest()])
+        assert len(built) == 1  # the attestation key, for the identity's public key
+        sig, reason = attester.use_tx_key(env, b"tx")
+        assert reason is None and len(built) == 2
+        assert verify_bytes(b"tx", sig, attester.tx_public_key)
+        assert len(built) == 2
 
 
 class TestNonce:
