@@ -1,9 +1,9 @@
 """Command-line front door: key generation, standalone appraisal, scenario
 simulation, and ledger inspection.
 
-Exit codes are a stable contract: 0 ok/compliant, 2 usage/parse error
-(every malformed scenario included), 3 non-compliant, 4 unknown verdict,
-5 integrity failure.
+Exit codes are a stable contract: 0 ok/compliant, 1 an output file cannot
+be written, 2 usage/parse error (every malformed scenario included),
+3 non-compliant, 4 unknown verdict, 5 integrity failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
 )
 
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_USAGE = 2
 EXIT_NON_COMPLIANT = 3
 EXIT_UNKNOWN = 4
@@ -80,7 +81,7 @@ def cmd_keygen(args) -> int:
         save_identity(identity, Path(args.out))
     except OSError as exc:
         print(f"keygen: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_WRITE
     print(f"{role.value}:{args.name} {identity.entity.public_key.hex()}")
     return EXIT_OK
 
@@ -143,14 +144,18 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "epoch_reports.txt").write_text(
-        "\n\n".join(r.render() for r in reports) + "\n", encoding="utf-8"
-    )
-    (out_dir / "ledger.hex").write_text(consortium.export_ledger(universe.ledger))
-    (out_dir / "ledger.txt").write_text(
-        "\n".join(consortium.render_block(b) for b in universe.ledger) + "\n"
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "epoch_reports.txt").write_text(
+            "\n\n".join(r.render() for r in reports) + "\n", encoding="utf-8"
+        )
+        (out_dir / "ledger.hex").write_text(consortium.export_ledger(universe.ledger))
+        (out_dir / "ledger.txt").write_text(
+            "\n".join(consortium.render_block(b) for b in universe.ledger) + "\n"
+        )
+    except OSError as exc:
+        print(f"simulate: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     tip = universe.ledger[-1].block_digest.hex() if universe.ledger else "(empty)"
     print(f"tip: {tip}")
     return EXIT_OK

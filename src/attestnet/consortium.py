@@ -23,7 +23,6 @@ from .model import (
     GeoFence,
     GeoPoint,
     ModelError,
-    SignerIdentity,
     Table,
     Verdict,
     ZERO_DIGEST,
@@ -48,9 +47,8 @@ class SimError(ValueError):
 
 @dataclass(frozen=True)
 class LedgerRecord:
-    kind: str  # policy_digest | audit_digest | endorsement_record | transaction
-    #            | result_digest | policy.conflict | governance | no_eligible
-    #            | remuneration
+    kind: str  # policy_digest | policy.conflict | result_digest | audit_digest
+    #            | governance | no_eligible
     payload: bytes
 
 
@@ -113,17 +111,14 @@ class Node:
     domain_id: str
     attesting_env: AttestingEnvironment
     target_env: TargetEnvironment
-    local_verifier: VerifierContext
     last_result: Optional[AttestationResult] = None
 
 
 @dataclass
 class Domain:
     domain_id: str
-    owner: SignerIdentity
     domain_verifier: VerifierContext
     audit_log: list[tuple[int, bytes]] = field(default_factory=list)
-    node_ids: list[str] = field(default_factory=list)
 
     def append_audit(self, tick: int, entry: bytes):
         if self.audit_log and tick < self.audit_log[-1][0]:
@@ -134,7 +129,6 @@ class Domain:
 @dataclass
 class ConsortiumConfig:
     consortium_verifier: VerifierContext
-    consortium_policy: EvidencePolicy
     majority_parameter: int = 51
     diversity_threshold: float = 0.5
     raised_majority: int = 70
@@ -148,18 +142,6 @@ class ConsortiumConfig:
             raise ModelError("raised majority must be >= majority parameter")
         if not 0 < self.diversity_threshold <= 1:
             raise ModelError("diversity threshold must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Transaction:
-    originator_key: bytes
-    payload: bytes
-
-    def to_bytes(self) -> bytes:
-        return encode(_TRANSACTION, self)
-
-
-_TRANSACTION = Table(Transaction, ("originator_key", BLOB), ("payload", BLOB))
 
 
 @dataclass(frozen=True)
@@ -203,7 +185,7 @@ class EpochReport:
 class Universe:
     """All simulation state; fully determined by the scenario seed."""
 
-    def __init__(self, config: ConsortiumConfig, seed: int, permissionless: bool = False):
+    def __init__(self, config: ConsortiumConfig, seed: int):
         self.config = config
         self.rng = random.Random(seed)
         self.clock = 0
@@ -212,7 +194,6 @@ class Universe:
         self.ledger: list[LedgerBlock] = []
         self.pending_records: list[LedgerRecord] = []
         self.effective_majority = config.majority_parameter
-        self.permissionless = permissionless
         self.faults: list[FaultInjection] = []
         self.epoch_index = 0
         self._recorded_policy_digests: set[bytes] = set()
@@ -228,7 +209,6 @@ class Universe:
         if node.domain_id not in self.domains:
             raise SimError(f"node {node.node_id} references unknown domain {node.domain_id}")
         self.nodes[node.node_id] = node
-        self.domains[node.domain_id].node_ids.append(node.node_id)
 
     def sorted_nodes(self) -> list[Node]:
         return [self.nodes[nid] for nid in sorted(self.nodes)]
@@ -239,36 +219,24 @@ class Universe:
 # ---------------------------------------------------------------------------
 
 
-def _conflicting_rules(consortium: EvidencePolicy, domain: EvidencePolicy) -> list[str]:
-    by_id = {r.rule_id: r for r in consortium.rules}
-    return [r.rule_id for r in domain.rules if r.rule_id in by_id and r != by_id[r.rule_id]]
-
-
 def distribute_policies(universe: Universe):
-    """Push consortium and domain policies into every node's local verifier and
-    anchor their digests on the ledger (idempotent by digest). A domain rule
-    conflicting with a consortium rule is recorded and loses."""
-    consortium_policy = universe.config.consortium_policy
+    """Anchor the consortium and domain policy digests on the ledger
+    (idempotent by digest). A domain rule conflicting with a consortium rule
+    is recorded and loses: the domain verifier gets the consortium's copy."""
+    consortium_policy = universe.config.consortium_verifier.policy
     _record_policy_digest(universe, consortium_policy)
+    by_id = {r.rule_id: r for r in consortium_policy.rules}
     for domain in universe.domains.values():
-        domain_policy = domain.domain_verifier.policy
-        for rule_id in _conflicting_rules(consortium_policy, domain_policy):
-            universe.pending_records.append(
-                LedgerRecord("policy.conflict", f"{domain.domain_id}:{rule_id}".encode())
-            )
-        # consortium rule wins on conflict: replace the domain copy
-        by_id = {r.rule_id: r for r in consortium_policy.rules}
-        resolved = tuple(by_id.get(r.rule_id, r) for r in domain_policy.rules)
-        if resolved != domain_policy.rules:
-            domain_policy = replace(domain_policy, rules=resolved)
-            domain.domain_verifier.policy = domain_policy
-        _record_policy_digest(universe, domain_policy)
-        for node_id in domain.node_ids:
-            node = universe.nodes[node_id]
-            node.local_verifier.policy = consortium_policy
-            node.local_verifier.endorsements = list(
-                universe.config.consortium_verifier.endorsements
-            )
+        dv = domain.domain_verifier
+        resolved = tuple(by_id.get(r.rule_id, r) for r in dv.policy.rules)
+        for rule, winner in zip(dv.policy.rules, resolved):
+            if winner != rule:
+                universe.pending_records.append(
+                    LedgerRecord("policy.conflict", f"{domain.domain_id}:{rule.rule_id}".encode())
+                )
+        if resolved != dv.policy.rules:
+            dv.policy = replace(dv.policy, rules=resolved)
+        _record_policy_digest(universe, dv.policy)
 
 
 def _record_policy_digest(universe: Universe, policy: EvidencePolicy):
@@ -341,8 +309,9 @@ def eligible_nodes(universe: Universe) -> list[Node]:
     ]
 
 
-def _stake_weighted_pick(nodes: Sequence[Node], round_seed: int) -> Optional[str]:
-    candidates = [n for n in nodes if n.target_env.stake > 0]
+def select_validator(universe: Universe, round_seed: int) -> Optional[str]:
+    """Stake-weighted pick among attestation-eligible nodes; None = no_eligible."""
+    candidates = [n for n in eligible_nodes(universe) if n.target_env.stake > 0]
     if not candidates:
         return None
     total = sum(n.target_env.stake for n in candidates)
@@ -355,11 +324,6 @@ def _stake_weighted_pick(nodes: Sequence[Node], round_seed: int) -> Optional[str
     return candidates[-1].node_id
 
 
-def select_validator(universe: Universe, round_seed: int) -> Optional[str]:
-    """Stake-weighted pick among attestation-eligible nodes; None = no_eligible."""
-    return _stake_weighted_pick(eligible_nodes(universe), round_seed)
-
-
 def forge_block(universe: Universe, validator: str, records: Sequence[LedgerRecord]) -> LedgerBlock:
     prev = universe.ledger[-1].block_digest if universe.ledger else GENESIS_PREV
     block = LedgerBlock(
@@ -367,15 +331,6 @@ def forge_block(universe: Universe, validator: str, records: Sequence[LedgerReco
     ).sealed()
     universe.ledger.append(block)
     return block
-
-
-def peer_appraise(universe: Universe, node_x: Node, node_y: Node) -> AttestationResult:
-    """Node Y's local verifier appraises fresh evidence from node X, acting as
-    its own relying party for consensus decisions."""
-    lv = node_y.local_verifier
-    nonce = lv.issue_challenge(universe.clock)
-    evidence = node_x.attesting_env.generate_evidence(node_x.target_env, nonce, universe.clock)
-    return lv.appraise(evidence, nonce, universe.clock)
 
 
 def run_epoch(universe: Universe) -> EpochReport:
@@ -452,36 +407,6 @@ def run_epoch(universe: Universe) -> EpochReport:
 
 def audit_digest(domain_id: str, entries: Sequence[bytes]) -> Digest:
     return digest(encode(pair(TEXT, seq(BLOB)), (domain_id, entries)))
-
-
-# ---------------------------------------------------------------------------
-# Honest-node segregation (permissionless mode)
-# ---------------------------------------------------------------------------
-
-
-def honest_subset_round(
-    universe: Universe,
-    registered_user_keys: set,
-    pending_txs: Sequence[Transaction],
-    round_seed: int,
-) -> tuple[Optional[LedgerBlock], list[Transaction]]:
-    """An honest node (one of `eligible_nodes`) forges a block containing only
-    transactions from pre-registered user keys; others stay pending. The
-    forger is credited with a remuneration record."""
-    if not universe.permissionless:
-        raise SimError("honest subset rounds require permissionless mode")
-    forger = _stake_weighted_pick(eligible_nodes(universe), round_seed)
-    if forger is None:
-        universe.pending_records.append(LedgerRecord("no_eligible", b""))
-        return None, list(pending_txs)
-    included = [tx for tx in pending_txs if tx.originator_key in registered_user_keys]
-    remaining = [tx for tx in pending_txs if tx.originator_key not in registered_user_keys]
-    records = list(universe.pending_records)
-    universe.pending_records = []
-    records.extend(LedgerRecord("transaction", tx.to_bytes()) for tx in included)
-    records.append(LedgerRecord("remuneration", forger.encode()))
-    block = forge_block(universe, forger, records)
-    return block, remaining
 
 
 # ---------------------------------------------------------------------------

@@ -836,13 +836,3 @@ class ResultPolicy:
     def __post_init__(self):
         if not self.accepted_verifiers:
             raise ModelError("result policy needs at least one accepted verifier")
-
-
-SignedMessage = Union[Evidence, Endorsement, AttestationResult, EvidencePolicy]
-
-
-def canonical_serialize(message: SignedMessage) -> bytes:
-    """Deterministic byte image a signature covers (signature field excluded)."""
-    if isinstance(message, EvidencePolicy):
-        return message.to_bytes()
-    return message.signing_bytes()

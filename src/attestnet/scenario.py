@@ -8,13 +8,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import make_dataclass
 
 from .attester import AttestingEnvironment, TargetEnvironment
 from .consortium import ConsortiumConfig, Domain, FaultInjection, Node, SimError, Universe
 from .conveyance import VerifierContext
 from .model import (
+    _INT64_MAX,
+    _INT64_MIN,
     ClaimSet,
     ClaimValue,
     EvidencePolicy,
@@ -34,97 +35,50 @@ class ScenarioError(ValueError):
     """Raised when a scenario document fails validation; message names the field."""
 
 
-@dataclass
-class ProductSpec:
-    product_id: str
-    fw_version: int
-    sw_images: tuple[tuple[str, bytes], ...]
+# Each scenario object is declared once, as (key, reader, default) rows; a row
+# without a default is required, and keys outside the rows are ignored. A
+# reader returns the value it is given, converted, or raises `ScenarioError`
+# naming the field, so a value of the wrong type, a non-finite number or an
+# out-of-range integer never escapes as a `TypeError` later.
+_REQUIRED = object()
 
 
-@dataclass
-class NodeSpec:
-    node_id: str
-    domain_id: str
-    product_id: str
-    stake: int
-    geo: GeoPoint
+def _reader(ok, must: str, convert=None):
+    def read(value, where: str, key: str):
+        if not ok(value):
+            raise ScenarioError(f"{where}: {key} must {must}")
+        return value if convert is None else convert(value)
+    return read
 
 
-@dataclass
-class DomainSpec:
-    domain_id: str
-    fw_min_version: Optional[int] = None  # differing value induces a policy conflict
+def _integer(minimum=_INT64_MIN):
+    return _reader(lambda v: type(v) is int and minimum <= v <= _INT64_MAX,
+                   f"be an integer in [{minimum}, 2**63)")
 
 
-@dataclass
-class ScenarioConfig:
-    seed: int
-    epochs: int
-    epoch_length: int
-    fw_min_version: int
-    majority_parameter: int
-    raised_majority: int
-    diversity_threshold: float
-    geo_fence: Optional[GeoFence]
-    products: list[ProductSpec]
-    domains: list[DomainSpec]
-    nodes: list[NodeSpec]
-    faults: list[FaultInjection] = field(default_factory=list)
-    permissionless: bool = False
+def _is_finite(value) -> bool:
+    """False for bools, which are ints to Python, and for NaN, the infinities
+    (`json` reads both) and integers beyond the float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-# Every field is read through one of the typed readers below, so a value of
-# the wrong type, a non-finite number or an out-of-range integer raises
-# `ScenarioError` naming its field instead of escaping as a `TypeError` later.
-_MISSING = object()
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_MUTATIONS = ("flip_sw_byte", "change_fw", "move_geo", "clone_config")
-_FENCE_BOUNDS = ("lat_min", "lat_max", "lon_min", "lon_max")
+_finite = _reader(_is_finite, "be a finite number")
+_float = _reader(_is_finite, "be a finite number", float)
+_text = _reader(lambda v: type(v) is str and v != "", "be a non-empty string")
+_objects = _reader(lambda v: type(v) is list and all(type(item) is dict for item in v),
+                   "be a list of objects")
+_images = _reader(
+    lambda v: type(v) is dict and all(type(c) is str and c for c in v.values()),
+    "map names to non-empty strings",
+    lambda v: tuple((name, content.encode("utf-8")) for name, content in sorted(v.items())),
+)
 
 
-def _field(doc: dict, key: str, where: str, default=_MISSING):
-    if key in doc:
-        return doc[key]
-    if default is _MISSING:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return default
-
-
-def _integer(doc: dict, key: str, where: str, default=_MISSING, minimum=_INT64_MIN) -> int:
-    value = _field(doc, key, where, default)
-    if type(value) is not int or not minimum <= value <= _INT64_MAX:
-        raise ScenarioError(f"{where}: {key} must be an integer in [{minimum}, 2**63)")
-    return value
-
-
-def _finite(value, name: str):
-    """`value` itself, if it is a finite JSON number (`json` reads NaN and
-    Infinity, and bools are ints to Python)."""
-    if type(value) in (int, float):
-        try:
-            if math.isfinite(value):
-                return value
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ScenarioError(f"{name} must be a finite number")
-
-
-def _number(doc: dict, key: str, where: str, default=_MISSING):
-    return _finite(_field(doc, key, where, default), f"{where}: {key}")
-
-
-def _text(doc: dict, key: str, where: str) -> str:
-    value = _field(doc, key, where)
-    if type(value) is not str or not value:
-        raise ScenarioError(f"{where}: {key} must be a non-empty string")
-    return value
-
-
-def _objects(doc: dict, key: str, where: str, default=_MISSING) -> list:
-    value = _field(doc, key, where, default)
-    if type(value) is not list or any(type(item) is not dict for item in value):
-        raise ScenarioError(f"{where}: {key} must be a list of objects")
-    return value
+def _or_null(read):
+    return lambda value, where, key: None if value is None else read(value, where, key)
 
 
 def _checked(where: str, make, *args):
@@ -135,6 +89,102 @@ def _checked(where: str, make, *args):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _fence(value, where: str, key: str) -> GeoFence:
+    if type(value) is not dict:
+        raise ScenarioError(f"{where}: {key} must be an object or null")
+    return _checked(key, GeoFence, *_read(value, key, _FENCE).values())
+
+
+def _geo(value, where: str, key: str) -> GeoPoint:
+    if type(value) is not list or len(value) != 3:
+        raise ScenarioError(f"{where}: {key} must be [latitude, longitude, altitude]")
+    return _checked(where, GeoPoint, *(_finite(v, where, key) for v in value))
+
+
+def _mutation(value, where: str, key: str) -> str:
+    if value not in ("flip_sw_byte", "change_fw", "move_geo", "clone_config"):
+        raise ScenarioError(f"{where}: unknown {key} {value!r}")
+    return value
+
+
+def _read(doc: dict, where: str, rows) -> dict:
+    """Each row's key, mapped to the value its reader returns for `doc`."""
+    fields = {}
+    for key, reader, default in rows:
+        if key in doc:
+            fields[key] = reader(doc[key], where, key)
+        elif default is _REQUIRED:
+            raise ScenarioError(f"{where}: missing required field {key!r}")
+        else:
+            fields[key] = default
+    return fields
+
+
+def _items(docs: list, kind: str, rows, label: str = "{} {}") -> list[dict]:
+    """The fields of each listed object of `kind`. The first row's value names
+    the object, through `label`, in the errors of the other rows."""
+    items = []
+    for doc in docs:
+        first = _read(doc, kind, rows[:1])
+        items.append(first | _read(doc, label.format(kind, *first.values()), rows[1:]))
+    return items
+
+
+def _spec(name: str, *rows):
+    """A dataclass with a field per row; it keeps the rows as `rows`."""
+    spec = make_dataclass(name, [key for key, _, _ in rows])
+    spec.rows = rows
+    return spec
+
+
+_FENCE = tuple((key, _finite, _REQUIRED) for key in ("lat_min", "lat_max", "lon_min", "lon_max"))
+ScenarioConfig = _spec(
+    "ScenarioConfig",
+    ("seed", _integer(), _REQUIRED),
+    ("epochs", _integer(0), _REQUIRED),
+    ("epoch_length", _integer(), 10),
+    ("geo_fence", _or_null(_fence), None),
+    ("products", _objects, _REQUIRED),
+    ("domains", _objects, _REQUIRED),
+    ("nodes", _objects, _REQUIRED),
+    ("faults", _objects, ()),
+    ("fw_min_version", _integer(), 1),
+    ("majority_parameter", _integer(), 51),
+    ("raised_majority", _integer(), 70),
+    ("diversity_threshold", _float, 0.5),
+)
+ProductSpec = _spec(
+    "ProductSpec",
+    ("product_id", _text, _REQUIRED),
+    ("sw_images", _images, _REQUIRED),
+    ("fw_version", _integer(), 1),
+)
+DomainSpec = _spec(
+    "DomainSpec",
+    ("domain_id", _text, _REQUIRED),
+    # null or absent: the scenario's own; a differing value induces a policy conflict
+    ("fw_min_version", _or_null(_integer()), None),
+)
+NodeSpec = _spec(
+    "NodeSpec",
+    ("node_id", _text, _REQUIRED),
+    ("domain_id", _text, _REQUIRED),
+    ("product_id", _text, _REQUIRED),
+    ("geo", _geo, GeoPoint(0.0, 0.0, 0.0)),
+    ("stake", _integer(), 1),
+)
+# The fields of a `FaultInjection` but `from_node`, which only a clone_config
+# fault reads, and which `parse_scenario` checks against the node ids.
+_FAULT = (
+    ("node_id", _text, _REQUIRED),
+    ("mutation", _mutation, _REQUIRED),
+    ("tick", _integer(0), _REQUIRED),
+    ("lat", _float, 0.0),
+    ("lon", _float, 0.0),
+    ("fw_version", _integer(), 0),
+)
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     try:
         doc = json.loads(text)
@@ -142,112 +192,44 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if type(doc) is not dict:
         raise ScenarioError("scenario must be a JSON object")
+    cfg = ScenarioConfig(**_read(doc, "scenario", ScenarioConfig.rows))
 
-    seed = _integer(doc, "seed", "scenario")
-    epochs = _integer(doc, "epochs", "scenario", minimum=0)
-    epoch_length = _integer(doc, "epoch_length", "scenario", 10)
-
-    fence = doc.get("geo_fence")
-    if fence is not None:
-        if type(fence) is not dict:
-            raise ScenarioError("scenario: geo_fence must be an object or null")
-        bounds = [_number(fence, k, "geo_fence") for k in _FENCE_BOUNDS]
-        fence = _checked("geo_fence", GeoFence, *bounds)
-
-    products = []
+    cfg.products = [ProductSpec(**f) for f in _items(cfg.products, "product", ProductSpec.rows)]
     image_names = set()
-    for p in _objects(doc, "products", "scenario"):
-        pid = _text(p, "product_id", "product")
-        where = f"product {pid}"
-        sw_images = _field(p, "sw_images", where)
-        if type(sw_images) is not dict or any(
-            type(content) is not str or not content for content in sw_images.values()
-        ):
-            raise ScenarioError(f"{where}: sw_images must map names to non-empty strings")
-        images = []
-        for name, content in sorted(sw_images.items()):
+    for product in cfg.products:
+        for name, _ in product.sw_images:
             if name in image_names:
-                raise ScenarioError(f"{where}: sw image name {name!r} reused across products")
+                raise ScenarioError(
+                    f"product {product.product_id}: sw image name {name!r} reused across products"
+                )
             image_names.add(name)
-            images.append((name, content.encode("utf-8")))
-        products.append(ProductSpec(pid, _integer(p, "fw_version", where, 1), tuple(images)))
-    product_ids = {p.product_id for p in products}
 
-    domains = []
-    for d in _objects(doc, "domains", "scenario"):
-        did = _text(d, "domain_id", "domain")
-        fw_min = d.get("fw_min_version")  # null or absent: the scenario's own
-        if fw_min is not None:
-            fw_min = _integer(d, "fw_min_version", f"domain {did}")
-        domains.append(DomainSpec(did, fw_min))
-    domain_ids = {d.domain_id for d in domains}
+    cfg.domains = [DomainSpec(**f) for f in _items(cfg.domains, "domain", DomainSpec.rows)]
+    domain_ids = {d.domain_id for d in cfg.domains}
+    product_ids = {p.product_id for p in cfg.products}
+    cfg.nodes = [NodeSpec(**f) for f in _items(cfg.nodes, "node", NodeSpec.rows)]
+    for node in cfg.nodes:
+        if node.domain_id not in domain_ids:
+            raise ScenarioError(f"node {node.node_id}: unknown domain {node.domain_id!r}")
+        if node.product_id not in product_ids:
+            raise ScenarioError(f"node {node.node_id}: unknown product {node.product_id!r}")
 
-    nodes = []
-    for n in _objects(doc, "nodes", "scenario"):
-        nid = _text(n, "node_id", "node")
-        where = f"node {nid}"
-        did = _text(n, "domain_id", where)
-        pid = _text(n, "product_id", where)
-        if did not in domain_ids:
-            raise ScenarioError(f"{where}: unknown domain {did!r}")
-        if pid not in product_ids:
-            raise ScenarioError(f"{where}: unknown product {pid!r}")
-        geo = _field(n, "geo", where, [0.0, 0.0, 0.0])
-        if type(geo) is not list or len(geo) != 3:
-            raise ScenarioError(f"{where}: geo must be [latitude, longitude, altitude]")
-        geo = _checked(where, GeoPoint, *(_finite(v, f"{where}: geo") for v in geo))
-        nodes.append(NodeSpec(nid, did, pid, _integer(n, "stake", where, 1), geo))
-    node_ids = {n.node_id for n in nodes}
-
+    node_ids = {n.node_id for n in cfg.nodes}
     faults = []
-    for f in _objects(doc, "faults", "scenario", []):
-        nid = _text(f, "node_id", "fault")
-        if nid not in node_ids:
-            raise ScenarioError(f"fault: unknown node {nid!r}")
-        where = f"fault on {nid}"
-        mutation = _field(f, "mutation", where)
-        if mutation not in _MUTATIONS:
-            raise ScenarioError(f"{where}: unknown mutation {mutation!r}")
-        from_node = ""
-        if mutation == "clone_config":
-            from_node = f.get("from_node")
-            if type(from_node) is not str or from_node not in node_ids:
-                raise ScenarioError(f"{where}: clone_config needs a known from_node")
-        tick = _integer(f, "tick", where, minimum=0)
-        if tick >= epochs * epoch_length:
-            raise ScenarioError(f"{where}: tick {tick} is after the last tick of the run")
-        lat, lon = float(_number(f, "lat", where, 0.0)), float(_number(f, "lon", where, 0.0))
-        _checked(where, GeoPoint, lat, lon, 0.0)  # move_geo builds this point mid-run
-        faults.append(
-            FaultInjection(
-                tick=tick,
-                node_id=nid,
-                mutation=mutation,
-                lat=lat,
-                lon=lon,
-                fw_version=_integer(f, "fw_version", where, 0),
-                from_node=from_node,
-            )
-        )
-
-    permissionless = _field(doc, "permissionless", "scenario", False)
-    if type(permissionless) is not bool:
-        raise ScenarioError("scenario: permissionless must be true or false")
-    return ScenarioConfig(
-        seed=seed,
-        epochs=epochs,
-        epoch_length=epoch_length,
-        fw_min_version=_integer(doc, "fw_min_version", "scenario", 1),
-        majority_parameter=_integer(doc, "majority_parameter", "scenario", 51),
-        raised_majority=_integer(doc, "raised_majority", "scenario", 70),
-        diversity_threshold=float(_number(doc, "diversity_threshold", "scenario", 0.5)),
-        geo_fence=fence,
-        products=products,
-        domains=domains,
-        nodes=nodes,
-        faults=faults,
-        permissionless=permissionless,
-    )
+    for raw, fields in zip(cfg.faults, _items(cfg.faults, "fault", _FAULT, "{} on {}")):
+        clone = fields["mutation"] == "clone_config"
+        fault = FaultInjection(**fields, from_node=raw.get("from_node") if clone else "")
+        where = f"fault on {fault.node_id}"
+        if fault.node_id not in node_ids:
+            raise ScenarioError(f"fault: unknown node {fault.node_id!r}")
+        if clone and (type(fault.from_node) is not str or fault.from_node not in node_ids):
+            raise ScenarioError(f"{where}: clone_config needs a known from_node")
+        if fault.tick >= cfg.epochs * cfg.epoch_length:
+            raise ScenarioError(f"{where}: tick {fault.tick} is after the last tick of the run")
+        _checked(where, GeoPoint, fault.lat, fault.lon, 0.0)  # move_geo builds this point mid-run
+        faults.append(fault)
+    cfg.faults = faults
+    return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -294,23 +276,25 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
             make_endorsement(endorser, product.product_id, ClaimSet(refs), issued_at=0)
         )
 
-    consortium_policy = _policy_for(cfg, "consortium", cfg.fw_min_version)
     cv = VerifierContext(
         SignerIdentity.create(Role.VERIFIER, "consortium-verifier", rng),
-        consortium_policy, list(endorsements), rng,
+        _policy_for(cfg, "consortium", cfg.fw_min_version), list(endorsements), rng,
     )
     config = ConsortiumConfig(
         consortium_verifier=cv,
-        consortium_policy=consortium_policy,
         majority_parameter=cfg.majority_parameter,
         diversity_threshold=cfg.diversity_threshold,
         raised_majority=cfg.raised_majority,
         geo_fence=cfg.geo_fence,
         epoch_length=cfg.epoch_length,
     )
-    universe = Universe(config, cfg.seed, permissionless=cfg.permissionless)
+    universe = Universe(config, cfg.seed)
     universe.faults = list(cfg.faults)
 
+    # The tips are a function of this rng's stream, so each domain and each
+    # node still draws one 32-byte key seed (the bare `rng.randbytes(32)`
+    # below) for an identity that is no longer built: the domain's owner and
+    # the node's local verifier.
     products_by_id = {p.product_id: p for p in cfg.products}
     for dspec in cfg.domains:
         fw_min = dspec.fw_min_version if dspec.fw_min_version is not None else cfg.fw_min_version
@@ -318,8 +302,8 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
             SignerIdentity.create(Role.VERIFIER, f"dv-{dspec.domain_id}", rng),
             _policy_for(cfg, f"domain-{dspec.domain_id}", fw_min), list(endorsements), rng,
         )
-        owner = SignerIdentity.create(Role.OWNER, f"owner-{dspec.domain_id}", rng)
-        universe.add_domain(Domain(dspec.domain_id, owner, dv))
+        rng.randbytes(32)
+        universe.add_domain(Domain(dspec.domain_id, dv))
 
     for nspec in cfg.nodes:
         product = products_by_id[nspec.product_id]
@@ -331,11 +315,8 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
             stake=nspec.stake,
         )
         attesting = AttestingEnvironment.create(nspec.node_id, rng, [env.config_digest()])
-        lv = VerifierContext(
-            SignerIdentity.create(Role.VERIFIER, f"lv-{nspec.node_id}", rng),
-            consortium_policy, list(endorsements), rng,
-        )
-        universe.add_node(Node(nspec.node_id, nspec.domain_id, attesting, env, lv))
+        rng.randbytes(32)
+        universe.add_node(Node(nspec.node_id, nspec.domain_id, attesting, env))
 
     if not universe.nodes:
         raise SimError("scenario defines no nodes")

@@ -1,0 +1,60 @@
+"""The benchmark in `perfbench/` times and counts attestnet by rebinding
+functions and methods by name, and reads a few attributes of the simulation
+state. Each test here resolves those names the way the benchmark does, so a
+rename or deletion that would break the benchmark fails the suite instead."""
+
+import ast
+import importlib
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from attestnet import cli, consortium, scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tables(name: str, *tables: str) -> list:
+    """The (name, module, attribute) rows of the named module-level tuples
+    in `perfbench/<name>.py`, read from its source."""
+    tree = ast.parse((PERFBENCH / f"{name}.py").read_text())
+    values = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in tables
+    }
+    assert sorted(values) == sorted(tables)
+    return [row for table in tables for row in values[table]]
+
+
+BINDINGS = (_tables("tracing", "LAYERS", "COUNTED")
+            + _tables("workloads", "SIM_STAGES", "FLOW_STAGES", "SUPPLY_STAGES"))
+
+
+@pytest.mark.parametrize("name, module, path", BINDINGS,
+                         ids=[f"{module}:{path}" for _, module, path in BINDINGS])
+def test_binding_is_own_attribute(name, module, path):
+    """`tracing.Tracer.installed` replaces `vars(owner)[attr]`, so the
+    attribute must sit in the module's or the class's own namespace, not be
+    inherited."""
+    owner = importlib.import_module(module)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = vars(owner)[part]
+    assert attr in vars(owner)
+    assert callable(getattr(owner, attr))
+
+
+def test_simulate_builds_through_the_scenario_module(tmp_path, monkeypatch):
+    """`workloads.run_sim` swaps `scenario.build_universe` to keep the
+    universe, then reads each domain's audit log."""
+    built = []
+    build = scenario.build_universe
+    monkeypatch.setattr(scenario, "build_universe", lambda cfg: built.append(build(cfg)) or built[-1])
+    path = Path(scenario.__file__).parent / "scenarios" / "healthy-4nodes.json"
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(built) == 1
+    assert "audit_log" in {f.name for f in fields(consortium.Domain)}
+    assert all(domain.audit_log for domain in built[0].domains.values())

@@ -13,6 +13,7 @@ from attestnet.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    EXIT_WRITE,
     load_identity,
     main,
 )
@@ -149,6 +150,16 @@ class TestSimulate:
             tmp_path / "b" / "ledger.hex"
         ).read_text()
 
+    def test_out_naming_a_file_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code = main(["simulate", str(SCENARIO_DIR / "healthy-4nodes.json"), "--out", str(out)])
+        assert code == EXIT_WRITE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"simulate: cannot write {out}: ")
+        assert out.read_text() == "not a directory"
+
     def test_invalid_scenario_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"epochs": 1}')
@@ -172,16 +183,40 @@ def _set(path, value):
 BAD_SCENARIOS = {
     # each raised or exited 0 before: ValueError, ModelError x3, SimError,
     # exit 0 with an empty ledger x2, a fault silently ignored
-    "fw_version_text": _set(("products", 0, "fw_version"), "x"),
-    "latitude_100": _set(("nodes", 0, "geo", 0), 100.0),
-    "negative_stake": _set(("nodes", 0, "stake"), -3),
-    "majority_30": _set(("majority_parameter",), 30),
-    "duplicate_domain": lambda doc: doc["domains"].append({"domain_id": "d2"}),
-    "nan_fence": _set(("geo_fence",), {"lat_min": math.nan, "lat_max": 90.0,
-                                       "lon_min": -180.0, "lon_max": 180.0}),
-    "negative_epochs": _set(("epochs",), -5),
-    "negative_fault_tick": _set(("faults",), [{"node_id": "n1", "mutation": "change_fw",
-                                               "fw_version": 1, "tick": -4}]),
+    "fw_version_text": (
+        _set(("products", 0, "fw_version"), "x"),
+        "product srv-a: fw_version must be an integer in [-9223372036854775808, 2**63)",
+    ),
+    "latitude_100": (
+        _set(("nodes", 0, "geo", 0), 100.0),
+        "node n1: latitude 100.0 outside [-90, 90]",
+    ),
+    "negative_stake": (
+        _set(("nodes", 0, "stake"), -3),
+        "gpu count and stake must be non-negative",
+    ),
+    "majority_30": (
+        _set(("majority_parameter",), 30),
+        "majority parameter must be in (50, 100]",
+    ),
+    "duplicate_domain": (
+        lambda doc: doc["domains"].append({"domain_id": "d2"}),
+        "duplicate domain id d2",
+    ),
+    "nan_fence": (
+        _set(("geo_fence",), {"lat_min": math.nan, "lat_max": 90.0,
+                              "lon_min": -180.0, "lon_max": 180.0}),
+        "geo_fence: lat_min must be a finite number",
+    ),
+    "negative_epochs": (
+        _set(("epochs",), -5),
+        "scenario: epochs must be an integer in [0, 2**63)",
+    ),
+    "negative_fault_tick": (
+        _set(("faults",), [{"node_id": "n1", "mutation": "change_fw",
+                            "fw_version": 1, "tick": -4}]),
+        "fault on n1: tick must be an integer in [0, 2**63)",
+    ),
 }
 
 
@@ -194,27 +229,44 @@ def _simulate(tmp_path, doc) -> int:
 class TestBadScenario:
     @pytest.mark.parametrize("name", sorted(BAD_SCENARIOS))
     def test_exit_2_without_output(self, name, tmp_path, capsys):
+        edit, message = BAD_SCENARIOS[name]
         doc = copy.deepcopy(HEALTHY)
-        BAD_SCENARIOS[name](doc)
+        edit(doc)
         assert _simulate(tmp_path, doc) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("simulate: ")
+        assert capsys.readouterr() == ("", f"simulate: {message}\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("field, value, named", [
-        (("products", 0, "fw_version"), "x", "fw_version"),
-        (("nodes", 0, "geo", 0), 100.0, "latitude"),
-        (("geo_fence",), {"lat_min": math.nan}, "lat_min"),
-        (("epochs",), -5, "epochs"),
-        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": -4}], "tick"),
-        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": 40}], "tick"),
-        (("diversity_threshold",), math.inf, "diversity_threshold"),
-    ])
-    def test_error_names_the_field(self, field, value, named, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value, named, message", [
+        (("products", 0, "fw_version"), "x", "fw_version",
+         "product srv-a: fw_version must be an integer in [-9223372036854775808, 2**63)"),
+        (("nodes", 0, "geo", 0), 100.0, "latitude", "node n1: latitude 100.0 outside [-90, 90]"),
+        (("geo_fence",), {"lat_min": math.nan}, "lat_min",
+         "geo_fence: lat_min must be a finite number"),
+        (("epochs",), -5, "epochs", "scenario: epochs must be an integer in [0, 2**63)"),
+        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": -4}], "tick",
+         "fault on n1: tick must be an integer in [0, 2**63)"),
+        (("faults",), [{"node_id": "n1", "mutation": "change_fw", "tick": 40}], "tick",
+         "fault on n1: tick 40 is after the last tick of the run"),
+        (("diversity_threshold",), math.inf, "diversity_threshold",
+         "scenario: diversity_threshold must be a finite number"),
+    ], ids=["field0-x-fw_version", "field1-100.0-latitude", "field2-value2-lat_min",
+            "field3--5-epochs", "field4-value4-tick", "field5-value5-tick",
+            "field6-inf-diversity_threshold"])
+    def test_error_names_the_field(self, field, value, named, message, tmp_path, capsys):
         doc = copy.deepcopy(HEALTHY)
         _set(field, value)(doc)
         assert _simulate(tmp_path, doc) == EXIT_USAGE
-        assert named in capsys.readouterr().err
+        assert named in message
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+
+    def test_keys_outside_the_schema_are_ignored(self, tmp_path, capsys):
+        doc = copy.deepcopy(HEALTHY)
+        doc["permissionless"] = "no longer read"
+        doc["nodes"][0]["comment"] = None
+        assert _simulate(tmp_path, doc) == EXIT_OK
+        tip = capsys.readouterr().out
+        assert _simulate(tmp_path, HEALTHY) == EXIT_OK
+        assert capsys.readouterr().out == tip
 
     def test_not_utf8_exit_2(self, tmp_path):
         path = tmp_path / "scenario.json"

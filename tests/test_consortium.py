@@ -7,22 +7,19 @@ import pytest
 from attestnet.consortium import (
     LedgerBlock,
     LedgerRecord,
-    Transaction,
     audit_digest,
     distribute_policies,
     diversity_metric,
     eligible_nodes,
     export_ledger,
     forge_block,
-    honest_subset_round,
     import_ledger,
-    peer_appraise,
     run_epoch,
     select_validator,
     update_governance,
     verify_chain,
 )
-from attestnet.model import GeoPoint, Verdict, digest
+from attestnet.model import GeoPoint, digest
 from attestnet.scenario import (
     ScenarioError,
     build_universe,
@@ -92,10 +89,8 @@ class TestDistributePolicies:
         records = [r for b in universe.ledger for r in b.records if r.kind == "policy_digest"]
         # consortium policy + domain policy (identical rules but distinct id)
         assert len(records) == 2
-        consortium_digest = universe.config.consortium_policy.digest()
+        consortium_digest = universe.config.consortium_verifier.policy.digest()
         assert any(r.payload == consortium_digest.value for r in records)
-        for node in universe.nodes.values():
-            assert node.local_verifier.policy == universe.config.consortium_policy
 
     def test_conflicting_domain_rule_recorded_and_overridden(self):
         universe = fresh_universe(domains=[{"domain_id": "d1", "fw_min_version": 9}])
@@ -161,22 +156,6 @@ class TestRunEpoch:
         expected = audit_digest("d1", entries)
         anchored = [r for b in universe.ledger for r in b.records if r.kind == "audit_digest"]
         assert anchored and anchored[0].payload == expected.value
-
-
-class TestPeerAppraisal:
-    def test_healthy_peer_compliant(self):
-        universe = fresh_universe()
-        result = peer_appraise(universe, universe.nodes["n1"], universe.nodes["n2"])
-        assert result.verdict == Verdict.COMPLIANT
-        assert result.verifier == universe.nodes["n2"].local_verifier.identity.entity
-
-    def test_peer_verdict_matches_consortium_verdict(self):
-        universe = fresh_universe(
-            faults=[{"tick": 0, "node_id": "n1", "mutation": "flip_sw_byte"}]
-        )
-        report = run_epoch(universe)
-        peer = peer_appraise(universe, universe.nodes["n1"], universe.nodes["n3"])
-        assert peer.verdict.value == report.verdicts["n1"]
 
 
 class TestValidatorSelection:
@@ -250,7 +229,7 @@ class TestLedger:
         blocks = list(universe.ledger)
         tampered = LedgerBlock(
             blocks[1].height, blocks[1].prev_digest,
-            blocks[1].records + (LedgerRecord("transaction", b"inserted"),),
+            blocks[1].records + (LedgerRecord("policy_digest", b"inserted"),),
             blocks[1].forger, blocks[1].tick, blocks[1].block_digest,
         )
         assert verify_chain([blocks[0], tampered]) is not None
@@ -318,46 +297,14 @@ class TestDiversityAndGovernance:
 
 
 class TestHonestSubset:
-    def _universe(self, **overrides):
-        universe = fresh_universe(permissionless=True, **overrides)
-        run_epoch(universe)
-        return universe
-
-    def test_all_registered_all_included(self):
-        universe = self._universe()
-        txs = [Transaction(bytes([i]) * 4, b"pay") for i in range(3)]
-        keys = {tx.originator_key for tx in txs}
-        block, remaining = honest_subset_round(universe, keys, txs, round_seed=5)
-        included = [r for r in block.records if r.kind == "transaction"]
-        assert len(included) == 3 and remaining == []
-
-    def test_mixed_txs_filtered_order_preserved(self):
-        universe = self._universe()
-        txs = [Transaction(bytes([i]) * 4, bytes([i])) for i in range(6)]
-        keys = {txs[1].originator_key, txs[4].originator_key}
-        block, remaining = honest_subset_round(universe, keys, txs, round_seed=5)
-        included = [r.payload for r in block.records if r.kind == "transaction"]
-        assert included == [txs[1].to_bytes(), txs[4].to_bytes()]
-        assert remaining == [txs[0], txs[2], txs[3], txs[5]]
-        remuneration = [r for r in block.records if r.kind == "remuneration"]
-        assert remuneration and remuneration[0].payload.decode() == block.forger
-
-    def test_non_compliant_node_never_forges(self):
-        universe = self._universe(
-            faults=[{"tick": 0, "node_id": "n2", "mutation": "flip_sw_byte"}]
-        )
-        rng = random.Random(99)
-        for _ in range(10_000):
-            forger = select_validator(universe, rng.getrandbits(64))
-            assert forger != "n2"
-        block, _ = honest_subset_round(universe, set(), [], round_seed=3)
-        assert block.forger != "n2"
-
+    """Only the honest subset forges: nodes whose latest consortium result is
+    compliant, fresh and from inside the geo fence."""
 
     def test_stale_or_fenced_out_node_never_forges(self):
-        universe = self._universe(
+        universe = fresh_universe(
             geo_fence={"lat_min": -1.0, "lat_max": 1.0, "lon_min": -1.0, "lon_max": 1.0}
         )
+        run_epoch(universe)
         stale = universe.nodes["n2"].last_result
         run_epoch(universe)
         universe.nodes["n2"].last_result = stale  # n2 missed the latest appraisal
@@ -365,8 +312,7 @@ class TestHonestSubset:
         n3.target_env = replace(n3.target_env, geo=GeoPoint(10.0, 10.0, 0.0))  # moved out
         assert [n.node_id for n in eligible_nodes(universe)] == ["n1"]
         for round_seed in range(200):
-            block, _ = honest_subset_round(universe, set(), [], round_seed)
-            assert block.forger == "n1"
+            assert select_validator(universe, round_seed) == "n1"
 
 
 class TestDeterminism:

@@ -57,10 +57,10 @@ def budget(monkeypatch):
 def test_simulate_healthy_4nodes(budget, tmp_path, capsys):
     scenario = SCENARIO_DIR / "healthy-4nodes.json"
     assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
-    # keys: the endorser, the consortium verifier, 2 domain verifiers and
-    # 2 owners, and per node its attestation key and local verifier (the
-    # nodes' transaction keys are never used)
-    assert budget == {"keys": 14, "signs": 68, "verifies": 36, "result_decodes": 0}
+    # keys: the endorser, the consortium verifier, the 2 domain verifiers
+    # and each node's attestation key (the nodes' transaction keys are never
+    # used)
+    assert budget == {"keys": 8, "signs": 68, "verifies": 36, "result_decodes": 0}
 
 
 def _granted_world(rng, env):

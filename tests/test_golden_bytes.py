@@ -9,7 +9,7 @@ import pytest
 
 from attestnet.attester import AttestingEnvironment, TargetEnvironment
 from attestnet.cli import load_identity, save_identity
-from attestnet.consortium import LedgerBlock, LedgerRecord, Transaction, audit_digest
+from attestnet.consortium import LedgerBlock, LedgerRecord, audit_digest
 from attestnet.endorsement_ledger import EndorsementRecord
 from attestnet.model import (
     AttestationResult,
@@ -213,7 +213,6 @@ GOLDEN = {
         "00000008656e646f727365720000000876656e646f722d6100000020030303030303030303030303"
         "0303030303030303030303030303030303030303"
     ),
-    "transaction": "000000040b0b0b0b000000057061792035",
     "audit_digest": "8b8998999ad33480a1d5d81b5e8f353837a46e4d58504952b2731fd7065abf87",
 }
 
@@ -264,6 +263,5 @@ def test_identity_file(tmp_path):
     assert load_identity(path) == identity
 
 
-def test_transaction_and_audit_digest():
-    assert Transaction(b"\x0b" * 4, b"pay 5").to_bytes().hex() == GOLDEN["transaction"]
+def test_audit_digest():
     assert audit_digest("d1", [b"entry one", b"", b"entry three"]).hex() == GOLDEN["audit_digest"]

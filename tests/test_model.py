@@ -30,7 +30,6 @@ from attestnet.model import (
     SignerIdentity,
     SigningKey,
     Verdict,
-    canonical_serialize,
     decode,
     digest,
     encode,
@@ -98,7 +97,7 @@ class TestClaims:
         )
         a = Evidence(target_claims=forward, **ev_args)
         b = Evidence(target_claims=backward, **ev_args)
-        assert canonical_serialize(a) == canonical_serialize(b)
+        assert a.signing_bytes() == b.signing_bytes()
 
 
 def _entity():
@@ -111,7 +110,7 @@ def _entity():
 class TestCanonicalSerialize:
     def test_serialization_deterministic(self, attester, env, rng):
         ev = attester.generate_evidence(env, new_nonce(0, rng), 0)
-        assert canonical_serialize(ev) == canonical_serialize(ev)
+        assert ev.signing_bytes() == ev.signing_bytes()
         assert ev.to_bytes() == ev.to_bytes()
 
     def test_injective_over_randomized_claim_sets(self):
@@ -126,7 +125,7 @@ class TestCanonicalSerialize:
                 }
             )
             ev = Evidence(_entity(), claims, Nonce(b"\x01" * 16, 0), 0)
-            blob = canonical_serialize(ev)
+            blob = ev.signing_bytes()
             key = tuple(sorted((k, v.value) for k, v in claims.items()))
             if blob in seen:
                 assert seen[blob] == key
@@ -144,7 +143,7 @@ class TestCanonicalSerialize:
                 env.hw_model, flipped, env.sw_images, env.geo, env.gpu_count, env.stake
             )
             ev2 = Evidence(_entity(), measure(env2), Nonce(b"\x01" * 16, 0), 0)
-            assert canonical_serialize(ev) != canonical_serialize(ev2)
+            assert ev.signing_bytes() != ev2.signing_bytes()
 
     def test_round_trip(self, attester, env, rng):
         ev = attester.generate_evidence(env, new_nonce(3, rng), 5)
