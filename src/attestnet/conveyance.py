@@ -1,24 +1,28 @@
 """Attestation conveyance: passport and background-check flows run as message
 sequences over an in-memory reliable transport, with nonce replay rejection.
 
-A result message is decoded at most once: `ResultMsg.result()` stores the
-decoded result on the message, and that result stores its own signature
-check. The relying party appraises the result message it received, and the
-passport flow forwards that same message object, so the transport's
-send-time check of it is answered from what the appraisal already stored.
+The verifier's own result message carries the signed result it was built
+from (`ResultMsg.of`), so the verifier never decodes bytes it has just
+encoded; the transport still checks that result's signature at send time, and
+the result stores the check. A result message received as bytes is decoded at
+most once: `ResultMsg.result()` stores the decoded result on the message. The
+relying party appraises the result message it received, and the passport flow
+forwards that same message object, so the transport's send-time check of it
+is answered from what the appraisal already stored.
 
 In the passport flow the attester forwards the bytes of the result message
 that the transport carried from the verifier (`ResultMsg.forwarded_by`).
 Decoding is canonical-only, so equal bytes decode to an equal result whose
 signature check gives the same answer: a byte-identical forward shares the
-carried message's decoded and checked result, and a forward with any byte
-changed is decoded and checked anew.
+carried message's result and its check, and only a forward with any byte
+changed is decoded, and checked anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from . import verifier
 from .attester import AttestingEnvironment, TargetEnvironment
@@ -70,6 +74,14 @@ class EvidenceMsg:
 class ResultMsg:
     sender: EntityId
     result_bytes: bytes  # canonical encoding; forwarded byte-identical
+
+    @staticmethod
+    def of(sender: EntityId, result: AttestationResult) -> "ResultMsg":
+        """The message conveying the signed `result` from `sender`, which
+        carries `result` itself rather than a decode of its bytes."""
+        msg = ResultMsg(sender, result.to_bytes())
+        _once(msg, "result", lambda: result)
+        return msg
 
     def result(self) -> AttestationResult:
         return _once(self, "result", lambda: AttestationResult.from_bytes(self.result_bytes))
@@ -140,8 +152,8 @@ class VerifierContext:
     rng: object
     seen_nonces: set = field(default_factory=set)
     # (the endorsement objects merged, their merged reference claims)
-    _merged: tuple[tuple[Endorsement, ...], dict[str, ClaimValue]] = field(
-        default_factory=lambda: ((), {}), init=False, repr=False, compare=False
+    _merged: tuple[tuple[Endorsement, ...], Mapping[str, ClaimValue]] = field(
+        default_factory=lambda: ((), MappingProxyType({})), init=False, repr=False, compare=False
     )
 
     def issue_challenge(self, clock: int) -> Nonce:
@@ -154,7 +166,7 @@ class VerifierContext:
         self.seen_nonces.add(nonce.value)
         return True
 
-    def references(self) -> dict[str, ClaimValue]:
+    def references(self) -> Mapping[str, ClaimValue]:
         endorsements = tuple(self.endorsements)
         merged_from, references = self._merged
         # tuple equality tests identity before ==, so an unchanged endorsement
@@ -205,7 +217,7 @@ def run_passport_flow(
     if not verifier_ctx.consume_nonce(evidence.nonce_echo):
         return Decision(False, ("replay",))
     result = verifier_ctx.appraise(evidence, challenge, clock)
-    carried = transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
+    carried = transport.send(ResultMsg.of(verifier_ctx.identity.entity, result))
 
     forwarded = result_tamper(carried.result_bytes) if result_tamper else carried.result_bytes
     forward = carried.forwarded_by(attester.identity, forwarded)
@@ -243,7 +255,7 @@ def run_background_check_flow(
     if not verifier_ctx.consume_nonce(evidence.nonce_echo):
         return Decision(False, ("replay",))
     result = verifier_ctx.appraise(evidence, challenge, clock)
-    msg = transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
+    msg = transport.send(ResultMsg.of(verifier_ctx.identity.entity, result))
 
     received = msg.result()
     granted = appraise_result(received, rp_ctx.result_policy, clock)

@@ -19,9 +19,11 @@ decoded. Every decoding failure raises `ModelError`.
 
 Because messages never change, what is derived from them is worked out at most
 once per object and stored on it: the signing bytes and signature validity of
-evidence, endorsements and results, and the digest of a policy. A changed
-message is a new object built with `dataclasses.replace`, which starts with
-nothing stored, so a stored value can never describe other field values. There
+evidence, endorsements and results, the digest of a policy, and the encoded
+entries of a claim set (which every evidence or endorsement holding that claim
+set appends to its signing bytes). A changed message is a new object built with
+`dataclasses.replace`, and a changed claim set a new `ClaimSet`; either starts
+with nothing stored, so a stored value can never describe other field values. There
 are two exceptions, both for the signing bytes. `sign_message` stores them on
 the signed copy, because a signature is not part of them. Decoding a signed
 message stores the bytes it received without the trailing signature blob:
@@ -37,7 +39,7 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Callable, ItemsView, NamedTuple, Optional, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -155,27 +157,21 @@ class ClaimValue:
 
 
 class ClaimSet:
-    """Ordered map claim-key -> ClaimValue; iterates in ascending key byte order."""
+    """Map claim-key -> ClaimValue, held in ascending key byte order.
+
+    Immutable: the entries are validated and sorted once, at construction.
+    """
 
     def __init__(self, entries: Optional[dict] = None):
-        self._entries: dict[str, ClaimValue] = {}
-        if entries:
-            for k, v in entries.items():
-                self._put(k, v)
-
-    def _put(self, key: str, value: ClaimValue):
-        if not isinstance(key, str) or not key:
-            raise ModelError("claim key must be a non-empty string")
-        if key in self._entries:
-            raise ModelError(f"duplicate claim key {key!r}")
-        if not isinstance(value, ClaimValue):
-            raise ModelError("claim value must be a ClaimValue")
-        self._entries[key] = value
-
-    def with_claim(self, key: str, value: ClaimValue) -> "ClaimSet":
-        new = ClaimSet(dict(self._entries))
-        new._put(key, value)
-        return new
+        entries = entries or {}
+        for key, value in entries.items():
+            if not isinstance(key, str) or not key:
+                raise ModelError("claim key must be a non-empty string")
+            if not isinstance(value, ClaimValue):
+                raise ModelError("claim value must be a ClaimValue")
+        # str order is code-point order, which UTF-8 preserves byte for byte
+        # (keys are unique, so the values are never compared)
+        self._entries: dict[str, ClaimValue] = dict(sorted(entries.items()))
 
     def get(self, key: str) -> Optional[ClaimValue]:
         return self._entries.get(key)
@@ -186,17 +182,17 @@ class ClaimSet:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def items(self) -> Iterator[tuple[str, ClaimValue]]:
-        return iter(sorted(self._entries.items(), key=lambda kv: kv[0].encode()))
+    def items(self) -> ItemsView[str, ClaimValue]:
+        return self._entries.items()
 
     def keys(self) -> list[str]:
-        return [k for k, _ in self.items()]
+        return list(self._entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClaimSet) and dict(self.items()) == dict(other.items())
+        return isinstance(other, ClaimSet) and self._entries == other._entries
 
     def __repr__(self) -> str:
-        return f"ClaimSet({dict(self.items())!r})"
+        return f"ClaimSet({self._entries!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +486,18 @@ _CLAIM_ENTRIES = seq(pair(TEXT, Kind(_put_claim, _get_claim)))
 
 def _get_claims(dec: Decoder) -> ClaimSet:
     entries = _CLAIM_ENTRIES.get(dec)
-    keys = [key.encode() for key, _ in entries]
+    keys = [key for key, _ in entries]  # decoded, so valid UTF-8: str order is byte order
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ModelError("claim keys are not strictly ascending")
     return ClaimSet(dict(entries))
 
 
+def _put_claims(out: list, cs: ClaimSet):
+    out.append(_once(cs, "encoded", lambda: encode(_CLAIM_ENTRIES, cs.items())))
+
+
 # A claim set: its entries in ascending key byte order, each key once.
-CLAIMS = Kind(lambda out, cs: _CLAIM_ENTRIES.put(out, list(cs.items())), _get_claims)
+CLAIMS = Kind(_put_claims, _get_claims)
 
 
 # Evidence, endorsements and results are signed messages: their signing bytes

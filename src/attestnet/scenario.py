@@ -193,6 +193,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if type(doc) is not dict:
         raise ScenarioError("scenario must be a JSON object")
     cfg = ScenarioConfig(**_read(doc, "scenario", ScenarioConfig.rows))
+    # the last tick, epochs * epoch_length - 1, is written as a U64 clock
+    if cfg.epochs * cfg.epoch_length > 2**64:
+        raise ScenarioError("scenario: epoch_length * epochs must be at most 2**64")
 
     cfg.products = [ProductSpec(**f) for f in _items(cfg.products, "product", ProductSpec.rows)]
     image_names = set()

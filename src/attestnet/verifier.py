@@ -5,6 +5,19 @@ Appraisals take the reference claims already merged from the endorsements
 (`merge_reference_claims`), so a verifier that appraises many times merges
 and checks its endorsements once, not once per appraisal.
 
+The policy rules judge only the claim set, the merged references and the
+policy, so their reasons are worked out once per (claim set, reference map,
+policy) and stored on the claim set, which every evidence of an unchanged
+configuration shares. They are stored only when the reference map is a
+`MappingProxyType`: the read-only view that `merge_reference_claims` returns
+over a dict that nothing else holds, so that its contents never change. (A
+caller passing a view of its own must not change the dict under it.) Any other
+mapping, such as a plain dict that its caller may change in place, is
+evaluated at every appraisal. A changed endorsement set is a new reference map
+and a replaced policy a new object, so either is a miss. The checks that
+depend on the evidence itself (signature, nonce and staleness, and the layer
+chain) run for every evidence.
+
 Reason vocabulary: builtin ids "sig", "nonce", "stale", "missing_claim:<key>",
 layer ids "layer.<i>" / "layer.len" / "layer.no_secret", component ids
 "component.<i>.<reason>" / "component.<i>.no_policy", and policy rule ids.
@@ -16,10 +29,12 @@ check the verifier could not judge; if only such reasons occur the verdict is
 from __future__ import annotations
 
 import logging
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .model import (
     AttestationResult,
+    ClaimSet,
     ClaimValue,
     Digest,
     Endorsement,
@@ -30,6 +45,7 @@ from .model import (
     RuleKind,
     SignerIdentity,
     Verdict,
+    _once,
     digest,
     sign_message,
 )
@@ -52,8 +68,9 @@ def _verdict_from_reasons(reasons: Sequence[str]) -> Verdict:
     return Verdict.NON_COMPLIANT
 
 
-def merge_reference_claims(endorsements: Sequence[Endorsement]) -> dict[str, ClaimValue]:
-    """Union of reference claims from signature-valid endorsements.
+def merge_reference_claims(endorsements: Sequence[Endorsement]) -> Mapping[str, ClaimValue]:
+    """Union of reference claims from signature-valid endorsements, as a
+    read-only view of a dict that nothing else holds.
 
     On conflicting values for the same claim key the later issued_at wins;
     the conflict is logged and does not affect the verdict.
@@ -69,22 +86,22 @@ def merge_reference_claims(endorsements: Sequence[Endorsement]) -> dict[str, Cla
                 logger.warning("endorsement.conflict on claim %s (product %s)", key, end.product_id)
             if prev is None or end.issued_at >= prev[0]:
                 merged[key] = (end.issued_at, value)
-    return {k: v for k, (_, v) in merged.items()}
+    return MappingProxyType({k: v for k, (_, v) in merged.items()})
 
 
 def _evaluate_rules(
-    evidence: Evidence,
+    claims: ClaimSet,
     references: Mapping[str, ClaimValue],
     policy: EvidencePolicy,
 ) -> list[str]:
     reasons = []
     for key in policy.required_claims:
-        if key not in evidence.target_claims:
+        if key not in claims:
             reasons.append(f"missing_claim:{key}")
     for rule in policy.rules:
         if rule.kind == RuleKind.COMPONENTS_ALL_COMPLIANT:
             continue  # handled by composite appraisal
-        claim = evidence.target_claims.get(rule.claim_key)
+        claim = claims.get(rule.claim_key)
         if rule.kind == RuleKind.CLAIM_PRESENT:
             if claim is None:
                 reasons.append(rule.rule_id)
@@ -107,6 +124,26 @@ def _evaluate_rules(
     return reasons
 
 
+def _rule_reasons(
+    claims: ClaimSet,
+    references: Mapping[str, ClaimValue],
+    policy: EvidencePolicy,
+) -> Sequence[str]:
+    """The policy rule reasons for `claims`, stored on the claim set when
+    `references` is a read-only reference map (see the module docstring)."""
+    if type(references) is not MappingProxyType:
+        return _evaluate_rules(claims, references, policy)
+    # Keyed by identity: each entry holds both objects, so neither id can name
+    # another object while the entry exists, and the `is` checks confirm a hit.
+    stored = _once(claims, "rule_reasons", dict)
+    key = (id(references), id(policy))
+    entry = stored.get(key)
+    if entry is None or entry[0] is not references or entry[1] is not policy:
+        entry = (references, policy, tuple(_evaluate_rules(claims, references, policy)))
+        stored[key] = entry
+    return entry[2]
+
+
 def _evaluate_evidence(
     evidence: Evidence,
     references: Mapping[str, ClaimValue],
@@ -123,7 +160,7 @@ def _evaluate_evidence(
             reasons.append("nonce")
         if clock - evidence.nonce_echo.issued_at > policy.freshness_window:
             reasons.append("stale")
-    reasons.extend(_evaluate_rules(evidence, references, policy))
+    reasons.extend(_rule_reasons(evidence.target_claims, references, policy))
     return reasons
 
 

@@ -217,6 +217,19 @@ BAD_SCENARIOS = {
                             "fw_version": 1, "tick": -4}]),
         "fault on n1: tick must be an integer in [0, 2**63)",
     ),
+    # raised struct.error before: the epoch clock passed the U64 range
+    "epoch_length_past_u64_clock": (
+        _set(("epoch_length",), 2**63 - 1),
+        "scenario: epoch_length * epochs must be at most 2**64",
+    ),
+    "zero_epoch_length": (
+        _set(("epoch_length",), 0),
+        "freshness window must be >= 1 tick",
+    ),
+    "negative_epoch_length": (
+        _set(("epoch_length",), -3),
+        "freshness window must be >= 1 tick",
+    ),
 }
 
 
@@ -258,6 +271,12 @@ class TestBadScenario:
         assert _simulate(tmp_path, doc) == EXIT_USAGE
         assert named in message
         assert capsys.readouterr().err == f"simulate: {message}\n"
+
+    def test_last_tick_at_the_u64_clock_limit_runs(self, tmp_path, capsys):
+        doc = copy.deepcopy(HEALTHY)
+        doc["epoch_length"] = 2**64 // doc["epochs"]
+        assert doc["epochs"] * doc["epoch_length"] == 2**64
+        assert _simulate(tmp_path, doc) == EXIT_OK
 
     def test_keys_outside_the_schema_are_ignored(self, tmp_path, capsys):
         doc = copy.deepcopy(HEALTHY)

@@ -261,7 +261,8 @@ class TestVerifyOnce:
         decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
         transport = Transport()
         assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
-        assert len(decodes) == 1  # the carried message; the forward shares it
+        # the carried message holds the verifier's result; the forward shares it
+        assert len(decodes) == 0
         for position in range(len(transport.log[-1].result_bytes)):
             decodes.clear()
             decision = run_passport_flow(
@@ -269,7 +270,7 @@ class TestVerifyOnce:
                 result_tamper=_flip_byte(position),
             )
             assert not decision.granted
-            assert len(decodes) == 2  # the carried message, then the changed forward
+            assert len(decodes) == 1  # the changed forward
 
     def test_background_check_rp_appraises_received_message(self, attester, env, rng, monkeypatch):
         verifier, rp = make_contexts(rng, env)

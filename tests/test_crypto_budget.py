@@ -1,6 +1,6 @@
 """Exact counts of the expensive operations: Ed25519 private-key
-constructions, signs and verifies, and result decodes. A change that adds
-crypto work fails here instead of hiding in benchmark noise; a change that
+constructions, signs and verifies, result decodes, and policy rule
+evaluations. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
 removes some updates the pinned counts."""
 
 from pathlib import Path
@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from attestnet import model
+from attestnet import model, verifier as verifier_module
 from attestnet.cli import EXIT_OK, main
 from attestnet.conveyance import Decision, Transport, run_background_check_flow, run_passport_flow
 
@@ -20,11 +20,13 @@ SCENARIO_DIR = Path("src/attestnet/scenarios")
 @pytest.fixture
 def budget(monkeypatch):
     """Counts the Ed25519 private keys built and the signs and verifies made
-    through `attestnet.model`, and the `AttestationResult.from_bytes` calls."""
-    counts = {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0}
+    through `attestnet.model`, the `AttestationResult.from_bytes` calls, and
+    the evaluations of a policy's rules against a claim set."""
+    counts = {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0, "rule_evaluations": 0}
     private, public = model.Ed25519PrivateKey, model.Ed25519PublicKey
     sign = model.SigningKey.sign
     decode_result = model.AttestationResult.from_bytes
+    evaluate_rules = verifier_module._evaluate_rules
 
     def counting_key(seed):
         counts["keys"] += 1
@@ -46,11 +48,16 @@ def budget(monkeypatch):
         counts["result_decodes"] += 1
         return decode_result(data)
 
+    def counting_rules(*args):
+        counts["rule_evaluations"] += 1
+        return evaluate_rules(*args)
+
     monkeypatch.setattr(model, "Ed25519PrivateKey", SimpleNamespace(from_private_bytes=counting_key))
     monkeypatch.setattr(model.SigningKey, "sign", counting_sign)
     monkeypatch.setattr(model, "Ed25519PublicKey",
                         SimpleNamespace(from_public_bytes=CountingPublicKey))
     monkeypatch.setattr(model.AttestationResult, "from_bytes", staticmethod(counting_decode))
+    monkeypatch.setattr(verifier_module, "_evaluate_rules", counting_rules)
     return counts
 
 
@@ -59,8 +66,18 @@ def test_simulate_healthy_4nodes(budget, tmp_path, capsys):
     assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
     # keys: the endorser, the consortium verifier, the 2 domain verifiers
     # and each node's attestation key (the nodes' transaction keys are never
-    # used)
-    assert budget == {"keys": 8, "signs": 68, "verifies": 36, "result_decodes": 0}
+    # used); rules: each node's configuration, once by its domain verifier
+    # and once by the consortium verifier
+    assert budget == {"keys": 8, "signs": 68, "verifies": 36, "result_decodes": 0,
+                      "rule_evaluations": 8}
+
+
+def test_simulate_clone_attack(budget, tmp_path, capsys):
+    scenario = SCENARIO_DIR / "clone-attack.json"
+    assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
+    # rules: as for healthy-4nodes, plus one: the clones share n1's
+    # configuration, which only domain d2's verifier had not yet appraised
+    assert budget["rule_evaluations"] == 9
 
 
 def _granted_world(rng, env):
@@ -75,8 +92,10 @@ def test_granted_passport_flow(attester, env, rng, budget):
     decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
     assert decision == Decision(True)
     # evidence and result signed; evidence at send time and the verifier's
-    # result message verified, which the byte-identical forward shares
-    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 1}
+    # result message verified, which the byte-identical forward shares; the
+    # verifier's message carries its result, so nothing is decoded
+    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
+                      "rule_evaluations": 1}
 
 
 def test_granted_background_check_flow(attester, env, rng, budget):
@@ -84,4 +103,5 @@ def test_granted_background_check_flow(attester, env, rng, budget):
     budget.update(dict.fromkeys(budget, 0))
     decision = run_background_check_flow(attester, env, rp, verifier, Transport(), clock=0)
     assert decision == Decision(True)
-    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 1}
+    assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
+                      "rule_evaluations": 1}

@@ -1,15 +1,15 @@
 """Derived values (canonical bytes, digests, signature validity, merged
-references, measured claims) are stored on the objects they describe; these tests check that
-a stored value never outlives a change to what it was derived from."""
+references, measured claims, rule reasons) are stored on the objects they describe; these
+tests check that a stored value never outlives a change to what it was derived from."""
 
 import logging
 from dataclasses import replace
 
 import pytest
 
-from attestnet import model
+from attestnet import model, verifier
 from attestnet.attester import measure
-from attestnet.consortium import FaultInjection, _apply_fault
+from attestnet.consortium import FaultInjection, _apply_fault, distribute_policies
 from attestnet.conveyance import VerifierContext
 from attestnet.model import (
     ClaimSet,
@@ -24,9 +24,10 @@ from attestnet.model import (
     make_endorsement,
     new_nonce,
 )
-from attestnet.verifier import appraise_evidence
+from attestnet.scenario import build_universe
+from attestnet.verifier import appraise_evidence, merge_reference_claims
 
-from .test_consortium import fresh_universe
+from .test_consortium import base_scenario, fresh_universe
 
 
 def _evidence(rng, attester, env, verifier_identity):
@@ -209,3 +210,85 @@ def test_warnings_logged_once_per_endorsement_set(rng, attester, env, caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert sum("endorsement.conflict" in m for m in messages) == 1
     assert sum("invalid signature" in m for m in messages) == 1
+
+
+# Rule reasons are stored on the claim set per (reference map, policy); every
+# test below appraises one claim set, `measure(env)`, throughout.
+
+
+def _counting_rules(monkeypatch) -> list:
+    """The claim sets that policy rules are evaluated against, in call order."""
+    calls = []
+    evaluate = verifier._evaluate_rules
+
+    def counting(claims, references, policy):
+        calls.append(claims)
+        return evaluate(claims, references, policy)
+
+    monkeypatch.setattr(verifier, "_evaluate_rules", counting)
+    return calls
+
+
+def test_stored_reasons_follow_endorsement_changes(rng, attester, env, monkeypatch):
+    claims = measure(env)
+    evaluated = _counting_rules(monkeypatch)
+    ctx = _reference_context(rng, env, [_endorse_env(rng, env)])
+    for _ in range(2):
+        assert _appraise(ctx, attester, env).verdict == Verdict.COMPLIANT
+    assert evaluated == [claims]  # the second appraisal used the stored reasons
+    ctx.endorsements = [_endorse_env(rng, env, image_of=lambda image: b"other " + image)]
+    assert _appraise(ctx, attester, env).reasons == ("ref.bootloader", "ref.os")
+    ctx.endorsements.clear()
+    assert _appraise(ctx, attester, env).verdict == Verdict.UNKNOWN
+    ctx.endorsements.append(_endorse_env(rng, env))
+    assert _appraise(ctx, attester, env).verdict == Verdict.COMPLIANT
+    assert evaluated == [claims] * 4
+
+
+def test_policy_replaced_by_distribution_changes_next_verdict(monkeypatch):
+    universe = build_universe(base_scenario(domains=[{"domain_id": "d1", "fw_min_version": 9}]))
+    node = universe.nodes["n1"]
+    dv = universe.domains["d1"].domain_verifier
+    evaluated = _counting_rules(monkeypatch)
+    assert _appraise(dv, node.attesting_env, node.target_env).reasons == ("fw.min",)
+    distribute_policies(universe)  # the consortium's fw.min (bound 2) wins the conflict
+    assert _appraise(dv, node.attesting_env, node.target_env).verdict == Verdict.COMPLIANT
+    assert evaluated == [measure(node.target_env)] * 2
+
+
+def test_verifiers_with_different_policies_each_get_their_own_reasons(rng, attester, env):
+    endorsements = [_endorse_env(rng, env)]
+    lenient = _reference_context(rng, env, endorsements)
+    strict = _reference_context(rng, env, endorsements)
+    strict.policy = EvidencePolicy(
+        "memo-strict", (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", 9),), 10
+    )
+    for _ in range(2):
+        assert _appraise(lenient, attester, env).verdict == Verdict.COMPLIANT
+        assert _appraise(strict, attester, env).reasons == ("fw.min",)
+
+
+def test_per_evidence_checks_run_after_reasons_are_stored(rng, attester, env):
+    ctx = _reference_context(rng, env, [_endorse_env(rng, env)])
+    assert _appraise(ctx, attester, env).verdict == Verdict.COMPLIANT
+    nonce = ctx.issue_challenge(0)
+    evidence = attester.generate_evidence(env, nonce, 0)
+    forged = replace(evidence, signature=bytes(64))
+    assert ctx.appraise(forged, nonce, 0).reasons == ("sig",)
+    assert ctx.appraise(evidence, ctx.issue_challenge(0), 0).reasons == ("nonce",)
+    assert ctx.appraise(evidence, nonce, 11).reasons == ("stale",)
+    assert ctx.appraise(evidence, nonce, 10).verdict == Verdict.COMPLIANT
+
+
+def test_plain_dict_changed_in_place_changes_next_verdict(rng, attester, env, verifier_identity):
+    references = dict(merge_reference_claims([_endorse_env(rng, env)]))
+    policy = _reference_context(rng, env, []).policy
+    nonce = new_nonce(0, rng)
+    evidence = attester.generate_evidence(env, nonce, 0)
+    verdicts = []
+    for _ in range(2):
+        verdicts.append(
+            appraise_evidence(evidence, references, policy, nonce, verifier_identity, 0).verdict
+        )
+        references.clear()
+    assert verdicts == [Verdict.COMPLIANT, Verdict.UNKNOWN]

@@ -72,11 +72,6 @@ class TestClaims:
         with pytest.raises(ModelError):
             GeoPoint(0.0, -180.5, 0.0)
 
-    def test_duplicate_keys_rejected(self):
-        cs = ClaimSet({"a": ClaimValue.of_int(1)})
-        with pytest.raises(ModelError):
-            cs.with_claim("a", ClaimValue.of_int(2))
-
     def test_empty_key_rejected(self):
         with pytest.raises(ModelError):
             ClaimSet({"": ClaimValue.of_int(1)})
@@ -98,6 +93,28 @@ class TestClaims:
         a = Evidence(target_claims=forward, **ev_args)
         b = Evidence(target_claims=backward, **ev_args)
         assert a.signing_bytes() == b.signing_bytes()
+
+    # keys drawn around the boundaries of the 1- to 4-byte UTF-8 forms and the
+    # surrogate gap, where sorting by anything but the encoded bytes could differ
+    KEY_CHARS = st.sampled_from("a\x7f\x80\u07ff\u0800\ud7ff\ue000\uffff\U00010000\U0010ffff")
+
+    @given(
+        entries=st.dictionaries(st.text(KEY_CHARS, min_size=1, max_size=4),
+                                st.integers(-(2**63), 2**63 - 1), max_size=8),
+        data=st.data(),
+    )
+    def test_stored_order_and_bytes_match_sorting_every_time(self, entries, data):
+        shuffled = data.draw(st.permutations(list(entries.items())))
+        claims = ClaimSet({k: ClaimValue.of_int(v) for k, v in shuffled})
+        ordered = sorted(entries, key=lambda k: k.encode("utf-8"))
+        assert claims.keys() == ordered
+        assert [k for k, _ in claims.items()] == ordered
+        assert claims == ClaimSet({k: ClaimValue.of_int(v) for k, v in entries.items()})
+        reference = struct.pack(">Q", len(entries)) + b"".join(
+            _claim_entry(k, entries[k]) for k in ordered
+        )
+        assert encode(model.CLAIMS, claims) == reference
+        assert encode(model.CLAIMS, claims) == reference  # from the stored blob
 
 
 def _entity():
@@ -395,7 +412,8 @@ def _signed_evidence(claims: ClaimSet) -> Evidence:
 
 
 def _claim_entry(key: str, value: int) -> bytes:
-    return struct.pack(">I", len(key)) + key.encode() + b"\x03" + struct.pack(">q", value)
+    raw = key.encode()
+    return struct.pack(">I", len(raw)) + raw + b"\x03" + struct.pack(">q", value)
 
 
 class TestCanonicalOnly:
