@@ -67,14 +67,37 @@ def _is_finite(value) -> bool:
 
 _finite = _reader(_is_finite, "be a finite number")
 _float = _reader(_is_finite, "be a finite number", float)
-_text = _reader(lambda v: type(v) is str and v != "", "be a non-empty string")
 _objects = _reader(lambda v: type(v) is list and all(type(item) is dict for item in v),
                    "be a list of objects")
-_images = _reader(
-    lambda v: type(v) is dict and all(type(c) is str and c for c in v.values()),
-    "map names to non-empty strings",
-    lambda v: tuple((name, content.encode("utf-8")) for name, content in sorted(v.items())),
-)
+
+
+def _utf8(value: str, where: str, what: str) -> bytes:
+    """The UTF-8 encoding of `value`. `json` reads a lone surrogate from a
+    `\\ud800` escape, and a string holding one cannot be encoded; `what`
+    names the field, with any value in it escaped, so that the error prints."""
+    try:
+        return value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ScenarioError(f"{where}: {what} is not valid UTF-8") from None
+
+
+def _text(value, where: str, key: str) -> str:
+    if type(value) is not str or value == "":
+        raise ScenarioError(f"{where}: {key} must be a non-empty string")
+    if not value.isascii():  # an ASCII string always encodes
+        _utf8(value, where, f"{key} {value!r}")
+    return value
+
+
+def _images(value, where: str, key: str) -> tuple[tuple[str, bytes], ...]:
+    if type(value) is not dict or not all(type(c) is str and c for c in value.values()):
+        raise ScenarioError(f"{where}: {key} must map names to non-empty strings")
+    images = []
+    for name, content in sorted(value.items()):
+        if not name.isascii():
+            _utf8(name, where, f"{key} name {name!r}")
+        images.append((name, _utf8(content, where, f"{key}[{name!r}]")))
+    return tuple(images)
 
 
 def _or_null(read):

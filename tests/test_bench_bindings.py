@@ -5,6 +5,8 @@ rename or deletion that would break the benchmark fails the suite instead."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -58,3 +60,22 @@ def test_simulate_builds_through_the_scenario_module(tmp_path, monkeypatch):
     assert len(built) == 1
     assert "audit_log" in {f.name for f in fields(consortium.Domain)}
     assert all(domain.audit_log for domain in built[0].domains.values())
+
+
+def _perfbench_module(name: str, monkeypatch):
+    """`perfbench/<name>.py`, imported under a name of its own for this test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_supply_chain_unit_matches_the_benchmark_oracle(monkeypatch):
+    """One supply-chain unit (4,000 registrations, 2,000 verifications with
+    corrupted, altered and tampered shares), checked by the benchmark's own
+    oracle of `verify_product`'s outcomes."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    unit = workloads.run_supply(workloads.generate_supply(1), tracing.Tracer())
+    assert unit.failed == 0

@@ -230,6 +230,20 @@ BAD_SCENARIOS = {
         _set(("epoch_length",), -3),
         "freshness window must be >= 1 tick",
     ),
+    # raised UnicodeEncodeError before: `json` reads a lone surrogate from a
+    # \ud800 escape, and such a string has no UTF-8 encoding
+    "node_id_lone_surrogate": (
+        _set(("nodes", 0, "node_id"), "n\ud800"),
+        "node: node_id 'n\\ud800' is not valid UTF-8",
+    ),
+    "image_name_lone_surrogate": (
+        _set(("products", 0, "sw_images"), {"\ud800": "os image"}),
+        "product srv-a: sw_images name '\\ud800' is not valid UTF-8",
+    ),
+    "image_content_lone_surrogate": (
+        _set(("products", 0, "sw_images"), {"os": "image \udfff"}),
+        "product srv-a: sw_images['os'] is not valid UTF-8",
+    ),
 }
 
 

@@ -1,6 +1,6 @@
 """Exact counts of the expensive operations: Ed25519 private-key
-constructions, signs and verifies, result decodes, and policy rule
-evaluations. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
+constructions, signs and verifies, result decodes, policy rule evaluations,
+and endorsement record encodes. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
 removes some updates the pinned counts."""
 
 from pathlib import Path
@@ -8,9 +8,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from attestnet import model, verifier as verifier_module
+from attestnet import endorsement_ledger, model, verifier as verifier_module
 from attestnet.cli import EXIT_OK, main
 from attestnet.conveyance import Decision, Transport, run_background_check_flow, run_passport_flow
+from attestnet.endorsement_ledger import (
+    ContentStore,
+    EndorsementsLedger,
+    register_endorsement,
+    verify_product,
+)
+from attestnet.model import ClaimSet, ClaimValue, Role, SignerIdentity, digest, make_endorsement
 
 from .test_conveyance import endorse_env, make_contexts, ref_rules
 
@@ -105,3 +112,51 @@ def test_granted_background_check_flow(attester, env, rng, budget):
     assert decision == Decision(True)
     assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
                       "rule_evaluations": 1}
+
+
+@pytest.fixture
+def record_encodes(monkeypatch):
+    """Counts the encodes of an endorsement record's fields."""
+    counts = {"record_encodes": 0}
+    encode = endorsement_ledger.encode
+
+    def counting_encode(kind, value):
+        counts["record_encodes"] += kind is endorsement_ledger._RECORD
+        return encode(kind, value)
+
+    monkeypatch.setattr(endorsement_ledger, "encode", counting_encode)
+    return counts
+
+
+def _registration_objects(rng, product: bytes):
+    manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)
+    claims = ClaimSet({"product.digest": ClaimValue.of_digest(digest(product))})
+    endorsement = make_endorsement(manufacturer, "widget-7", claims, issued_at=4)
+    return manufacturer, [("endorsement", endorsement.to_bytes()),
+                          ("manufacturer_cert", manufacturer.entity.public_key),
+                          ("root_cert", b"root-ca-certificate")]
+
+
+def test_register_endorsement(rng, budget, record_encodes):
+    manufacturer, objects = _registration_objects(rng, b"firmware")
+    budget.update(dict.fromkeys(budget, 0))
+    register_endorsement(manufacturer, "widget-7", objects, ContentStore(), EndorsementsLedger(), 10)
+    # the fields are encoded once: those bytes are signed, and they and the
+    # signature are what the ledger indexes
+    assert {**budget, **record_encodes} == {"keys": 0, "signs": 1, "verifies": 0,
+                                            "result_decodes": 0, "rule_evaluations": 0,
+                                            "record_encodes": 1}
+
+
+def test_verify_genuine_product(rng, budget, record_encodes):
+    manufacturer, objects = _registration_objects(rng, b"firmware")
+    store, ledger = ContentStore(), EndorsementsLedger()
+    record = register_endorsement(manufacturer, "widget-7", objects, store, ledger, 10)
+    budget.update(dict.fromkeys(budget, 0))
+    record_encodes["record_encodes"] = 0
+    assert verify_product(b"firmware", record, store, ledger) == (True, None)
+    # records hold no stored values, so the ledger lookup and the signature
+    # check each encode the record
+    assert {**budget, **record_encodes} == {"keys": 0, "signs": 0, "verifies": 1,
+                                            "result_decodes": 0, "rule_evaluations": 0,
+                                            "record_encodes": 2}

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attestnet.endorsement_ledger import (
     ContentStore,
@@ -15,7 +17,12 @@ from attestnet.endorsement_ledger import (
 )
 from attestnet.model import ClaimSet, ClaimValue, Digest, Role, SignerIdentity, digest, make_endorsement
 
-from .oracles import merkle_member_bruteforce, merkle_root_bruteforce
+from .oracles import (
+    merkle_member_bruteforce,
+    merkle_root_bruteforce,
+    sha256,
+    verify_product_bruteforce,
+)
 
 # Frozen by the standalone brute-force Merkle script run before the main
 # build, over leaves digest(b"\x00"), digest(b"\x01"), digest(b"\x02").
@@ -155,7 +162,7 @@ class TestRegisterEndorsement:
 
     def test_ledger_counts_every_append_and_indexes_bytes(self, rng):
         manufacturer, record, store, ledger, objects = _setup_registration(rng)
-        ledger.append(record)  # a duplicate append still counts
+        ledger.append(record.to_bytes())  # a duplicate append still counts
         assert len(ledger) == 2
         assert ledger.includes(record)
         assert ledger.includes(EndorsementRecord.from_bytes(record.to_bytes()))
@@ -190,12 +197,18 @@ class TestVerifyProduct:
             assert not ok and reason == "digest_mismatch"
 
     def test_tampered_record_ledger_mismatch(self, rng):
-        from dataclasses import replace
-
         _, record, store, ledger, _ = _setup_registration(rng)
         tampered = replace(record, merkle_root=digest(b"other root"))
         ok, reason = verify_product(b"firmware image v7", tampered, store, ledger)
         assert not ok and reason == "ledger_mismatch"
+
+    def test_root_not_covering_the_objects_is_root_mismatch(self, rng):
+        manufacturer, record, store, ledger, _ = _setup_registration(rng)
+        unsigned = replace(record, merkle_root=digest(b"other root"), signature=b"")
+        signed = replace(unsigned, signature=manufacturer.key.sign(unsigned.signing_bytes()))
+        ledger.append(signed.to_bytes())
+        ok, reason = verify_product(b"firmware image v7", signed, store, ledger)
+        assert not ok and reason == "root_mismatch"
 
     def test_corrupted_store_detected(self, rng):
         _, record, store, ledger, _ = _setup_registration(rng)
@@ -218,3 +231,85 @@ class TestVerifyProduct:
     def test_record_roundtrip(self, rng):
         _, record, _, _, _ = _setup_registration(rng)
         assert EndorsementRecord.from_bytes(record.to_bytes()) == record
+
+    def test_records_hold_no_stored_values(self, rng):
+        _, record, store, ledger, _ = _setup_registration(rng)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert "_memo" not in vars(record)
+
+
+MANUFACTURERS = [SignerIdentity.create(Role.ENDORSER, name, random.Random(name))
+                 for name in ("acme", "globex")]
+# the draws below repeat their untouched choice, so that a fair share of the
+# queries reaches the later checks
+ENDORSEMENT_OBJECTS = ["genuine"] * 6 + ["other_product", "bytes_claim", "truncated", "trailing",
+                                         "junk"]
+RECORD_CHANGES = {
+    "registered_at": lambda r: replace(r, registered_at=r.registered_at + 100),
+    "product_id": lambda r: replace(r, product_id=r.product_id + "x"),
+    "merkle_root": lambda r: replace(r, merkle_root=digest(b"other root")),
+    "refs_reversed": lambda r: replace(r, object_refs=r.object_refs[::-1]),
+    "refs_and_root": lambda r: replace(
+        r, object_refs=r.object_refs[::-1],
+        merkle_root=Digest(merkle_root_bruteforce([a.value for _, a in r.object_refs[::-1]]))),
+    "signature": lambda r: replace(r, signature=bytes(64)),
+}
+
+
+def _plain(record: EndorsementRecord) -> tuple:
+    entity = record.manufacturer
+    return (entity.role.value, entity.name, entity.public_key, record.product_id,
+            record.merkle_root.value,
+            tuple((label, address.value) for label, address in record.object_refs),
+            record.registered_at, record.signature)
+
+
+def _endorsement_object(data, manufacturer, product: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(ENDORSEMENT_OBJECTS))
+    if kind == "junk":
+        return data.draw(st.binary(max_size=40))
+    claim = ClaimValue.of_digest(digest(product + b"x" if kind == "other_product" else product))
+    if kind == "bytes_claim":
+        claim = ClaimValue.of_bytes(digest(product).value)
+    genuine = make_endorsement(manufacturer, "widget", ClaimSet({"product.digest": claim}), 1)
+    encoded = genuine.to_bytes()
+    if kind == "truncated":
+        return encoded[:data.draw(st.integers(0, len(encoded) - 1))]
+    return encoded + b"\x00" if kind == "trailing" else encoded
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_product_matches_oracle(data):
+    """Small registries, some store entries corrupted, products altered and
+    records changed (and sometimes appended as changed): every verdict and
+    reason equals the oracle's."""
+    store, ledger = ContentStore(), EndorsementsLedger()
+    products, records, registered, mirror = [], [], [], {}
+    for i in range(data.draw(st.integers(1, 3))):
+        products.append(data.draw(st.binary(min_size=1, max_size=8)))
+        manufacturer = data.draw(st.sampled_from(MANUFACTURERS))
+        cert = data.draw(st.sampled_from([manufacturer.entity.public_key] * 4
+                                         + [m.entity.public_key for m in MANUFACTURERS] + [b"junk"]))
+        objects = data.draw(st.permutations([
+            ("endorsement", _endorsement_object(data, manufacturer, products[-1])),
+            ("manufacturer_cert", cert),
+            ("root_cert", b"root-ca-certificate"),
+        ]))
+        mirror.update((sha256(value), value) for _, value in objects)
+        records.append(register_endorsement(manufacturer, f"p{i}", objects, store, ledger, i))
+        registered.append(_plain(records[-1]))
+    corrupted = data.draw(st.sampled_from([None] * 4 + sorted(mirror)))
+    if corrupted is not None:
+        store._corrupt(Digest(corrupted), b"corrupted")
+        mirror[corrupted] = b"corrupted"
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(products) - 1))
+        product = data.draw(st.sampled_from([products[i]] * 3 + [products[i] + b"!"]))
+        change = data.draw(st.sampled_from(["none"] * 7 + sorted(RECORD_CHANGES)))
+        record = records[i] if change == "none" else RECORD_CHANGES[change](records[i])
+        if change != "none" and data.draw(st.booleans()):
+            ledger.append(record.to_bytes())
+            registered.append(_plain(record))
+        expected = verify_product_bruteforce(product, _plain(record), registered, mirror)
+        assert verify_product(product, record, store, ledger) == expected
