@@ -1,6 +1,11 @@
 """Deterministic simulator of a consortium permissioned blockchain where node
 attestation verdicts gate validator selection, governance adapts to node
 diversity, and policy/audit digests are anchored on a hash-linked ledger.
+
+A domain's audit log holds the current epoch only: each earlier epoch lives on
+the ledger as its `audit_digest`, so the simulator's memory does not grow with
+the audit bytes of a long run. Ledger records and blocks are slotted value
+types (no instance dict), since a run keeps every block.
 """
 
 from __future__ import annotations
@@ -45,14 +50,14 @@ class SimError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRecord:
     kind: str  # policy_digest | policy.conflict | result_digest | audit_digest
     #            | governance | no_eligible
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerBlock:
     height: int
     prev_digest: Digest
@@ -116,13 +121,20 @@ class Node:
 
 @dataclass
 class Domain:
+    """A domain and its verifier. `audit_log` holds the epoch in progress only:
+    `run_epoch` clears it when an epoch starts, and anchors it as the epoch's
+    `audit_digest` when the epoch ends. `last_audit_tick` outlives the clear,
+    so the log stays tick-ordered across epochs (ticks are never negative)."""
+
     domain_id: str
     domain_verifier: VerifierContext
     audit_log: list[tuple[int, bytes]] = field(default_factory=list)
+    last_audit_tick: int = 0
 
     def append_audit(self, tick: int, entry: bytes):
-        if self.audit_log and tick < self.audit_log[-1][0]:
+        if tick < self.last_audit_tick:
             raise SimError("audit log must be tick-ordered")
+        self.last_audit_tick = tick
         self.audit_log.append((tick, entry))
 
 
@@ -144,7 +156,7 @@ class ConsortiumConfig:
             raise ModelError("diversity threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultInjection:
     tick: int
     node_id: str
@@ -345,7 +357,8 @@ def run_epoch(universe: Universe) -> EpochReport:
 
     verdicts: dict[str, str] = {}
     domain_verdicts: dict[str, str] = {}
-    new_audit: dict[str, list[bytes]] = {d: [] for d in universe.domains}
+    for domain in universe.domains.values():
+        domain.audit_log.clear()  # earlier epochs live on the ledger as audit digests
     cv = cfg.consortium_verifier
     for node in universe.sorted_nodes():
         domain = universe.domains[node.domain_id]
@@ -366,13 +379,12 @@ def run_epoch(universe: Universe) -> EpochReport:
         for entry in (dv_evidence.to_bytes(), dv_result.to_bytes(),
                       cv_evidence.to_bytes(), cv_result.to_bytes()):
             domain.append_audit(clock, entry)
-            new_audit[domain.domain_id].append(entry)
         universe.pending_records.append(
             LedgerRecord("result_digest", digest(cv_result.to_bytes()).value)
         )
 
-    for domain_id in sorted(new_audit):
-        entries = new_audit[domain_id]
+    for domain_id in sorted(universe.domains):
+        entries = [entry for _, entry in universe.domains[domain_id].audit_log]
         if entries:
             universe.pending_records.append(
                 LedgerRecord("audit_digest", audit_digest(domain_id, entries).value)

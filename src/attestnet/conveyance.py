@@ -52,19 +52,19 @@ class FlowError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessRequest:
     sender: EntityId
     resource_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeNonce:
     sender: EntityId
     nonce: Nonce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceMsg:
     sender: EntityId
     evidence: Evidence
@@ -98,7 +98,7 @@ class ResultMsg:
 FlowMessage = Union[AccessRequest, ChallengeNonce, EvidenceMsg, ResultMsg]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     granted: bool
     reasons: tuple[str, ...] = ()

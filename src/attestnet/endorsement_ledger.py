@@ -6,14 +6,17 @@ depend on the manufacturer still existing.
 A registration hashes each object once (its store address), roots the record
 over the raw 32-byte addresses and encodes the record's fields once: the bytes
 it signs, then the signature blob, are the bytes the ledger indexes.
-`verify_product` fails with the first of: the record is not on the ledger
+`verify_product` encodes the record once too: the ledger looks those bytes
+up, and the signature is checked over them less the signature blob. It fails
+with the first of: the record is not on the ledger
 (`ledger_mismatch`), an object is not intact (`store_corrupt`), the root does
 not cover the objects (`root_mismatch`), the manufacturer did not sign the
 record (`signature_invalid`), the endorsement does not decode
 (`endorsement_malformed`), it does not name the product's digest
 (`digest_mismatch`). Records hold no stored values (`model._once`): storing
 the signing bytes, bytes, root and signature check on each raised the
-supply-chain benchmark's peak RSS from 43.5 to 45.5 MiB (+4.5%).
+supply-chain benchmark's peak RSS from 43.5 to 45.5 MiB (+4.5%). So a record
+is slotted and carries no instance dict at all.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .model import (
     encode,
     pair,
     seq,
+    signed_part,
     verify_bytes,
 )
 
@@ -52,7 +56,8 @@ NODE_PREFIX = b"\x01"
 
 
 class LedgerError(ValueError):
-    """Raised on invalid Merkle/ledger operations (empty trees, bad indices)."""
+    """Raised on invalid Merkle/ledger operations (empty trees, bad indices,
+    a ledger append of anything but a record's bytes)."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ class ContentStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndorsementRecord:
     manufacturer: EntityId
     product_id: str
@@ -191,11 +196,15 @@ class EndorsementsLedger:
 
     def append(self, record_bytes: bytes):
         """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`)."""
+        if not isinstance(record_bytes, bytes):
+            raise LedgerError("the ledger takes a record's canonical bytes, not "
+                              f"{type(record_bytes).__name__}")
         self._index.add(record_bytes)
         self._appends += 1
 
-    def includes(self, record: EndorsementRecord) -> bool:
-        return record.to_bytes() in self._index
+    def includes(self, record_bytes: bytes) -> bool:
+        """Whether a record's canonical bytes were appended."""
+        return record_bytes in self._index
 
     def __len__(self) -> int:
         return self._appends
@@ -235,7 +244,8 @@ def verify_product(
     """(ok, reason), the reason being the first failed check of the module
     docstring. It reads only the ledger, the stored objects and the record, so
     it holds after the manufacturer is gone."""
-    if not ledger.includes(record):
+    data = record.to_bytes()
+    if not ledger.includes(data):
         return False, "ledger_mismatch"
     objects = {}
     for label, addr in record.object_refs:
@@ -244,7 +254,8 @@ def verify_product(
         objects[label] = store.get(addr)
     if merkle_root([addr for _, addr in record.object_refs]) != record.merkle_root:
         return False, "root_mismatch"
-    if not verify_bytes(record.signing_bytes(), record.signature, objects["manufacturer_cert"]):
+    if not verify_bytes(signed_part(data, record.signature), record.signature,
+                        objects["manufacturer_cert"]):
         return False, "signature_invalid"
     try:
         endorsement = Endorsement.from_bytes(objects["endorsement"])

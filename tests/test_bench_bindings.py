@@ -51,7 +51,8 @@ def test_binding_is_own_attribute(name, module, path):
 
 def test_simulate_builds_through_the_scenario_module(tmp_path, monkeypatch):
     """`workloads.run_sim` swaps `scenario.build_universe` to keep the
-    universe, then reads each domain's audit log."""
+    universe, then reads each domain's audit log: its
+    `consortium.audit_log_bytes` gauge is the last epoch's audit bytes."""
     built = []
     build = scenario.build_universe
     monkeypatch.setattr(scenario, "build_universe", lambda cfg: built.append(build(cfg)) or built[-1])
@@ -59,7 +60,14 @@ def test_simulate_builds_through_the_scenario_module(tmp_path, monkeypatch):
     assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
     assert len(built) == 1
     assert "audit_log" in {f.name for f in fields(consortium.Domain)}
-    assert all(domain.audit_log for domain in built[0].domains.values())
+    universe = built[0]
+    assert universe.epoch_index > 1
+    last_tick = universe.clock - universe.config.epoch_length
+    for domain in universe.domains.values():
+        nodes = sum(node.domain_id == domain.domain_id for node in universe.nodes.values())
+        assert domain.audit_log
+        assert len(domain.audit_log) == 4 * nodes
+        assert {tick for tick, _ in domain.audit_log} == {last_tick}
 
 
 def _perfbench_module(name: str, monkeypatch):

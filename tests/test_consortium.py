@@ -7,6 +7,7 @@ import pytest
 from attestnet.consortium import (
     LedgerBlock,
     LedgerRecord,
+    SimError,
     audit_digest,
     distribute_policies,
     diversity_metric,
@@ -156,6 +157,66 @@ class TestRunEpoch:
         expected = audit_digest("d1", entries)
         anchored = [r for b in universe.ledger for r in b.records if r.kind == "audit_digest"]
         assert anchored and anchored[0].payload == expected.value
+
+
+TWO_DOMAINS = dict(
+    domains=[{"domain_id": "d1"}, {"domain_id": "d2"}, {"domain_id": "idle"}],
+    nodes=[
+        {"node_id": "n1", "domain_id": "d1", "product_id": "pa", "stake": 1},
+        {"node_id": "n2", "domain_id": "d2", "product_id": "pb", "stake": 3},
+        {"node_id": "n3", "domain_id": "d1", "product_id": "pc", "stake": 2},
+    ],
+)
+
+
+class TestAuditLog:
+    """A domain's audit log holds the epoch in progress only; earlier epochs
+    are on the ledger as their audit digests."""
+
+    def test_log_holds_its_epoch_and_each_anchored_digest_recomputes(self):
+        universe = fresh_universe(**TWO_DOMAINS)
+        per_domain = {"d1": 2, "d2": 1, "idle": 0}
+        for epoch in range(4):
+            report = run_epoch(universe)
+            assert report.block_digest == universe.ledger[-1].block_digest
+            logs = {d: universe.domains[d].audit_log for d in per_domain}
+            assert {d: len(log) for d, log in logs.items()} == {
+                d: 4 * n for d, n in per_domain.items()}
+            assert {tick for log in logs.values() for tick, _ in log} == {report.tick}
+            anchored = [r.payload for r in universe.ledger[-1].records if r.kind == "audit_digest"]
+            assert anchored == [audit_digest(d, [e for _, e in logs[d]]).value
+                                for d in ("d1", "d2")], epoch
+        anchored = [r.payload for b in universe.ledger for r in b.records
+                    if r.kind == "audit_digest"]
+        assert len(set(anchored)) == 8  # every epoch anchored its own entries
+
+    def test_append_below_the_last_tick_raises_across_epochs(self):
+        universe = fresh_universe()
+        domain = universe.domains["d1"]
+        run_epoch(universe)
+        with pytest.raises(SimError, match="tick-ordered"):
+            domain.append_audit(-1, b"before the epoch")
+        run_epoch(universe)
+        assert domain.last_audit_tick == 10
+        with pytest.raises(SimError, match="tick-ordered"):
+            domain.append_audit(9, b"late")
+        domain.audit_log.clear()  # as the next epoch's start does
+        with pytest.raises(SimError, match="tick-ordered"):
+            domain.append_audit(9, b"late, after the boundary")
+        assert domain.audit_log == []
+        domain.append_audit(10, b"same tick")
+        domain.append_audit(20, b"later")
+        assert [tick for tick, _ in domain.audit_log] == [10, 20]
+
+    def test_log_length_stays_constant_over_a_long_run(self):
+        universe = fresh_universe(epochs=100)
+        domain = universe.domains["d1"]
+        lengths = set()
+        for _ in range(100):
+            run_epoch(universe)
+            lengths.add(len(domain.audit_log))
+        assert lengths == {12}
+        assert len(universe.ledger) == 100
 
 
 class TestValidatorSelection:

@@ -15,7 +15,9 @@ from attestnet.endorsement_ledger import (
     register_endorsement,
     verify_product,
 )
-from attestnet.model import ClaimSet, ClaimValue, Digest, Role, SignerIdentity, digest, make_endorsement
+from attestnet.model import (
+    ClaimSet, ClaimValue, Digest, ModelError, Role, SignerIdentity, digest, make_endorsement,
+)
 
 from .oracles import (
     merkle_member_bruteforce,
@@ -145,7 +147,7 @@ class TestRegisterEndorsement:
         assert len(record.object_refs) == 3
         expected = merkle_root_bruteforce([digest(data).value for _, data in objects])
         assert record.merkle_root.value == expected
-        assert ledger.includes(record)
+        assert ledger.includes(record.to_bytes())
 
     def test_store_lookup_returns_original_bytes(self, rng):
         _, record, store, _, objects = _setup_registration(rng)
@@ -164,13 +166,21 @@ class TestRegisterEndorsement:
         manufacturer, record, store, ledger, objects = _setup_registration(rng)
         ledger.append(record.to_bytes())  # a duplicate append still counts
         assert len(ledger) == 2
-        assert ledger.includes(record)
-        assert ledger.includes(EndorsementRecord.from_bytes(record.to_bytes()))
+        assert ledger.includes(record.to_bytes())
+        assert ledger.includes(EndorsementRecord.from_bytes(record.to_bytes()).to_bytes())
         other = register_endorsement(
             manufacturer, "widget-7", objects, store, EndorsementsLedger(), clock=11
         )
-        assert not ledger.includes(other)
+        assert not ledger.includes(other.to_bytes())
         assert len(ledger) == 2
+
+    def test_ledger_append_takes_only_bytes(self, rng):
+        _, record, _, ledger, _ = _setup_registration(rng)
+        with pytest.raises(LedgerError, match="EndorsementRecord"):
+            ledger.append(record)
+        with pytest.raises(LedgerError, match="bytearray"):
+            ledger.append(bytearray(record.to_bytes()))
+        assert len(ledger) == 1
 
     def test_missing_mandatory_label_rejected(self, rng):
         manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)
@@ -235,7 +245,15 @@ class TestVerifyProduct:
     def test_records_hold_no_stored_values(self, rng):
         _, record, store, ledger, _ = _setup_registration(rng)
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
-        assert "_memo" not in vars(record)
+        assert not hasattr(record, "__dict__")
+
+    def test_replace_builds_a_checked_record(self, rng):
+        _, record, _, _, _ = _setup_registration(rng)
+        moved = replace(record, registered_at=record.registered_at + 1)
+        assert (moved.registered_at, moved.product_id) == (11, record.product_id)
+        assert EndorsementRecord.from_bytes(moved.to_bytes()) == moved
+        with pytest.raises(ModelError, match="mandatory"):
+            replace(record, object_refs=record.object_refs[:1])
 
 
 MANUFACTURERS = [SignerIdentity.create(Role.ENDORSER, name, random.Random(name))

@@ -1,16 +1,25 @@
 """Derived values (canonical bytes, digests, signature validity, merged
 references, measured claims, rule reasons) are stored on the objects they describe; these
-tests check that a stored value never outlives a change to what it was derived from."""
+tests check that a stored value never outlives a change to what it was derived from,
+and that the value types which store nothing carry no instance dict."""
 
+import dataclasses
 import logging
 from dataclasses import replace
 
 import pytest
 
-from attestnet import model, verifier
+from attestnet import attester as attester_module
+from attestnet import consortium, conveyance, endorsement_ledger, model, verifier
 from attestnet.attester import measure
 from attestnet.consortium import FaultInjection, _apply_fault, distribute_policies
 from attestnet.conveyance import VerifierContext
+from attestnet.endorsement_ledger import (
+    MANDATORY_LABELS,
+    ContentStore,
+    EndorsementsLedger,
+    register_endorsement,
+)
 from attestnet.model import (
     ClaimSet,
     ClaimValue,
@@ -292,3 +301,52 @@ def test_plain_dict_changed_in_place_changes_next_verdict(rng, attester, env, ve
         )
         references.clear()
     assert verdicts == [Verdict.COMPLIANT, Verdict.UNKNOWN]
+
+
+# Value types that store derived values keep their instance dict; every other
+# frozen dataclass is slotted, so that a long run's many small values carry none.
+STORING = {"Evidence", "Endorsement", "AttestationResult", "TargetEnvironment",
+           "EvidencePolicy", "ResultMsg"}
+
+
+def _frozen_value_types() -> set[str]:
+    return {
+        name for module in (model, attester_module, consortium, conveyance, endorsement_ledger)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    }
+
+
+def test_value_types_that_store_nothing_have_no_instance_dict(
+        rng, attester, env, verifier_identity):
+    d = digest(b"slotted")
+    nonce = new_nonce(0, rng)
+    evidence = attester.generate_evidence(env, nonce, 0)
+    record = register_endorsement(
+        verifier_identity, "widget", [(label, label.encode()) for label in MANDATORY_LABELS],
+        ContentStore(), EndorsementsLedger(), 0)
+    values = {
+        "Digest": d,
+        "Nonce": nonce,
+        "GeoPoint": env.geo,
+        "ClaimValue": ClaimValue.of_int(1),
+        "EntityId": verifier_identity.entity,
+        "SignerIdentity": verifier_identity,
+        "LayerRecord": model.LayerRecord(0, d, d),
+        "GeoFence": model.GeoFence(0.0, 1.0, 0.0, 1.0),
+        "PolicyRule": PolicyRule("r", RuleKind.CLAIM_PRESENT, "k"),
+        "ResultPolicy": model.ResultPolicy((verifier_identity.entity,), 5),
+        "LedgerRecord": consortium.LedgerRecord("audit_digest", d.value),
+        "LedgerBlock": consortium.LedgerBlock(0, consortium.GENESIS_PREV, (), "n", 0).sealed(),
+        "FaultInjection": FaultInjection(0, "n", "change_fw"),
+        "EndorsementRecord": record,
+        "AccessRequest": conveyance.AccessRequest(attester.identity, "resource"),
+        "ChallengeNonce": conveyance.ChallengeNonce(verifier_identity.entity, nonce),
+        "EvidenceMsg": conveyance.EvidenceMsg(attester.identity, evidence),
+        "Decision": conveyance.Decision(True),
+    }
+    assert set(values) == _frozen_value_types() - STORING  # every such type is listed
+    for name, value in values.items():
+        assert type(value).__name__ == name
+        assert not hasattr(value, "__dict__"), name
