@@ -128,7 +128,6 @@ class AttestingEnvironment:
     device_secret: bytes
     approved_configs: list[Digest] = field(default_factory=list)
     tx_key: Optional[SigningKey] = None
-    tx_sealed: bool = True
 
     def __post_init__(self):
         if self.identity.role != Role.ATTESTER:
@@ -199,9 +198,7 @@ class AttestingEnvironment:
         Returns (signature, None) on success or (None, reason) on refusal.
         """
         if env.config_digest() in self.approved_configs:
-            self.tx_sealed = False
             return self.tx_key.sign(payload), None
-        self.tx_sealed = True
         return None, "unapproved_config"
 
     @property

@@ -376,11 +376,12 @@ def run_epoch(universe: Universe) -> EpochReport:
         verdicts[node.node_id] = cv_result.verdict.value
         domain_verdicts[node.node_id] = dv_result.verdict.value
 
+        cv_result_bytes = cv_result.to_bytes()
         for entry in (dv_evidence.to_bytes(), dv_result.to_bytes(),
-                      cv_evidence.to_bytes(), cv_result.to_bytes()):
+                      cv_evidence.to_bytes(), cv_result_bytes):
             domain.append_audit(clock, entry)
         universe.pending_records.append(
-            LedgerRecord("result_digest", digest(cv_result.to_bytes()).value)
+            LedgerRecord("result_digest", digest(cv_result_bytes).value)
         )
 
     for domain_id in sorted(universe.domains):

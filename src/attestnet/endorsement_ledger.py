@@ -46,6 +46,7 @@ from .model import (
     seq,
     signed_part,
     verify_bytes,
+    with_signature,
 )
 
 MANDATORY_LABELS = ("endorsement", "manufacturer_cert", "root_cert")
@@ -168,7 +169,7 @@ class EndorsementRecord:
         return encode(_RECORD, self)
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode(BLOB, self.signature)
+        return with_signature(self.signing_bytes(), self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "EndorsementRecord":
@@ -231,7 +232,7 @@ def register_endorsement(
                              object_refs=refs, registered_at=clock)
     data = encode(_RECORD, fields)
     signature = manufacturer.key.sign(data)
-    ledger.append(data + encode(BLOB, signature))
+    ledger.append(with_signature(data, signature))
     return EndorsementRecord(**vars(fields), signature=signature)
 
 

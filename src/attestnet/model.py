@@ -23,12 +23,19 @@ evidence, endorsements and results, the digest of a policy, and the encoded
 entries of a claim set (which every evidence or endorsement holding that claim
 set appends to its signing bytes). A changed message is a new object built with
 `dataclasses.replace`, and a changed claim set a new `ClaimSet`; either starts
-with nothing stored, so a stored value can never describe other field values. There
-are two exceptions, both for the signing bytes. `sign_message` stores them on
-the signed copy, because a signature is not part of them. Decoding a signed
-message stores the bytes it received without the trailing signature blob:
-decoding is canonical-only, so those are exactly the bytes that encoding the
-decoded value would give, and checking a received message never re-encodes it.
+with nothing stored, so a stored value can never describe other field values.
+
+Signing is the one change made in place. A signed message is built once,
+unsigned, and `sign_message` sets the signature on that same object: the
+signing bytes stored on it stay valid, because a signature is not part of
+them, and a stored signature check is dropped. Only a message that carries no
+signature yet can be signed, so a message that someone else already holds never
+changes. Decoding a signed message stores the bytes it received without the
+trailing signature blob: decoding is canonical-only, so those are exactly the
+bytes that encoding the decoded value would give, and checking a received
+message never re-encodes it. Either way, `to_bytes` is the stored signing bytes
+with the signature blob appended (`with_signature`, the inverse of
+`signed_part`).
 
 Only evidence, endorsements, results, policies, claim sets and (elsewhere)
 target environments and result messages store values, in their instance dict.
@@ -44,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, ItemsView, NamedTuple, Optional, Union
@@ -538,16 +545,28 @@ def signed_part(data: bytes, signature: bytes) -> bytes:
     return data[: len(data) - _U32.size - len(signature)]
 
 
-def sign_message(message, key: SigningKey):
-    """A copy of `message` (evidence, endorsement or result) signed by `key`.
+def with_signature(data: bytes, signature: bytes) -> bytes:
+    """A signed message's canonical bytes: `data`, the bytes that `signature`
+    covers, followed by the signature blob. The inverse of `signed_part`."""
+    return data + _U32.pack(len(signature)) + signature
 
-    The signature is not part of the signing bytes, so the signed copy keeps
-    the bytes just signed instead of encoding them again.
+
+def sign_message(message, key: SigningKey):
+    """`message` (evidence, endorsement or result, freshly built and unsigned)
+    signed by `key`: the same object, now carrying the signature.
+
+    The signature is not part of the signing bytes, so the bytes stored on the
+    message while signing stay valid; a signature check stored before signing
+    described the empty signature and is dropped. A message that already
+    carries a signature raises `ModelError`, so one that someone else holds is
+    never changed.
     """
-    data = message.signing_bytes()
-    signed = replace(message, signature=key.sign(data))
-    _once(signed, "signing_bytes", lambda: data)
-    return signed
+    if message.signature:
+        raise ModelError(f"{type(message).__name__} is already signed")
+    signature = key.sign(message.signing_bytes())
+    object.__setattr__(message, "signature", signature)  # the dataclass is frozen
+    message.__dict__.get("_memo", {}).pop("signature_valid", None)
+    return message
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +615,7 @@ class Evidence:
         return _signing_bytes(self, _EVIDENCE)
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode(BLOB, self.signature)
+        return with_signature(self.signing_bytes(), self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Evidence":
@@ -651,7 +670,7 @@ class Endorsement:
         return _signing_bytes(self, _ENDORSEMENT)
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode(BLOB, self.signature)
+        return with_signature(self.signing_bytes(), self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Endorsement":
@@ -713,7 +732,7 @@ class AttestationResult:
         return _signing_bytes(self, _RESULT)
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode(BLOB, self.signature)
+        return with_signature(self.signing_bytes(), self.signature)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationResult":

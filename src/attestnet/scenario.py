@@ -221,8 +221,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError("scenario: epoch_length * epochs must be at most 2**64")
 
     cfg.products = [ProductSpec(**f) for f in _items(cfg.products, "product", ProductSpec.rows)]
-    image_names = set()
+    products, image_names = {}, set()
     for product in cfg.products:
+        if product.product_id in products:
+            raise ScenarioError(f"product {product.product_id}: product_id defined more than once")
+        products[product.product_id] = product
         for name, _ in product.sw_images:
             if name in image_names:
                 raise ScenarioError(
@@ -232,12 +235,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     cfg.domains = [DomainSpec(**f) for f in _items(cfg.domains, "domain", DomainSpec.rows)]
     domain_ids = {d.domain_id for d in cfg.domains}
-    product_ids = {p.product_id for p in cfg.products}
     cfg.nodes = [NodeSpec(**f) for f in _items(cfg.nodes, "node", NodeSpec.rows)]
     for node in cfg.nodes:
         if node.domain_id not in domain_ids:
             raise ScenarioError(f"node {node.node_id}: unknown domain {node.domain_id!r}")
-        if node.product_id not in product_ids:
+        if node.product_id not in products:
             raise ScenarioError(f"node {node.node_id}: unknown product {node.product_id!r}")
 
     node_ids = {n.node_id for n in cfg.nodes}
@@ -255,7 +257,23 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _checked(where, GeoPoint, fault.lat, fault.lon, 0.0)  # move_geo builds this point mid-run
         faults.append(fault)
     cfg.faults = faults
+    _check_flips(cfg, products)
     return cfg
+
+
+def _check_flips(cfg: ScenarioConfig, products: dict):
+    """Replay which nodes hold sw images through the faults, in the order
+    that `run_epoch` applies them, so that a `flip_sw_byte` fault on a node
+    with none fails here rather than in its own epoch, after every earlier
+    epoch has run. Only `clone_config` changes whether a node holds images:
+    the node takes its source's, as they are at that point of the run."""
+    has_images = {n.node_id: bool(products[n.product_id].sw_images) for n in cfg.nodes}
+    for fault in sorted(cfg.faults, key=lambda f: (f.tick, f.node_id)):
+        if fault.mutation == "clone_config":
+            has_images[fault.node_id] = has_images[fault.from_node]
+        elif fault.mutation == "flip_sw_byte" and not has_images[fault.node_id]:
+            raise ScenarioError(f"fault on {fault.node_id}: flip_sw_byte at tick {fault.tick} "
+                                "finds no sw images to flip")
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -87,3 +87,31 @@ def test_supply_chain_unit_matches_the_benchmark_oracle(monkeypatch):
     tracing = _perfbench_module("tracing", monkeypatch)
     unit = workloads.run_supply(workloads.generate_supply(1), tracing.Tracer())
     assert unit.failed == 0
+
+
+def test_flows_unit_matches_the_benchmark_oracle(monkeypatch):
+    """One flows unit (500 passport and background-check flows against one
+    verifier, with replayed, tampered and stale shares), checked by the
+    benchmark's own oracle of each flow's decision."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracer = _perfbench_module("tracing", monkeypatch).Tracer()
+    with tracer.installed(workloads.FLOW_STAGES):
+        unit = workloads.run_flows(workloads.generate_flows(1), tracer)
+    assert unit.attempted > 0
+    assert unit.failed == 0
+
+
+def test_sim_catalog_unit_matches_the_benchmark_oracle(tmp_path, monkeypatch):
+    """One sim-catalog unit (a whole `attestnet simulate` of 40 nodes and 20
+    products), checked by the benchmark's own oracle of every verdict, each
+    epoch's diversity and majority, and the exported chain. The unit counts
+    its epochs from the spans of `SIM_STAGES`, so those are installed."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracer = _perfbench_module("tracing", monkeypatch).Tracer()
+    inputs = workloads.generate_sim(workloads.SHAPES["sim-catalog"], 1)
+    path = tmp_path / "scenario.json"
+    path.write_text(inputs.scenario_text, encoding="utf-8")
+    with tracer.installed(workloads.SIM_STAGES):
+        unit = workloads.run_sim(path, tmp_path / "out", inputs, tracer)
+    assert unit.attempted > 0
+    assert unit.failed == 0

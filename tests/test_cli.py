@@ -180,6 +180,14 @@ def _set(path, value):
     return edit
 
 
+def _edits(*edits):
+    """The edits applied in turn."""
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
 BAD_SCENARIOS = {
     # each raised or exited 0 before: ValueError, ModelError x3, SimError,
     # exit 0 with an empty ledger x2, a fault silently ignored
@@ -243,6 +251,34 @@ BAD_SCENARIOS = {
     "image_content_lone_surrogate": (
         _set(("products", 0, "sw_images"), {"os": "image \udfff"}),
         "product srv-a: sw_images['os'] is not valid UTF-8",
+    ),
+    # exited 2 only in the fault's epoch, after every earlier epoch had run
+    "flip_without_images": (
+        _edits(_set(("products", 0, "sw_images"), {}),
+               _set(("faults",), [{"node_id": "n1", "mutation": "flip_sw_byte", "tick": 25}])),
+        "fault on n1: flip_sw_byte at tick 25 finds no sw images to flip",
+    ),
+    "flip_on_a_clone_without_images": (
+        _edits(_set(("products", 0, "sw_images"), {}),
+               _set(("faults",), [
+                   {"node_id": "n2", "mutation": "flip_sw_byte", "tick": 25},
+                   {"node_id": "n2", "mutation": "clone_config", "from_node": "n1", "tick": 5},
+               ])),
+        "fault on n2: flip_sw_byte at tick 25 finds no sw images to flip",
+    ),
+    # exited 0 before: the later definition built the nodes, both were endorsed
+    "duplicate_product": (
+        lambda doc: doc["products"].append(
+            {"product_id": "srv-a", "fw_version": 1, "sw_images": {"other-img": "other"}}),
+        "product srv-a: product_id defined more than once",
+    ),
+    "duplicate_node": (
+        lambda doc: doc["nodes"].append(dict(doc["nodes"][1], node_id="n1")),
+        "duplicate node id n1",
+    ),
+    "raised_majority_below_majority": (
+        _set(("raised_majority",), 50),
+        "raised majority must be >= majority parameter",
     ),
 }
 

@@ -259,6 +259,31 @@ class TestValidatorSelection:
         assert eligible_nodes(universe) == []
         assert select_validator(universe, 1) is None
 
+    def test_epoch_without_eligible_node_forges_no_block(self):
+        # every node is below fw_min_version in epoch 0 and upgraded at tick 10
+        universe = fresh_universe(
+            products=[{"product_id": f"p{x}", "fw_version": 1, "sw_images": {f"img-{x}": x}}
+                      for x in "abc"],
+            faults=[{"tick": 10, "node_id": n, "mutation": "change_fw", "fw_version": 3}
+                    for n in ("n1", "n2", "n3")],
+        )
+        first = run_epoch(universe)
+        assert set(first.verdicts.values()) == {"non_compliant"}
+        assert first.validator is None and first.block_digest is None
+        assert "  validator (none eligible)" in first.render().splitlines()
+        assert universe.ledger == []
+
+        second = run_epoch(universe)
+        assert second.validator is not None
+        [block] = universe.ledger
+        assert (block.height, block.tick, block.forger) == (0, 10, second.validator)
+        assert second.block_digest == block.block_digest
+        kinds = [rec.kind for rec in block.records]
+        assert kinds.count("no_eligible") == 1
+        # epoch 0's records, its no_eligible record, then epoch 1's
+        epoch = ["result_digest"] * 3 + ["audit_digest"]
+        assert kinds == ["policy_digest"] * 2 + epoch + ["no_eligible"] + epoch
+
     def test_stale_result_not_eligible(self):
         universe = fresh_universe()
         run_epoch(universe)

@@ -1,8 +1,11 @@
 """Exact counts of the expensive operations: Ed25519 private-key
 constructions, signs and verifies, result decodes, policy rule evaluations,
-and endorsement record encodes. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
+endorsement record encodes, and the signed messages built. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
 removes some updates the pinned counts."""
 
+import dataclasses
+import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,14 +13,30 @@ import pytest
 
 from attestnet import endorsement_ledger, model, verifier as verifier_module
 from attestnet.cli import EXIT_OK, main
-from attestnet.conveyance import Decision, Transport, run_background_check_flow, run_passport_flow
+from attestnet.conveyance import (
+    Decision,
+    EvidenceMsg,
+    ResultMsg,
+    Transport,
+    run_background_check_flow,
+    run_passport_flow,
+)
 from attestnet.endorsement_ledger import (
     ContentStore,
     EndorsementsLedger,
     register_endorsement,
     verify_product,
 )
-from attestnet.model import ClaimSet, ClaimValue, Role, SignerIdentity, digest, make_endorsement
+from attestnet.model import (
+    ClaimSet,
+    ClaimValue,
+    ModelError,
+    Role,
+    SignerIdentity,
+    digest,
+    make_endorsement,
+    sign_message,
+)
 
 from .test_conveyance import endorse_env, make_contexts, ref_rules
 
@@ -68,7 +87,40 @@ def budget(monkeypatch):
     return counts
 
 
-def test_simulate_healthy_4nodes(budget, tmp_path, capsys):
+SIGNED = (model.Evidence, model.Endorsement, model.AttestationResult)
+
+
+@pytest.fixture
+def messages(monkeypatch):
+    """Counts the signed messages built, by type (each one built runs its
+    `__post_init__` once), and the `dataclasses.replace` calls that copy a
+    signed message, made through `dataclasses` or an attestnet module."""
+    counts = dict.fromkeys([cls.__name__ for cls in SIGNED] + ["replace"], 0)
+    for cls in SIGNED:
+        def counting_post_init(self, post_init=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    replace = dataclasses.replace
+
+    def counting_replace(obj, /, **changes):
+        counts["replace"] += isinstance(obj, SIGNED)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", counting_replace)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("attestnet") and getattr(module, "replace", None) is replace:
+            monkeypatch.setattr(module, "replace", counting_replace)
+    return counts
+
+
+def _reset(*counters):
+    for counts in counters:
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
     scenario = SCENARIO_DIR / "healthy-4nodes.json"
     assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
     # keys: the endorser, the consortium verifier, the 2 domain verifiers
@@ -77,6 +129,12 @@ def test_simulate_healthy_4nodes(budget, tmp_path, capsys):
     # and once by the consortium verifier
     assert budget == {"keys": 8, "signs": 68, "verifies": 36, "result_decodes": 0,
                       "rule_evaluations": 8}
+    # one object per signed message: an endorsement per product, and per node
+    # and epoch an evidence and a result for each of its two verifiers
+    doc = json.loads(scenario.read_text())
+    node_epochs = len(doc["nodes"]) * doc["epochs"]
+    assert messages == {"Evidence": 2 * node_epochs, "Endorsement": len(doc["products"]),
+                        "AttestationResult": 2 * node_epochs, "replace": 0}
 
 
 def test_simulate_clone_attack(budget, tmp_path, capsys):
@@ -93,9 +151,13 @@ def _granted_world(rng, env):
     return verifier, rp
 
 
-def test_granted_passport_flow(attester, env, rng, budget):
+ONE_EVIDENCE_ONE_RESULT = {"Evidence": 1, "Endorsement": 0, "AttestationResult": 1,
+                           "replace": 0}
+
+
+def test_granted_passport_flow(attester, env, rng, budget, messages):
     verifier, rp = _granted_world(rng, env)
-    budget.update(dict.fromkeys(budget, 0))
+    _reset(budget, messages)
     decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
     assert decision == Decision(True)
     # evidence and result signed; evidence at send time and the verifier's
@@ -103,15 +165,56 @@ def test_granted_passport_flow(attester, env, rng, budget):
     # verifier's message carries its result, so nothing is decoded
     assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
                       "rule_evaluations": 1}
+    assert messages == ONE_EVIDENCE_ONE_RESULT
 
 
-def test_granted_background_check_flow(attester, env, rng, budget):
+def test_granted_background_check_flow(attester, env, rng, budget, messages):
     verifier, rp = _granted_world(rng, env)
-    budget.update(dict.fromkeys(budget, 0))
+    _reset(budget, messages)
     decision = run_background_check_flow(attester, env, rp, verifier, Transport(), clock=0)
     assert decision == Decision(True)
     assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
                       "rule_evaluations": 1}
+    assert messages == ONE_EVIDENCE_ONE_RESULT
+
+
+def test_replayed_background_check_flow(attester, env, rng, budget, messages):
+    verifier, rp = _granted_world(rng, env)
+    first = Transport()
+    assert run_background_check_flow(attester, env, rp, verifier, first, clock=0).granted
+    evidence = next(msg.evidence for msg in first.log if isinstance(msg, EvidenceMsg))
+    transport = Transport()
+    _reset(budget, messages)
+    decision = run_background_check_flow(attester, env, rp, verifier, transport, clock=0,
+                                         evidence_override=evidence)
+    assert decision == Decision(False, ("replay",))
+    assert not any(isinstance(msg, ResultMsg) for msg in transport.log)
+    # the replay is refused before any appraisal: no rules, no result signed;
+    # the evidence's signature check was stored in the first flow
+    assert budget == {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0,
+                      "rule_evaluations": 0}
+    assert messages == {"Evidence": 0, "Endorsement": 0, "AttestationResult": 0, "replace": 0}
+
+
+def test_make_endorsement_builds_one_message(rng, budget, messages):
+    endorser = SignerIdentity.create(Role.ENDORSER, "budget-endorser", rng)
+    claims = ClaimSet({"a": ClaimValue.of_int(1)})
+    _reset(budget, messages)
+    make_endorsement(endorser, "widget-7", claims, issued_at=0)
+    assert budget == {"keys": 0, "signs": 1, "verifies": 0, "result_decodes": 0,
+                      "rule_evaluations": 0}
+    assert messages == {"Evidence": 0, "Endorsement": 1, "AttestationResult": 0, "replace": 0}
+
+
+def test_signing_a_signed_message_raises(rng, budget):
+    endorser = SignerIdentity.create(Role.ENDORSER, "budget-endorser", rng)
+    endorsement = make_endorsement(endorser, "widget-7", ClaimSet(), issued_at=0)
+    data = endorsement.to_bytes()
+    _reset(budget)
+    with pytest.raises(ModelError, match="already signed"):
+        sign_message(endorsement, endorser.key)
+    assert endorsement.to_bytes() == data
+    assert budget["signs"] == 0
 
 
 @pytest.fixture

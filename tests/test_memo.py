@@ -69,6 +69,17 @@ def test_replaced_signature_fails_after_verification(build, rng, attester, env, 
     assert forged.signing_bytes() == message.signing_bytes()
 
 
+def test_signing_keeps_the_signing_bytes_and_drops_a_stored_check(rng, attester, env):
+    unsigned = model.Evidence(attester.identity, measure(env), new_nonce(0, rng), 0)
+    data = unsigned.signing_bytes()
+    assert not unsigned.verify_signature()  # the empty signature, checked and stored
+    signed = model.sign_message(unsigned, attester.attestation_key)
+    assert signed is unsigned
+    assert signed.signing_bytes() is data  # the signature is not part of them
+    assert signed.verify_signature()
+    assert signed.to_bytes() == replace(signed).to_bytes()  # as a fresh encode gives
+
+
 def _composite(rng, attester, env, verifier_identity):
     component = _evidence(rng, attester, env, verifier_identity)
     return attester.collate_composite(env, [component], new_nonce(0, rng), 0)
