@@ -71,6 +71,11 @@ def cmd_keygen(args) -> int:
         print("keygen: name must be non-empty", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args.name.encode("utf-8")
+    except UnicodeEncodeError:  # argv holds undecodable bytes as lone surrogates
+        print(f"keygen: name {args.name!r} is not valid UTF-8", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         role = Role(args.role)
     except ValueError:
         print(f"keygen: unknown role {args.role!r}", file=sys.stderr)
@@ -110,6 +115,9 @@ def cmd_appraise(args) -> int:
         expected = evidence.nonce_echo
 
     clock = args.clock if args.clock is not None else evidence.created_at
+    if not 0 <= clock < 2**64:
+        print("appraise: --clock must be an integer in [0, 2**64)", file=sys.stderr)
+        return EXIT_USAGE
     verifier = SignerIdentity.create(Role.VERIFIER, "cli-verifier", random.Random(args.seed))
     references = merge_reference_claims(endorsements)
     result = appraise_evidence(evidence, references, policy, expected, verifier, clock)

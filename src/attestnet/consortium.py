@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .attester import AttestingEnvironment, TargetEnvironment
@@ -64,13 +65,19 @@ class LedgerBlock:
     records: tuple[LedgerRecord, ...]
     forger: str
     tick: int
-    block_digest: Digest = field(default=GENESIS_PREV)
+    block_digest: Digest
+
+    @classmethod
+    def seal(cls, height: int, prev_digest: Digest, records: tuple[LedgerRecord, ...],
+             forger: str, tick: int) -> "LedgerBlock":
+        """The block over these fields, built once, with the digest of one
+        encode of its fields."""
+        fields = SimpleNamespace(height=height, prev_digest=prev_digest, records=records,
+                                 forger=forger, tick=tick)
+        return cls(**vars(fields), block_digest=digest(encode(_BLOCK, fields)))
 
     def content_bytes(self) -> bytes:
         return encode(_BLOCK, self)
-
-    def sealed(self) -> "LedgerBlock":
-        return replace(self, block_digest=digest(self.content_bytes()))
 
     def to_bytes(self) -> bytes:
         return self.content_bytes() + self.block_digest.value
@@ -338,9 +345,8 @@ def select_validator(universe: Universe, round_seed: int) -> Optional[str]:
 
 def forge_block(universe: Universe, validator: str, records: Sequence[LedgerRecord]) -> LedgerBlock:
     prev = universe.ledger[-1].block_digest if universe.ledger else GENESIS_PREV
-    block = LedgerBlock(
-        len(universe.ledger), prev, tuple(records), validator, universe.clock
-    ).sealed()
+    block = LedgerBlock.seal(len(universe.ledger), prev, tuple(records), validator,
+                             universe.clock)
     universe.ledger.append(block)
     return block
 

@@ -17,6 +17,17 @@ record (`signature_invalid`), the endorsement does not decode
 the signing bytes, bytes, root and signature check on each raised the
 supply-chain benchmark's peak RSS from 43.5 to 45.5 MiB (+4.5%). So a record
 is slotted and carries no instance dict at all.
+
+The signature check is stored on the ledger entry instead, so a record
+queried again is not verified again. The ledger's index maps each record's
+bytes to the `manufacturer_cert` bytes that its signature verified under. The
+bytes hold the signature and the cert's address, and the cert is compared
+byte for byte, so the stored check is a pure function of (record bytes,
+cert); a different cert verifies again. This adds no object per record: the
+index was a set of the same bytes, and its values are the store's own cert
+bytes. Nothing is skipped before it: the ledger lookup, each object's store
+check and the root check run on every query, since the store can be
+corrupted after a check was stored.
 """
 
 from __future__ import annotations
@@ -188,24 +199,37 @@ _RECORD = Table(
 
 
 class EndorsementsLedger:
-    """Append-only ledger of endorsement records: the set of their canonical
-    bytes, so that a membership check is one set lookup, and an append count."""
+    """Append-only ledger of endorsement records: an index from their canonical
+    bytes, so that a membership check is one dict lookup, to the
+    `manufacturer_cert` bytes that the record's signature verified under
+    (None before the first check), and an append count."""
 
     def __init__(self):
-        self._index: set[bytes] = set()
+        self._index: dict[bytes, Optional[bytes]] = {}
         self._appends = 0
 
     def append(self, record_bytes: bytes):
-        """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`)."""
+        """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`).
+        Appending a record again keeps its stored signature check."""
         if not isinstance(record_bytes, bytes):
             raise LedgerError("the ledger takes a record's canonical bytes, not "
                               f"{type(record_bytes).__name__}")
-        self._index.add(record_bytes)
+        self._index.setdefault(record_bytes, None)
         self._appends += 1
 
     def includes(self, record_bytes: bytes) -> bool:
         """Whether a record's canonical bytes were appended."""
         return record_bytes in self._index
+
+    def verified_cert(self, record_bytes: bytes) -> Optional[bytes]:
+        """The cert that the record's signature verified under, if it did."""
+        return self._index.get(record_bytes)
+
+    def store_verified_cert(self, record_bytes: bytes, cert: bytes):
+        """Store that the record's signature verified under `cert`. Bytes never
+        appended stay out of the index."""
+        if record_bytes in self._index:
+            self._index[record_bytes] = cert
 
     def __len__(self) -> int:
         return self._appends
@@ -255,9 +279,11 @@ def verify_product(
         objects[label] = store.get(addr)
     if merkle_root([addr for _, addr in record.object_refs]) != record.merkle_root:
         return False, "root_mismatch"
-    if not verify_bytes(signed_part(data, record.signature), record.signature,
-                        objects["manufacturer_cert"]):
-        return False, "signature_invalid"
+    cert = objects["manufacturer_cert"]
+    if ledger.verified_cert(data) != cert:
+        if not verify_bytes(signed_part(data, record.signature), record.signature, cert):
+            return False, "signature_invalid"
+        ledger.store_verified_cert(data, cert)
     try:
         endorsement = Endorsement.from_bytes(objects["endorsement"])
     except ModelError:

@@ -52,6 +52,15 @@ class TestKeygen:
     def test_bad_role_usage_error(self, tmp_path):
         assert main(["keygen", "wizard", "n", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
+    def test_name_not_utf8_usage_error(self, tmp_path, capsys):
+        # the shell's $'n\xff' reaches argv as 'n\udcff' (surrogateescape)
+        out = tmp_path / "k.id"
+        assert main(["keygen", "attester", "n\udcff", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "keygen: name 'n\\udcff' is not valid UTF-8\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 @pytest.fixture
 def fixture_files(tmp_path, attester, env, rng):
@@ -106,6 +115,30 @@ class TestAppraise:
         junk.write_bytes(b"\xff\x00garbage")
         code = main(["appraise", str(junk), str(fixture_files["policy"])])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("clock", ["-1", str(2**64)])
+    def test_clock_outside_u64_exit_2(self, fixture_files, clock, capsys):
+        code = main([
+            "appraise", str(fixture_files["evidence"]), str(fixture_files["policy"]),
+            "--endorsement", str(fixture_files["good"]), "--clock", clock,
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "appraise: --clock must be an integer in [0, 2**64)\n"
+        assert captured.out == ""
+
+    def test_clock_at_the_u64_limit_runs(self, tmp_path, fixture_files, capsys):
+        from attestnet.model import AttestationResult
+
+        out = tmp_path / "result.bin"
+        code = main([
+            "appraise", str(fixture_files["evidence"]), str(fixture_files["policy"]),
+            "--endorsement", str(fixture_files["good"]), "--clock", str(2**64 - 1),
+            "--out", str(out),
+        ])
+        assert code in (EXIT_OK, EXIT_NON_COMPLIANT, EXIT_UNKNOWN)
+        assert capsys.readouterr().out.startswith("verdict: ")
+        assert AttestationResult.from_bytes(out.read_bytes()).created_at == 2**64 - 1
 
     def test_result_file_written(self, tmp_path, fixture_files):
         from attestnet.model import AttestationResult, Verdict

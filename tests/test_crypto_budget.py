@@ -1,7 +1,8 @@
 """Exact counts of the expensive operations: Ed25519 private-key
 constructions, signs and verifies, result decodes, policy rule evaluations,
-endorsement record encodes, and the signed messages built. A change that adds crypto work fails here instead of hiding in benchmark noise; a change that
-removes some updates the pinned counts."""
+endorsement record encodes, and the signed messages and ledger blocks built.
+A change that adds crypto work fails here instead of hiding in benchmark
+noise; a change that removes some updates the pinned counts."""
 
 import dataclasses
 import json
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from attestnet import endorsement_ledger, model, verifier as verifier_module
+from attestnet import consortium, endorsement_ledger, model, verifier as verifier_module
 from attestnet.cli import EXIT_OK, main
 from attestnet.conveyance import (
     Decision,
@@ -90,11 +91,26 @@ def budget(monkeypatch):
 SIGNED = (model.Evidence, model.Endorsement, model.AttestationResult)
 
 
+def _count_copies(monkeypatch, counts, types):
+    """Counts in `counts["replace"]` the `dataclasses.replace` calls that
+    copy one of `types`, made through `dataclasses` or an attestnet module."""
+    replace = dataclasses.replace
+
+    def counting_replace(obj, /, **changes):
+        counts["replace"] += isinstance(obj, types)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", counting_replace)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("attestnet") and getattr(module, "replace", None) is replace:
+            monkeypatch.setattr(module, "replace", counting_replace)
+
+
 @pytest.fixture
 def messages(monkeypatch):
     """Counts the signed messages built, by type (each one built runs its
     `__post_init__` once), and the `dataclasses.replace` calls that copy a
-    signed message, made through `dataclasses` or an attestnet module."""
+    signed message."""
     counts = dict.fromkeys([cls.__name__ for cls in SIGNED] + ["replace"], 0)
     for cls in SIGNED:
         def counting_post_init(self, post_init=cls.__post_init__, name=cls.__name__):
@@ -102,16 +118,23 @@ def messages(monkeypatch):
             post_init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting_post_init)
-    replace = dataclasses.replace
+    _count_copies(monkeypatch, counts, SIGNED)
+    return counts
 
-    def counting_replace(obj, /, **changes):
-        counts["replace"] += isinstance(obj, SIGNED)
-        return replace(obj, **changes)
 
-    monkeypatch.setattr(dataclasses, "replace", counting_replace)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("attestnet") and getattr(module, "replace", None) is replace:
-            monkeypatch.setattr(module, "replace", counting_replace)
+@pytest.fixture
+def blocks(monkeypatch):
+    """Counts the ledger blocks built (each one runs `__init__` once) and the
+    `dataclasses.replace` calls that copy one."""
+    counts = {"LedgerBlock": 0, "replace": 0}
+    init = consortium.LedgerBlock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["LedgerBlock"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(consortium.LedgerBlock, "__init__", counting_init)
+    _count_copies(monkeypatch, counts, consortium.LedgerBlock)
     return counts
 
 
@@ -135,6 +158,14 @@ def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
     node_epochs = len(doc["nodes"]) * doc["epochs"]
     assert messages == {"Evidence": 2 * node_epochs, "Endorsement": len(doc["products"]),
                         "AttestationResult": 2 * node_epochs, "replace": 0}
+
+
+def test_simulate_builds_each_block_once(blocks, tmp_path, capsys):
+    scenario = SCENARIO_DIR / "healthy-4nodes.json"
+    assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
+    forged = len((tmp_path / "ledger.hex").read_text().splitlines())
+    assert forged > 0
+    assert blocks == {"LedgerBlock": forged, "replace": 0}
 
 
 def test_simulate_clone_attack(budget, tmp_path, capsys):
@@ -260,5 +291,19 @@ def test_verify_genuine_product(rng, budget, record_encodes):
     assert verify_product(b"firmware", record, store, ledger) == (True, None)
     # the ledger lookup and the signature check share one encode of the record
     assert {**budget, **record_encodes} == {"keys": 0, "signs": 0, "verifies": 1,
+                                            "result_decodes": 0, "rule_evaluations": 0,
+                                            "record_encodes": 1}
+
+
+def test_verify_the_same_record_again(rng, budget, record_encodes):
+    manufacturer, objects = _registration_objects(rng, b"firmware")
+    store, ledger = ContentStore(), EndorsementsLedger()
+    record = register_endorsement(manufacturer, "widget-7", objects, store, ledger, 10)
+    assert verify_product(b"firmware", record, store, ledger) == (True, None)
+    _reset(budget, record_encodes)
+    assert verify_product(b"firmware", record, store, ledger) == (True, None)
+    # the ledger entry holds the signature check under this cert: only the
+    # encode for the ledger lookup remains
+    assert {**budget, **record_encodes} == {"keys": 0, "signs": 0, "verifies": 0,
                                             "result_decodes": 0, "rule_evaluations": 0,
                                             "record_encodes": 1}

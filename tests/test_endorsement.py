@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attestnet import endorsement_ledger
 from attestnet.endorsement_ledger import (
     ContentStore,
     EndorsementRecord,
@@ -256,6 +257,110 @@ class TestVerifyProduct:
             replace(record, object_refs=record.object_refs[:1])
 
 
+@pytest.fixture
+def verifies(monkeypatch):
+    """The certs of the record-signature verifies that `verify_product` makes,
+    in order."""
+    certs = []
+    verify = endorsement_ledger.verify_bytes
+
+    def counting_verify(data, signature, key):
+        certs.append(key)
+        return verify(data, signature, key)
+
+    monkeypatch.setattr(endorsement_ledger, "verify_bytes", counting_verify)
+    return certs
+
+
+class TestStoredSignatureCheck:
+    """The ledger stores each record's signature check under the cert it
+    verified with; every other check still runs on every query."""
+
+    def test_a_record_queried_again_is_verified_once(self, rng, verifies):
+        manufacturer, record, store, ledger, _ = _setup_registration(rng)
+        for _ in range(3):
+            assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert verifies == [manufacturer.entity.public_key]
+        assert ledger.verified_cert(record.to_bytes()) == manufacturer.entity.public_key
+
+    def test_appending_again_keeps_the_stored_check(self, rng, verifies):
+        _, record, store, ledger, _ = _setup_registration(rng)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        ledger.append(record.to_bytes())
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert len(verifies) == 1 and len(ledger) == 2
+
+    def test_a_stored_check_does_not_carry_over_to_another_ledger(self, rng, verifies):
+        _, record, store, ledger, _ = _setup_registration(rng)
+        other = EndorsementsLedger()
+        other.append(record.to_bytes())
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert other.verified_cert(record.to_bytes()) is None
+        assert verify_product(b"firmware image v7", record, store, other) == (True, None)
+        assert len(verifies) == 2
+
+    def test_a_store_corrupted_after_the_check_still_fails(self, rng, verifies):
+        _, record, store, ledger, objects = _setup_registration(rng)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        for label, addr in record.object_refs:
+            store._corrupt(addr, b"corrupted")
+            assert verify_product(b"firmware image v7", record, store, ledger) == (
+                False, "store_corrupt"), label
+            store._corrupt(addr, dict(objects)[label])
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert len(verifies) == 1
+
+    def test_a_different_cert_verifies_again(self, rng, verifies, monkeypatch):
+        manufacturer, record, store, ledger, _ = _setup_registration(rng)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        # a store that does not re-hash its entries hands out another cert
+        # at the same address
+        monkeypatch.setattr(store, "check", lambda address: True)
+        cert_address = dict(record.object_refs)["manufacturer_cert"]
+        other = MANUFACTURERS[0].entity.public_key
+        store._corrupt(cert_address, other)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (
+            False, "signature_invalid")
+        assert verifies == [manufacturer.entity.public_key, other]
+        # the failed check stored nothing: the genuine cert is still a hit
+        store._corrupt(cert_address, manufacturer.entity.public_key)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        assert len(verifies) == 2
+
+    @pytest.mark.parametrize("change", ["cert", "signature"])
+    def test_a_failed_check_is_not_stored(self, rng, verifies, change):
+        manufacturer, record, store, ledger, objects = _setup_registration(rng)
+        if change == "cert":
+            objects = [(label, b"" if label == "manufacturer_cert" else value)
+                       for label, value in objects]
+            record = register_endorsement(manufacturer, "widget-7", objects, store, ledger, 11)
+        else:
+            record = replace(record, signature=bytes(64))
+            ledger.append(record.to_bytes())
+        for _ in range(2):
+            assert verify_product(b"firmware image v7", record, store, ledger) == (
+                False, "signature_invalid")
+        assert len(verifies) == 2
+        assert ledger.verified_cert(record.to_bytes()) is None
+
+    def test_a_record_not_appended_is_never_indexed(self, rng, verifies, monkeypatch):
+        # `includes` patched to say yes to anything: the check still runs,
+        # and storing it does not make bytes count as appended
+        manufacturer, record, store, ledger, objects = _setup_registration(rng)
+        unappended = register_endorsement(manufacturer, "widget-7", objects, store,
+                                          EndorsementsLedger(), clock=11)
+        tampered = replace(record, registered_at=record.registered_at + 1)
+        index = dict(ledger._index)
+        monkeypatch.setattr(EndorsementsLedger, "includes", lambda self, record_bytes: True)
+        assert verify_product(b"firmware image v7", tampered, store, ledger) == (
+            False, "signature_invalid")
+        assert verify_product(b"firmware image v7", unappended, store, ledger) == (True, None)
+        monkeypatch.undo()
+        assert ledger._index == index and len(ledger) == 1
+        assert not ledger.includes(tampered.to_bytes())
+        assert not ledger.includes(unappended.to_bytes())
+
+
 MANUFACTURERS = [SignerIdentity.create(Role.ENDORSER, name, random.Random(name))
                  for name in ("acme", "globex")]
 # the draws below repeat their untouched choice, so that a fair share of the
@@ -299,8 +404,9 @@ def _endorsement_object(data, manufacturer, product: bytes) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_verify_product_matches_oracle(data):
-    """Small registries, some store entries corrupted, products altered and
-    records changed (and sometimes appended as changed): every verdict and
+    """Small registries, store entries corrupted (and restored) between
+    queries, products altered and records changed (and sometimes appended as
+    changed), and up to 8 queries so that records repeat: every verdict and
     reason equals the oracle's."""
     store, ledger = ContentStore(), EndorsementsLedger()
     products, records, registered, mirror = [], [], [], {}
@@ -317,11 +423,13 @@ def test_verify_product_matches_oracle(data):
         mirror.update((sha256(value), value) for _, value in objects)
         records.append(register_endorsement(manufacturer, f"p{i}", objects, store, ledger, i))
         registered.append(_plain(records[-1]))
-    corrupted = data.draw(st.sampled_from([None] * 4 + sorted(mirror)))
-    if corrupted is not None:
-        store._corrupt(Digest(corrupted), b"corrupted")
-        mirror[corrupted] = b"corrupted"
-    for _ in range(data.draw(st.integers(1, 4))):
+    originals = dict(mirror)
+    for _ in range(data.draw(st.integers(1, 8))):
+        address = data.draw(st.sampled_from([None] * 4 + sorted(mirror)))
+        if address is not None:
+            value = data.draw(st.sampled_from([b"corrupted", originals[address]]))
+            store._corrupt(Digest(address), value)
+            mirror[address] = value
         i = data.draw(st.integers(0, len(products) - 1))
         product = data.draw(st.sampled_from([products[i]] * 3 + [products[i] + b"!"]))
         change = data.draw(st.sampled_from(["none"] * 7 + sorted(RECORD_CHANGES)))

@@ -100,11 +100,11 @@ def record() -> EndorsementRecord:
 
 
 def block() -> LedgerBlock:
-    return LedgerBlock(
+    return LedgerBlock.seal(
         3, Digest(b"\x08" * 32),
         (LedgerRecord("policy_digest", digest(b"p").value), LedgerRecord("no_eligible", b"")),
         "n1", 30,
-    ).sealed()
+    )
 
 
 def target_environment() -> TargetEnvironment:

@@ -349,7 +349,7 @@ def test_value_types_that_store_nothing_have_no_instance_dict(
         "PolicyRule": PolicyRule("r", RuleKind.CLAIM_PRESENT, "k"),
         "ResultPolicy": model.ResultPolicy((verifier_identity.entity,), 5),
         "LedgerRecord": consortium.LedgerRecord("audit_digest", d.value),
-        "LedgerBlock": consortium.LedgerBlock(0, consortium.GENESIS_PREV, (), "n", 0).sealed(),
+        "LedgerBlock": consortium.LedgerBlock.seal(0, consortium.GENESIS_PREV, (), "n", 0),
         "FaultInjection": FaultInjection(0, "n", "change_fw"),
         "EndorsementRecord": record,
         "AccessRequest": conveyance.AccessRequest(attester.identity, "resource"),

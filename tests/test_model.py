@@ -497,8 +497,8 @@ def _canonical_cases() -> dict:
                                    ClaimSet({"a": ClaimValue.of_text("x")}), 3, intrinsic=True)
     refs = tuple((label, digest(label.encode())) for label in MANDATORY_LABELS)
     record = EndorsementRecord(_FUZZ_VERIFIER, "p", digest(b"root"), refs, 5, b"\x06" * 64)
-    block = LedgerBlock(1, digest(b"prev"), (LedgerRecord("audit_digest", b"\x07" * 32),),
-                        "n1", 10).sealed()
+    block = LedgerBlock.seal(1, digest(b"prev"), (LedgerRecord("audit_digest", b"\x07" * 32),),
+                             "n1", 10)
     return {
         "evidence": (Evidence, encodings[Evidence]),
         "composite_evidence": (Evidence, composite.to_bytes()),
