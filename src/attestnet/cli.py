@@ -123,7 +123,11 @@ def cmd_appraise(args) -> int:
     result = appraise_evidence(evidence, references, policy, expected, verifier, clock)
 
     if args.out:
-        Path(args.out).write_bytes(result.to_bytes())
+        try:
+            Path(args.out).write_bytes(result.to_bytes())
+        except OSError as exc:
+            print(f"appraise: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_WRITE
     print(f"verdict: {result.verdict.value}")
     for reason in result.reasons:
         print(reason)
@@ -184,7 +188,8 @@ def cmd_ledger(args) -> int:
         return EXIT_OK
     if args.height is not None:
         if not 0 <= args.height < len(blocks):
-            print(f"ledger: height {args.height} beyond tip {len(blocks) - 1}", file=sys.stderr)
+            heights = f"[0, {len(blocks) - 1}]" if blocks else "an empty export"
+            print(f"ledger: height {args.height} is not in {heights}", file=sys.stderr)
             return EXIT_USAGE
         print(consortium.render_block(blocks[args.height]))
         return EXIT_OK

@@ -6,6 +6,12 @@ A domain's audit log holds the current epoch only: each earlier epoch lives on
 the ledger as its `audit_digest`, so the simulator's memory does not grow with
 the audit bytes of a long run. Ledger records and blocks are slotted value
 types (no instance dict), since a run keeps every block.
+
+`run_epoch` attests the nodes in batches, in node order: it draws a batch's
+challenges (per node, the domain verifier's first), signs its evidence and
+starts the signature checks (`check_evidence_signatures`, in a helper process),
+then appraises the previous batch. Appraisal draws no randomness, so every
+challenge, audit entry and ledger record is that of attesting node by node.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .model import (
     Table,
     Verdict,
     ZERO_DIGEST,
+    check_evidence_signatures,
     decode,
     digest,
     encode,
@@ -213,6 +220,7 @@ class Universe:
         self.ledger: list[LedgerBlock] = []
         self.pending_records: list[LedgerRecord] = []
         self.effective_majority = config.majority_parameter
+        # faults not yet applied, in (tick, node_id) order; `run_epoch` pops the due ones
         self.faults: list[FaultInjection] = []
         self.epoch_index = 0
         self._recorded_policy_digests: set[bytes] = set()
@@ -351,44 +359,56 @@ def forge_block(universe: Universe, validator: str, records: Sequence[LedgerReco
     return block
 
 
+# Nodes per batch of `run_epoch`. On a 2-vCPU host, 16 took the 40-node
+# sim-catalog benchmark from 0.114 s to 0.086 s, and 64 (one batch per epoch,
+# nothing to overlap) to 0.108 s; sim-fleet (600 nodes) took 0.55-0.59 s with
+# either, against 0.93 s in process.
+BATCH_NODES = 16
+
+
 def run_epoch(universe: Universe) -> EpochReport:
     """One attestation epoch: apply scheduled faults, attest every node to its
     domain and the consortium verifier, anchor audit digests, re-evaluate
     governance, select a validator, and forge the epoch's block."""
     cfg = universe.config
     clock = universe.clock
-    due = [f for f in universe.faults if clock <= f.tick < clock + cfg.epoch_length]
-    for fault in sorted(due, key=lambda f: (f.tick, f.node_id)):
-        _apply_fault(universe, fault)
+    faults = universe.faults
+    while faults and faults[0].tick < clock + cfg.epoch_length:
+        _apply_fault(universe, faults.pop(0))
 
     verdicts: dict[str, str] = {}
     domain_verdicts: dict[str, str] = {}
     for domain in universe.domains.values():
         domain.audit_log.clear()  # earlier epochs live on the ledger as audit digests
     cv = cfg.consortium_verifier
-    for node in universe.sorted_nodes():
-        domain = universe.domains[node.domain_id]
-        dv = domain.domain_verifier
+    nodes = universe.sorted_nodes()
+    attested, store_checks = [], lambda: None
+    for start in range(0, len(nodes) + BATCH_NODES, BATCH_NODES):  # ends on an empty batch
+        previous, store_previous = attested, store_checks
+        attested = []
+        for node in nodes[start : start + BATCH_NODES]:
+            dv = universe.domains[node.domain_id].domain_verifier
+            nonces = (dv.issue_challenge(clock), cv.issue_challenge(clock))
+            evidences = tuple(node.attesting_env.generate_evidence(node.target_env, nonce, clock)
+                              for nonce in nonces)
+            attested.append((node, dv, nonces, evidences))
+        store_checks = check_evidence_signatures([ev for *_, evs in attested for ev in evs])
+        store_previous()
+        for node, dv, (dv_nonce, cv_nonce), (dv_evidence, cv_evidence) in previous:
+            dv_result = dv.appraise(dv_evidence, dv_nonce, clock)
+            cv_result = cv.appraise(cv_evidence, cv_nonce, clock)
 
-        dv_nonce = dv.issue_challenge(clock)
-        dv_evidence = node.attesting_env.generate_evidence(node.target_env, dv_nonce, clock)
-        dv_result = dv.appraise(dv_evidence, dv_nonce, clock)
+            node.last_result = cv_result
+            verdicts[node.node_id] = cv_result.verdict.value
+            domain_verdicts[node.node_id] = dv_result.verdict.value
 
-        cv_nonce = cv.issue_challenge(clock)
-        cv_evidence = node.attesting_env.generate_evidence(node.target_env, cv_nonce, clock)
-        cv_result = cv.appraise(cv_evidence, cv_nonce, clock)
-
-        node.last_result = cv_result
-        verdicts[node.node_id] = cv_result.verdict.value
-        domain_verdicts[node.node_id] = dv_result.verdict.value
-
-        cv_result_bytes = cv_result.to_bytes()
-        for entry in (dv_evidence.to_bytes(), dv_result.to_bytes(),
-                      cv_evidence.to_bytes(), cv_result_bytes):
-            domain.append_audit(clock, entry)
-        universe.pending_records.append(
-            LedgerRecord("result_digest", digest(cv_result_bytes).value)
-        )
+            cv_result_bytes = cv_result.to_bytes()
+            for entry in (dv_evidence.to_bytes(), dv_result.to_bytes(),
+                          cv_evidence.to_bytes(), cv_result_bytes):
+                universe.domains[node.domain_id].append_audit(clock, entry)
+            universe.pending_records.append(
+                LedgerRecord("result_digest", digest(cv_result_bytes).value)
+            )
 
     for domain_id in sorted(universe.domains):
         entries = [entry for _, entry in universe.domains[domain_id].audit_log]

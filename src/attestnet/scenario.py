@@ -256,19 +256,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ScenarioError(f"{where}: tick {fault.tick} is after the last tick of the run")
         _checked(where, GeoPoint, fault.lat, fault.lon, 0.0)  # move_geo builds this point mid-run
         faults.append(fault)
-    cfg.faults = faults
+    cfg.faults = sorted(faults, key=lambda f: (f.tick, f.node_id))  # the order they apply in
     _check_flips(cfg, products)
     return cfg
 
 
 def _check_flips(cfg: ScenarioConfig, products: dict):
-    """Replay which nodes hold sw images through the faults, in the order
-    that `run_epoch` applies them, so that a `flip_sw_byte` fault on a node
+    """Replay which nodes hold sw images through the faults, which are in the
+    order that `run_epoch` applies them, so that a `flip_sw_byte` fault on a node
     with none fails here rather than in its own epoch, after every earlier
     epoch has run. Only `clone_config` changes whether a node holds images:
     the node takes its source's, as they are at that point of the run."""
     has_images = {n.node_id: bool(products[n.product_id].sw_images) for n in cfg.nodes}
-    for fault in sorted(cfg.faults, key=lambda f: (f.tick, f.node_id)):
+    for fault in cfg.faults:
         if fault.mutation == "clone_config":
             has_images[fault.node_id] = has_images[fault.from_node]
         elif fault.mutation == "flip_sw_byte" and not has_images[fault.node_id]:

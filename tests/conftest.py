@@ -2,8 +2,18 @@ import random
 
 import pytest
 
+from attestnet import model
 from attestnet.attester import AttestingEnvironment, TargetEnvironment
 from attestnet.model import GeoPoint, Role, SignerIdentity
+
+
+@pytest.fixture(autouse=True)
+def stop_signature_helper():
+    """Stops the signature-checking helper process after each test, so that
+    a helper forked under one test's patches never answers a later test. A
+    helper still running must exit cleanly once its request pipe closes."""
+    yield
+    assert model._helper.stop() in (None, 0)
 
 
 @pytest.fixture

@@ -140,6 +140,19 @@ class TestAppraise:
         assert capsys.readouterr().out.startswith("verdict: ")
         assert AttestationResult.from_bytes(out.read_bytes()).created_at == 2**64 - 1
 
+    def test_unwritable_out_exit_1(self, tmp_path, fixture_files, capsys):
+        out = tmp_path / "missing" / "result.bin"
+        code = main([
+            "appraise", str(fixture_files["evidence"]), str(fixture_files["policy"]),
+            "--endorsement", str(fixture_files["good"]), "--out", str(out),
+        ])
+        assert code == EXIT_WRITE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"appraise: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_result_file_written(self, tmp_path, fixture_files):
         from attestnet.model import AttestationResult, Verdict
 
@@ -182,6 +195,35 @@ class TestSimulate:
         assert (tmp_path / "a" / "ledger.hex").read_text() == (
             tmp_path / "b" / "ledger.hex"
         ).read_text()
+
+    # Faults listed out of order, where order matters: at tick 12, n4 clones
+    # n1 after n1's firmware change (node order), and at tick 18 n2 clones n3
+    # after n3's change at tick 14 (tick order).
+    FAULTS_OUT_OF_ORDER = [
+        {"tick": 25, "node_id": "n1", "mutation": "flip_sw_byte"},
+        {"tick": 18, "node_id": "n2", "mutation": "clone_config", "from_node": "n3"},
+        {"tick": 12, "node_id": "n4", "mutation": "clone_config", "from_node": "n1"},
+        {"tick": 14, "node_id": "n3", "mutation": "change_fw", "fw_version": 1},
+        {"tick": 12, "node_id": "n1", "mutation": "change_fw", "fw_version": 1},
+        {"tick": 3, "node_id": "n3", "mutation": "move_geo", "lat": 10.0, "lon": 20.0},
+    ]
+
+    def test_faults_apply_in_tick_and_node_order(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
+        ledgers = []
+        for name, faults in (("listed", self.FAULTS_OUT_OF_ORDER),
+                             ("sorted", sorted(self.FAULTS_OUT_OF_ORDER,
+                                               key=lambda f: (f["tick"], f["node_id"])))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**doc, "faults": faults}))
+            assert main(["simulate", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+            assert capsys.readouterr().out == (
+                "tip: 157fe4cdba1f520ba9857b0f65c6b1933cc4b94d2fb1cc0ce78fd087f55b5cd2\n")
+            ledgers.append((tmp_path / name / "ledger.hex").read_bytes())
+            reports = (tmp_path / name / "epoch_reports.txt").read_text().split("\n\n")
+            # in epoch 1 every node runs firmware 1, below the minimum of 2
+            assert reports[1].count("consortium=non_compliant") == 4
+        assert ledgers[0] == ledgers[1]
 
     def test_out_naming_a_file_exit_1(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -424,8 +466,22 @@ class TestLedgerCommand:
         export.write_bytes(b"\xff\xfe" + export.read_bytes())
         assert main(["ledger", str(export)]) == EXIT_INTEGRITY
 
-    def test_height_beyond_tip_exit_2(self, export):
+    def test_height_beyond_tip_exit_2(self, export, capsys):
         assert main(["ledger", str(export), "--height", "999"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "ledger: height 999 is not in [0, 3]\n"
+
+    @pytest.mark.parametrize("height", ["4", "-1"])
+    def test_height_next_to_the_chain_exit_2(self, export, height, capsys):
+        assert main(["ledger", str(export), "--height", height]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"ledger: height {height} is not in [0, 3]\n"
+        assert captured.out == ""
+
+    def test_height_in_an_empty_export_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.hex"
+        empty.write_text("")
+        assert main(["ledger", str(empty), "--height", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "ledger: height 0 is not in an empty export\n"
 
     def test_inspect_prints_blocks(self, export, capsys):
         assert main(["ledger", str(export), "--height", "0"]) == EXIT_OK

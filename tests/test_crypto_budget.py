@@ -6,6 +6,7 @@ noise; a change that removes some updates the pinned counts."""
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -158,6 +159,37 @@ def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
     node_epochs = len(doc["nodes"]) * doc["epochs"]
     assert messages == {"Evidence": 2 * node_epochs, "Endorsement": len(doc["products"]),
                         "AttestationResult": 2 * node_epochs, "replace": 0}
+
+
+@pytest.fixture
+def helper_answers(monkeypatch):
+    """Counts the signature checks stored from the helper's answers."""
+    counts = {"answers": 0}
+    signature_valid = model._signature_valid
+
+    def counting_signature_valid(message, public_key, answer=None):
+        counts["answers"] += answer is not None
+        return signature_valid(message, public_key, answer)
+
+    monkeypatch.setattr(model, "_signature_valid", counting_signature_valid)
+    return counts
+
+
+def test_simulate_checks_each_evidence_once(budget, helper_answers, monkeypatch, tmp_path,
+                                            capsys):
+    """Above the helper's minimum, every evidence signature is checked
+    exactly once, by the helper or (for a batch below the minimum) here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
+    doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
+                    for i in range(2 * model.HELPER_MIN_CHECKS)]
+    scenario = tmp_path / "fleet.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
+    evidences = 2 * len(doc["nodes"]) * doc["epochs"]
+    # each endorsement is checked once, here: the verifiers share the objects
+    assert helper_answers["answers"] > 0
+    assert budget["verifies"] + helper_answers["answers"] == len(doc["products"]) + evidences
 
 
 def test_simulate_builds_each_block_once(blocks, tmp_path, capsys):

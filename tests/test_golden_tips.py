@@ -25,3 +25,18 @@ def test_bundled_scenario_tip(name, tmp_path, capsys):
     code = main(["simulate", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == f"tip: {GOLDEN_TIPS[name]}"
+
+
+def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):
+    """200 nodes, 20 products of 3 x 4 KiB images, 10 epochs and a
+    flip_sw_byte fault, from the benchmark's generator at seed 11: each epoch
+    attests the nodes in several batches, so this pins the batched order."""
+    from .test_bench_bindings import _perfbench_module
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    inputs = workloads.generate_sim(workloads.SimShape(200, 20, 3, 4096, 10, "flip_sw_byte"), 11)
+    path = tmp_path / "scenario.json"
+    path.write_text(inputs.scenario_text, encoding="utf-8")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "tip: 4badecafee0e4c9fc3258c35f8fcdaf13d0216082b8b392b43284002985bc40e\n")
