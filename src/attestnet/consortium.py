@@ -8,9 +8,9 @@ the audit bytes of a long run. Ledger records and blocks are slotted value
 types (no instance dict), since a run keeps every block.
 
 `run_epoch` attests the nodes in batches, in node order: it draws a batch's
-challenges (per node, the domain verifier's first), signs its evidence and
-starts the signature checks (`check_evidence_signatures`, in a helper process),
-then appraises the previous batch. Appraisal draws no randomness, so every
+challenges (per node, the domain verifier's first), signs its evidence, queues
+its signature checks if the epoch has more batches to overlap them with, then
+appraises the previous batch. Appraisal draws no randomness, so every
 challenge, audit entry and ledger record is that of attesting node by node.
 """
 
@@ -382,18 +382,17 @@ def run_epoch(universe: Universe) -> EpochReport:
         domain.audit_log.clear()  # earlier epochs live on the ledger as audit digests
     cv = cfg.consortium_verifier
     nodes = universe.sorted_nodes()
-    attested, store_checks = [], lambda: None
+    attested = []
     for start in range(0, len(nodes) + BATCH_NODES, BATCH_NODES):  # ends on an empty batch
-        previous, store_previous = attested, store_checks
-        attested = []
+        previous, attested = attested, []
         for node in nodes[start : start + BATCH_NODES]:
             dv = universe.domains[node.domain_id].domain_verifier
             nonces = (dv.issue_challenge(clock), cv.issue_challenge(clock))
             evidences = tuple(node.attesting_env.generate_evidence(node.target_env, nonce, clock)
                               for nonce in nonces)
             attested.append((node, dv, nonces, evidences))
-        store_checks = check_evidence_signatures([ev for *_, evs in attested for ev in evs])
-        store_previous()
+        if len(nodes) > BATCH_NODES:  # a lone batch has nothing to overlap its checks with
+            check_evidence_signatures([ev for *_, evs in attested for ev in evs])
         for node, dv, (dv_nonce, cv_nonce), (dv_evidence, cv_evidence) in previous:
             dv_result = dv.appraise(dv_evidence, dv_nonce, clock)
             cv_result = cv.appraise(cv_evidence, cv_nonce, clock)

@@ -37,16 +37,16 @@ message never re-encodes it. Either way, `to_bytes` is the stored signing bytes
 with the signature blob appended (`with_signature`, the inverse of
 `signed_part`).
 
-`check_evidence_signatures` checks a batch of evidence signatures in a helper
-process: Ed25519 holds the GIL, so only a second process reaches a second CPU.
-The helper is forked on first use, once per process, and fed over a pipe that
-carries only public data: per check the signed bytes, the signature and the
-public key; it answers one byte each, from the same `verify_bytes`, and the
-answer is stored as the evidence's signature check. It takes batches of at
-least `HELPER_MIN_CHECKS` unchecked evidences, when `os.fork` exists, the
-process may use more than one CPU and no other thread is alive (a forked child
-could deadlock on a lock one holds). An answer missing, short or not 0 or 1 (a
-helper that died, or none) is checked here; the next batch forks a new helper.
+`check_evidence_signatures` queues evidence signature checks for a helper
+process (Ed25519 holds the GIL), forked on first use where `os.fork` exists,
+more than one CPU may be used and no other thread is alive (a forked child
+could deadlock on a lock one holds). Its pipes carry only public data: per
+check the signed bytes, the signature and the public key, and one answer byte
+from the same `verify_bytes`. A queued evidence's stored check reads the
+answers in send order, up to its batch, storing each on its own evidence; at
+most two batches stay unread, so the pipes never fill. A forked process drops
+the helper. A bad answer or a read cut short stops the helper, and what is
+still queued is checked here; the next batch forks a new helper.
 
 Only evidence, endorsements, results, policies, claim sets and (elsewhere)
 target environments and result messages store values, in their instance dict.
@@ -69,7 +69,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Any, BinaryIO, Callable, ItemsView, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, ItemsView, NamedTuple, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -538,14 +538,12 @@ def _signing_bytes(message, table: Table) -> bytes:
     return _once(message, "signing_bytes", lambda: encode(table, message))
 
 
-def _signature_valid(message, public_key: bytes, answer: Optional[bool] = None) -> bool:
-    """The stored check; the first request stores the helper's `answer`, if any."""
-    return _once(
-        message,
-        "signature_valid",
-        lambda: verify_bytes(message.signing_bytes(), message.signature, public_key)
-        if answer is None else answer,
-    )
+def _signature_valid(message, public_key: bytes) -> bool:
+    """The stored check; a queued evidence's is the helper's answer."""
+    while id(message) in _helper.queued:  # read in send order, up to its batch
+        _helper.read_oldest()
+    return _once(message, "signature_valid",
+                 lambda: verify_bytes(message.signing_bytes(), message.signature, public_key))
 
 
 def _decode_signed(table: Table, data: bytes, depth: int = 1):
@@ -590,103 +588,104 @@ def sign_message(message, key: SigningKey):
 # Evidence signature checks in a helper process (see the module docstring)
 # ---------------------------------------------------------------------------
 
-# One full batch of `run_epoch`. On a 2-vCPU host an 8-node, 4-epoch simulate
-# took 31 ms in process and 38 ms through a helper with nothing to overlap.
-HELPER_MIN_CHECKS = 32
 _CHECKS = seq(seq(BLOB))  # per check: the signed bytes, the signature, the public key
-_ANSWERS = {b"\x00": False, b"\x01": True}
 
 
 class _Helper:
-    """This process's helper: its pid and this process's ends of its pipes."""
+    """This process's helper: its pid, this process's ends of its pipes, and
+    the evidences sent whose answers are unread, by batch, with their ids."""
 
-    pid = owner = sent = read = 0  # sent, read: checks sent and answers read
-    requests = answers = None
+    def __init__(self):
+        self.pid, self.requests, self.answers, self.batches, self.queued = 0, None, None, [], set()
 
-    def send(self, checks: list) -> tuple[Optional[BinaryIO], int]:
-        """Queue `checks`: the stream their answers come on (None if no helper
-        took them), and the number of answers before theirs."""
-        if self.pid and self.owner != os.getpid():
-            self.stop()  # inherited from the process this one was forked from
+    def send(self, batch: list):
+        """Queue the checks of `batch`'s evidences; on failure, queue nothing."""
+        if len(self.batches) == 2:
+            self.read_oldest()  # answers left unread would fill both pipes and block
+        request = encode(BLOB, encode(_CHECKS, [
+            (ev.signing_bytes(), ev.signature, ev.attester.public_key) for ev in batch]))
         try:
             if not self.pid:
                 self._fork()
-            self.requests.write(encode(BLOB, encode(_CHECKS, checks)))
-            self.requests.flush()
-            self.sent += len(checks)
-            return self.answers, self.sent - len(checks)
+            if self.requests.write(request) != len(request):
+                raise OSError("short write")
+            self.batches.append(batch)
+            self.queued.update(map(id, batch))
         except OSError:  # no process to fork, or the helper died
             self.stop()
-            return None, 0
+
+    def read_oldest(self):
+        """Store the oldest batch's answers on its evidences, or stop the helper."""
+        batch = self.batches.pop(0)
+        self.queued.difference_update(map(id, batch))
+        try:
+            answers = self.answers.read(len(batch))
+        except BaseException:  # cut short, it leaves the later answers out of step
+            self.stop()
+            raise
+        if len(answers) == len(batch) and set(answers) <= {0, 1}:
+            for ev, answer in zip(batch, answers):
+                _once(ev, "signature_valid", lambda: answer == 1)
+        else:
+            self.stop()
 
     def _fork(self):
-        request_r, request_w, answer_r, answer_w = fds = os.pipe() + os.pipe()
+        request_r, request_w, answer_r, answer_w = os.pipe() + os.pipe()
+        self.requests = open(request_w, "wb", buffering=0)  # so that closing it never writes
+        self.answers = open(answer_r, "rb")
         try:
             pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            os.close(request_r)
+            os.close(answer_w)
             raise
         if pid == 0:
             code = 1
             try:
-                os.close(request_w)
-                os.close(answer_r)
-                requests, answers = open(request_r, "rb"), open(answer_w, "wb")
+                self.drop()  # holding the request pipe open, it would never see its end
+                requests, answers = open(request_r, "rb"), open(answer_w, "wb", buffering=0)
                 while header := requests.read(_U32.size):  # until the parent closes the pipe
                     checks = decode(_CHECKS, requests.read(_U32.unpack(header)[0]))
                     answers.write(bytes(verify_bytes(*check) for check in checks))
-                    answers.flush()
                 code = 0
             finally:
                 os._exit(code)  # flushes and tears down nothing of the parent's
         os.close(request_r)
         os.close(answer_w)
-        self.pid, self.owner, self.sent, self.read = pid, os.getpid(), 0, 0
-        self.requests, self.answers = open(request_w, "wb"), open(answer_r, "rb")
+        self.pid = pid
+
+    def drop(self):
+        """Forget the helper and its queue, closing this process's pipe ends;
+        a forked child does so at once, so as not to hold the helper's pipe open."""
+        for stream in filter(None, (self.requests, self.answers)):
+            stream.close()
+        self.__init__()
 
     def stop(self) -> Optional[int]:
-        """Close this process's ends of the pipes, which ends the helper, and
-        reap it if this process forked it: its wait status, else None."""
-        pid, self.pid = self.pid, 0
+        """Drop the helper, which ends it, and reap it: its wait status, if any."""
+        pid = self.pid
+        self.drop()
         if pid:
-            for stream in (self.requests, self.answers):
-                with contextlib.suppress(OSError):  # a request left unflushed on a broken pipe
-                    stream.close()
-            if self.owner == os.getpid():
-                with contextlib.suppress(ChildProcessError):  # reaped by someone else
-                    return os.waitpid(pid, 0)[1]
+            with contextlib.suppress(ChildProcessError):  # reaped by someone else
+                return os.waitpid(pid, 0)[1]
         return None
 
 
 _helper = _Helper()
 atexit.register(_helper.stop)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.drop)
 
 
-def check_evidence_signatures(evidences: Sequence["Evidence"]) -> Callable[[], None]:
-    """Start the signature checks of the `evidences` not yet checked; the
-    function returned stores each on its evidence, for `verify_signature`."""
-    unchecked = [ev for ev in evidences if "signature_valid" not in ev.__dict__.get("_memo", {})]
-    stream, first = None, 0
-    if (len(unchecked) >= HELPER_MIN_CHECKS and hasattr(os, "fork")
+def check_evidence_signatures(evidences: Sequence["Evidence"]) -> None:
+    """Queue, as one batch for the helper, the checks of the signed `evidences`
+    neither checked nor queued yet; their stored checks read the answers."""
+    batch = [ev for ev in evidences if ev.signature and id(ev) not in _helper.queued
+             and "signature_valid" not in ev.__dict__.get("_memo", {})]
+    if (batch and hasattr(os, "fork")
             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
             and threading.active_count() == 1):
-        stream, first = _helper.send(
-            [(ev.signing_bytes(), ev.signature, ev.attester.public_key) for ev in unchecked]
-        )
-
-    def store():
-        answers = b""
-        if stream is not None and stream is _helper.answers:  # else its helper is gone
-            if _helper.read == first:  # else an earlier batch's answers were never read
-                answers = stream.read(len(unchecked))
-                _helper.read += len(answers)
-            if len(answers) < len(unchecked):
-                _helper.stop()
-        for i, ev in enumerate(unchecked):
-            _signature_valid(ev, ev.attester.public_key, _ANSWERS.get(answers[i : i + 1]))
-
-    return store
+        _helper.send(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -101,14 +101,17 @@ def test_flows_unit_matches_the_benchmark_oracle(monkeypatch):
     assert unit.failed == 0
 
 
-def test_sim_catalog_unit_matches_the_benchmark_oracle(tmp_path, monkeypatch):
-    """One sim-catalog unit (a whole `attestnet simulate` of 40 nodes and 20
-    products), checked by the benchmark's own oracle of every verdict, each
-    epoch's diversity and majority, and the exported chain. The unit counts
-    its epochs from the spans of `SIM_STAGES`, so those are installed."""
+@pytest.mark.parametrize("shape", ["sim-catalog", "sim-fleet"])
+def test_sim_unit_matches_the_benchmark_oracle(shape, tmp_path, monkeypatch):
+    """One unit of each sim workload (a whole `attestnet simulate`: 40 nodes
+    and 20 products, or 600 nodes with cloned configurations, whose signature
+    checks fill 38 helper batches per epoch on a host with two CPUs), checked
+    by the benchmark's own oracle of every verdict, each epoch's diversity
+    and majority, and the exported chain. The unit counts its epochs from the
+    spans of `SIM_STAGES`, so those are installed."""
     workloads = _perfbench_module("workloads", monkeypatch)
     tracer = _perfbench_module("tracing", monkeypatch).Tracer()
-    inputs = workloads.generate_sim(workloads.SHAPES["sim-catalog"], 1)
+    inputs = workloads.generate_sim(workloads.SHAPES[shape], 1)
     path = tmp_path / "scenario.json"
     path.write_text(inputs.scenario_text, encoding="utf-8")
     with tracer.installed(workloads.SIM_STAGES):

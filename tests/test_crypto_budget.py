@@ -162,34 +162,34 @@ def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
 
 
 @pytest.fixture
-def helper_answers(monkeypatch):
-    """Counts the signature checks stored from the helper's answers."""
-    counts = {"answers": 0}
-    signature_valid = model._signature_valid
+def helper_checks(monkeypatch):
+    """Counts the signature checks queued for the helper."""
+    counts = {"checks": 0}
+    send = model._Helper.send
 
-    def counting_signature_valid(message, public_key, answer=None):
-        counts["answers"] += answer is not None
-        return signature_valid(message, public_key, answer)
+    def counting_send(self, batch):
+        counts["checks"] += len(batch)
+        return send(self, batch)
 
-    monkeypatch.setattr(model, "_signature_valid", counting_signature_valid)
+    monkeypatch.setattr(model._Helper, "send", counting_send)
     return counts
 
 
-def test_simulate_checks_each_evidence_once(budget, helper_answers, monkeypatch, tmp_path,
+def test_simulate_checks_each_evidence_once(budget, helper_checks, monkeypatch, tmp_path,
                                             capsys):
-    """Above the helper's minimum, every evidence signature is checked
-    exactly once, by the helper or (for a batch below the minimum) here."""
+    """With the helper on, every evidence signature is checked exactly once,
+    by the helper: the only verifies here are of the endorsements."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
     doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
-                    for i in range(2 * model.HELPER_MIN_CHECKS)]
+                    for i in range(2 * consortium.BATCH_NODES + 8)]
     scenario = tmp_path / "fleet.json"
     scenario.write_text(json.dumps(doc))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
     evidences = 2 * len(doc["nodes"]) * doc["epochs"]
     # each endorsement is checked once, here: the verifiers share the objects
-    assert helper_answers["answers"] > 0
-    assert budget["verifies"] + helper_answers["answers"] == len(doc["products"]) + evidences
+    assert helper_checks["checks"] == evidences
+    assert budget["verifies"] == len(doc["products"])
 
 
 def test_simulate_builds_each_block_once(blocks, tmp_path, capsys):

@@ -2,26 +2,35 @@
 
 Every answer the helper gives must be the answer `verify_bytes` gives in this
 process, stored on the right evidence; a helper that dies or answers short
-must change no answer; and no helper is forked where forking is unsafe or
-useless. The helper is on here whenever the gate allows it: each test that
-needs it patches `os.sched_getaffinity` to report two CPUs, so the tests do
-not depend on the host's."""
+must change no answer; no helper is forked where forking is unsafe or
+useless; and none outlives its process or is kept alive by a forked one. The
+helper is on here whenever the gate allows it: each test that needs it
+patches `os.sched_getaffinity` to report two CPUs, so the tests do not depend
+on the host's."""
 
 import json
 import os
 import random
+import select
 import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attestnet import model
 from attestnet.cli import EXIT_OK, main
-from attestnet.model import HELPER_MIN_CHECKS, check_evidence_signatures, new_nonce, verify_bytes
+from attestnet.consortium import BATCH_NODES
+from attestnet.model import check_evidence_signatures, new_nonce, verify_bytes
 
 KINDS = ("valid", "tampered", "wrong_key", "empty_signature", "garbage_key", "off_curve_key")
+# one batch of `run_epoch`: two evidences per node
+BATCH = 2 * BATCH_NODES
 
 
 @pytest.fixture(scope="module")
@@ -86,35 +95,54 @@ def batch(signed, kinds):
     return [variant(evidences[i % len(evidences)], kind, spare) for i, kind in enumerate(kinds)]
 
 
+def check(evidences):
+    """Queue the checks of `evidences`, then ask for each, as `run_epoch` does."""
+    check_evidence_signatures(evidences)
+    for ev in evidences:
+        ev.verify_signature()
+
+
+def queued_ids():
+    return [[id(ev) for ev in each] for each in model._helper.batches]
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.integers(1, 2 * HELPER_MIN_CHECKS).flatmap(
-    lambda n: st.lists(st.sampled_from(KINDS), min_size=n, max_size=n)), min_size=1, max_size=3))
-def test_stored_answers_equal_fresh_checks(signed, two_cpus, parent_verifies, kinds):
-    """Batches on both sides of the minimum, mixing valid and broken
-    signatures, all queued before the first is stored, as `run_epoch` queues
-    one batch ahead: each stored answer is the fresh in-process one, and only
-    the batches below the minimum are verified in this process."""
+@given(st.lists(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2 * BATCH),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_stored_answers_equal_fresh_checks(signed, two_cpus, parent_verifies, kinds, order):
+    """1 to 3 batches mixing valid and broken signatures, all queued before
+    any check is asked for, then asked for in any order: each check is the
+    fresh in-process one, stored on its own evidence, and only the unsigned
+    evidences, which are never sent, are verified in this process."""
     model._helper.stop()
     batches = [batch(signed, each) for each in kinds]
     parent_verifies["verifies"] = 0
-    stores = [check_evidence_signatures(evs) for evs in batches]
-    for store in stores:
-        store()
-    small = sum(len(evs) for evs in batches if len(evs) < HELPER_MIN_CHECKS)
-    assert parent_verifies["verifies"] == small
-    for ev in (ev for evs in batches for ev in evs):
-        assert stored_check(ev) is fresh_check(ev)
+    for evs in batches:
+        check_evidence_signatures(evs)
+    asked = [ev for evs in batches for ev in evs]
+    order.shuffle(asked)
+    for ev in asked:
         assert ev.verify_signature() is fresh_check(ev)
-    assert (model._helper.pid != 0) == (small < sum(map(len, batches)))
+    for ev in asked:
+        assert stored_check(ev) is fresh_check(ev)
+    unsigned = sum(not ev.signature for ev in asked)
+    assert parent_verifies["verifies"] == unsigned
+    assert model._helper.queued == set() and model._helper.batches == []
+    assert (model._helper.pid != 0) == (unsigned < len(asked))
 
 
 def test_checked_evidence_is_not_sent_again(signed, two_cpus, parent_verifies):
-    evidences = batch(signed, ["valid"] * HELPER_MIN_CHECKS)
+    """An evidence already checked, one already queued, and one not signed
+    yet (its check would describe the empty signature) are never sent."""
+    evidences = batch(signed, ["valid"] * 8 + ["empty_signature"])
     evidences[0].verify_signature()
-    check_evidence_signatures(evidences)()
-    # one unchecked evidence short of the minimum: all checked in this process
-    assert parent_verifies["verifies"] == HELPER_MIN_CHECKS
-    assert model._helper.pid == 0
+    check_evidence_signatures(evidences)
+    check_evidence_signatures(evidences)
+    assert queued_ids() == [[id(ev) for ev in evidences[1:-1]]]
+    check(evidences)
+    assert parent_verifies["verifies"] == 2
+    assert all(stored_check(ev) is fresh_check(ev) for ev in evidences)
 
 
 def _kinds(n: int) -> list[str]:
@@ -133,35 +161,36 @@ def test_helper_killed_while_a_batch_is_queued(signed, two_cpus, parent_verifies
     """The helper dies holding a request it never answers: the answers are
     short, so the batch is checked in this process, the dead helper is
     reaped, and the next batch forks a new helper that answers it."""
-    check_evidence_signatures(batch(signed, _kinds(HELPER_MIN_CHECKS)))()
+    check(batch(signed, _kinds(BATCH)))
     first = model._helper.pid
     os.kill(first, signal.SIGSTOP)  # queued, never read
-    queued = batch(signed, _kinds(HELPER_MIN_CHECKS + 5))
-    store = check_evidence_signatures(queued)
+    queued = batch(signed, _kinds(BATCH + 5))
+    check_evidence_signatures(queued)
     os.kill(first, signal.SIGKILL)
     parent_verifies["verifies"] = 0
-    store()
+    for ev in queued:
+        ev.verify_signature()
     assert parent_verifies["verifies"] == len(queued)
     assert all(stored_check(ev) is fresh_check(ev) for ev in queued)
     assert model._helper.pid == 0 and _reaped(first)
 
+    after = [ev for ev in batch(signed, _kinds(BATCH + 7)) if ev.signature]
     parent_verifies["verifies"] = 0
-    after = batch(signed, _kinds(HELPER_MIN_CHECKS + 7))
-    check_evidence_signatures(after)()
+    check(after)
     assert model._helper.pid not in (0, first)
     assert parent_verifies["verifies"] == 0
     assert all(stored_check(ev) is fresh_check(ev) for ev in after)
 
 
 def test_helper_killed_between_batches(signed, two_cpus):
-    check_evidence_signatures(batch(signed, _kinds(HELPER_MIN_CHECKS)))()
+    check(batch(signed, _kinds(BATCH)))
     first = model._helper.pid
     os.kill(first, signal.SIGKILL)
     # the next batches find the helper dead, on sending or on reading: each
     # is checked right either way, and a new helper takes over
-    for n in (HELPER_MIN_CHECKS, HELPER_MIN_CHECKS + 3):
+    for n in (BATCH, BATCH + 3):
         evidences = batch(signed, _kinds(n))
-        check_evidence_signatures(evidences)()
+        check(evidences)
         assert all(stored_check(ev) is fresh_check(ev) for ev in evidences)
     assert _reaped(first)
     assert model._helper.pid not in (0, first)
@@ -174,8 +203,8 @@ def _no_fork(*args):
 def test_one_cpu_forks_nothing(signed, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", _no_fork)
-    evidences = batch(signed, _kinds(3 * HELPER_MIN_CHECKS))
-    check_evidence_signatures(evidences)()
+    evidences = batch(signed, _kinds(3 * BATCH))
+    check(evidences)
     assert all(stored_check(ev) is fresh_check(ev) for ev in evidences)
 
 
@@ -185,8 +214,8 @@ def test_a_second_thread_forks_nothing(signed, two_cpus, monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        evidences = batch(signed, _kinds(3 * HELPER_MIN_CHECKS))
-        check_evidence_signatures(evidences)()
+        evidences = batch(signed, _kinds(3 * BATCH))
+        check(evidences)
     finally:
         release.set()
         thread.join(timeout=10)
@@ -195,16 +224,16 @@ def test_a_second_thread_forks_nothing(signed, two_cpus, monkeypatch):
 
 
 def test_a_forked_child_forks_its_own_helper(signed, two_cpus):
-    """A process forked from one that runs a helper closes the pipes it
-    inherited and forks a helper of its own, which answers it right."""
-    check_evidence_signatures(batch(signed, _kinds(HELPER_MIN_CHECKS)))()
+    """A process forked from one that runs a helper drops it, and forks a
+    helper of its own, which answers it right."""
+    check(batch(signed, _kinds(BATCH)))
     helper = model._helper.pid
     pid = os.fork()
     if pid == 0:
         ok = False
         try:
-            evidences = batch(signed, _kinds(HELPER_MIN_CHECKS + 1))
-            check_evidence_signatures(evidences)()
+            evidences = batch(signed, _kinds(BATCH + 1))
+            check(evidences)
             ok = (model._helper.pid not in (0, helper)
                   and all(stored_check(ev) is fresh_check(ev) for ev in evidences))
             model._helper.stop()
@@ -212,9 +241,110 @@ def test_a_forked_child_forks_its_own_helper(signed, two_cpus):
             os._exit(0 if ok else 1)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     assert model._helper.pid == helper
-    evidences = batch(signed, _kinds(HELPER_MIN_CHECKS))
-    check_evidence_signatures(evidences)()
+    evidences = batch(signed, _kinds(BATCH))
+    check(evidences)
     assert all(stored_check(ev) is fresh_check(ev) for ev in evidences)
+
+
+def test_stop_does_not_wait_for_a_forked_child(signed, two_cpus):
+    """A process forked while a helper runs drops the helper's pipe ends at
+    once, so it never keeps the helper from seeing the end of its requests:
+    stopping the helper returns at once, while the child still runs."""
+    check(batch(signed, _kinds(BATCH)))
+    release_r, release_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(release_w)
+            select.select([release_r], [], [], 10)  # until released, at most 10 s
+        finally:
+            os._exit(0)
+    os.close(release_r)
+    try:
+        start = time.monotonic()
+        status = model._helper.stop()
+        elapsed = time.monotonic() - start
+    finally:
+        os.close(release_w)
+        os.waitpid(pid, 0)
+    assert status == 0
+    assert elapsed < 0.5
+
+
+class Interrupted(BaseException):
+    pass
+
+
+class CutShort:
+    """The helper's answer stream, whose first read is interrupted."""
+
+    def __init__(self, stream):
+        self.stream, self.cut = stream, False
+
+    def read(self, n: int) -> bytes:
+        if not self.cut:
+            self.cut = True
+            raise Interrupted
+        return self.stream.read(n)
+
+    def close(self):
+        self.stream.close()
+
+
+def test_a_read_cut_short_stops_the_helper(signed, two_cpus):
+    """A read of the answers that an exception cuts short (an interrupt, say)
+    stops the helper, so no later batch takes an earlier batch's answers."""
+    valid, tampered = batch(signed, ["valid"] * BATCH), batch(signed, ["tampered"] * BATCH)
+    check_evidence_signatures(valid)
+    check_evidence_signatures(tampered)
+    model._helper.answers = CutShort(model._helper.answers)
+    with pytest.raises(Interrupted):
+        valid[0].verify_signature()
+    assert model._helper.pid == 0
+    assert all(ev.verify_signature() is fresh_check(ev) for ev in valid + tampered)
+
+
+def test_a_batch_nobody_asked_for_is_stored_on_its_own_evidences(signed, two_cpus):
+    """A batch whose checks are never asked for (its epoch raised before
+    appraising it) has its answers read before the next batch's, stored on
+    its own evidences, and the helper keeps running."""
+    valid = batch(signed, ["valid"] * BATCH)
+    check_evidence_signatures(valid)  # never asked for
+    first = model._helper.pid
+    tampered = batch(signed, ["tampered"] * BATCH)
+    check(tampered)
+    assert all(stored_check(ev) is False for ev in tampered)
+    assert all(stored_check(ev) is True for ev in valid)
+    assert model._helper.pid == first
+
+
+def _timeout(signum, frame):
+    raise AssertionError("queueing blocked")  # not an OSError, which the helper would take
+
+
+def test_answers_nobody_reads_never_block(signed, two_cpus):
+    """2,100 batches of 32 checks, none asked for: more answers than the
+    answer pipe holds (64 KiB). Queueing reads the oldest unread batch
+    first, so the run ends instead of blocking on both pipes, and every
+    stored check is right. A hang fails after 60 s. Most keys are short
+    garbage, which fails without an Ed25519 verify, to keep the test short."""
+    real = ["valid", "tampered", "wrong_key", "off_curve_key"]
+    bases = batch(signed, real + ["garbage_key"] * (BATCH - len(real)))
+    expected = [fresh_check(ev) for ev in bases]
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(60)
+    try:
+        queued = []
+        for _ in range(2100):
+            queued.append([replace(ev) for ev in bases])
+            check_evidence_signatures(queued[-1])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(queued_ids()) == 2
+    assert all(ev.verify_signature() is want
+               for copies in queued for ev, want in zip(copies, expected))
+    assert all(stored_check(ev) is want for copies in queued for ev, want in zip(copies, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +400,58 @@ def test_simulate_is_the_same_with_the_helper_on_and_off(doc, tmp_path_factory, 
     assert on == off
 
 
-def test_answers_left_unread_are_never_taken_for_the_next_batch(signed, two_cpus):
-    """A batch whose answers are never read (its epoch raised before storing
-    them) leaves them in the pipe: the next batch checks here and forks a
-    new helper, instead of storing the other batch's answers."""
-    check_evidence_signatures(batch(signed, ["valid"] * HELPER_MIN_CHECKS))  # never stored
-    first = model._helper.pid
-    tampered = batch(signed, ["tampered"] * HELPER_MIN_CHECKS)
-    check_evidence_signatures(tampered)()
-    assert all(stored_check(ev) is False for ev in tampered)
-    assert model._helper.pid == 0 and _reaped(first)
+def _fleet(path: Path, nodes: int) -> Path:
+    """`healthy-4nodes` with `nodes` nodes, written to `path`."""
+    doc = json.loads((Path(model.__file__).parent / "scenarios" / "healthy-4nodes.json").read_text())
+    doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
+                    for i in range(nodes)]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_lone_batch_forks_no_helper(tmp_path, monkeypatch, capsys):
+    """An epoch of one batch has nothing to overlap the helper's checks with:
+    16 nodes fork no helper and give the one-CPU ledger; 17 fork one."""
+    scenario, fork = _fleet(tmp_path / "16.json", BATCH_NODES), os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "one")]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "two")]) == EXIT_OK
+    assert ((tmp_path / "one" / "ledger.hex").read_bytes()
+            == (tmp_path / "two" / "ledger.hex").read_bytes())
+
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    scenario = _fleet(tmp_path / "17.json", BATCH_NODES + 1)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "17")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(forks) == 1 and model._helper.pid != 0
+
+
+def _state(pid: int):
+    """The state letter of process `pid` in /proc, or None if there is none."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_no_helper_outlives_simulate(tmp_path):
+    """A process that ran a helper stops it when it exits: once `simulate`
+    of 17 nodes has exited, its helper is gone or a zombie."""
+    scenario = _fleet(tmp_path / "17.json", BATCH_NODES + 1)
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from attestnet import cli, model\n"
+            "assert cli.main(['simulate', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(model._helper.pid)")
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, str(scenario), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    pid = int(run.stdout.split()[-1])
+    assert pid != 0
+    assert _state(pid) in (None, "Z")
