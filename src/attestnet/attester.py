@@ -1,6 +1,6 @@
-"""Attester role: measures a target environment into claims, produces signed
-evidence against a nonce, builds layered keyed-hash evidence chains, collates
-composite evidence as a lead, and gates a transaction key on approved config.
+"""Attester role: measures a target environment into claims, signs plain,
+layered and composite evidence through one signer, builds the layer-key chain
+that the verifier recomputes, and gates a transaction key on approved config.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .model import (
 
 
 class AttesterError(ValueError):
-    """Raised on invalid attester operations (clock regression, bad components)."""
+    """Raised on invalid attester operations (evidence before its challenge, bad components)."""
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,20 @@ def derive_layer_key(parent_secret: bytes, measurement: Digest) -> bytes:
     return keyed_digest(parent_secret, measurement.value)
 
 
+def layer_chain(secret: bytes, measurements: Sequence[Digest]) -> list[LayerRecord]:
+    """The records of a boot whose layers measure `measurements`, keyed from `secret`."""
+    records = []
+    for i, measurement in enumerate(measurements):
+        secret = derive_layer_key(secret, measurement)
+        records.append(LayerRecord(i, measurement, digest(secret)))
+    return records
+
+
 def layer_chain_from_images(device_secret: bytes, layer_images: Sequence[bytes]) -> list[LayerRecord]:
     """Compute the full layer chain for a boot sequence of code images."""
     if not layer_images:
         raise AttesterError("layer chain requires at least one image")
-    records = []
-    secret = device_secret
-    for i, image in enumerate(layer_images):
-        measurement = digest(image)
-        secret = derive_layer_key(secret, measurement)
-        records.append(LayerRecord(i, measurement, digest(secret)))
-    return records
+    return layer_chain(device_secret, [digest(image) for image in layer_images])
 
 
 @dataclass
@@ -148,23 +151,22 @@ class AttestingEnvironment:
 
     # -- evidence generation ------------------------------------------------
 
-    def generate_evidence(self, env: TargetEnvironment, challenge: Nonce, clock: int) -> Evidence:
+    def _evidence(self, env: TargetEnvironment, challenge: Nonce, clock: int, **parts) -> Evidence:
+        """Every builder's clock check and signature: `parts` adds a layer chain or components."""
         if clock < challenge.issued_at:
             raise AttesterError("clock regression: evidence time precedes challenge issue")
         return sign_message(
-            Evidence(self.identity, measure(env), challenge, clock), self.attestation_key
+            Evidence(self.identity, measure(env), challenge, clock, **parts), self.attestation_key
         )
+
+    def generate_evidence(self, env: TargetEnvironment, challenge: Nonce, clock: int) -> Evidence:
+        return self._evidence(env, challenge, clock)
 
     def build_layered_evidence(
         self, env: TargetEnvironment, layer_images: Sequence[bytes], challenge: Nonce, clock: int
     ) -> Evidence:
-        if clock < challenge.issued_at:
-            raise AttesterError("clock regression: evidence time precedes challenge issue")
         chain = layer_chain_from_images(self.device_secret, layer_images)
-        return sign_message(
-            Evidence(self.identity, measure(env), challenge, clock, layer_chain=tuple(chain)),
-            self.attestation_key,
-        )
+        return self._evidence(env, challenge, clock, layer_chain=tuple(chain))
 
     def collate_composite(
         self,
@@ -173,22 +175,11 @@ class AttestingEnvironment:
         challenge: Nonce,
         clock: int,
     ) -> Evidence:
-        if clock < challenge.issued_at:
-            raise AttesterError("clock regression: evidence time precedes challenge issue")
         for i, comp in enumerate(component_evidence):
             if not comp.verify_signature():
                 raise AttesterError(f"component {i} evidence signature invalid")
-        return sign_message(
-            Evidence(
-                self.identity,
-                measure(own_env),
-                challenge,
-                clock,
-                components=tuple(component_evidence),
-                lead_assertion=True,
-            ),
-            self.attestation_key,
-        )
+        return self._evidence(own_env, challenge, clock,
+                              components=tuple(component_evidence), lead_assertion=True)
 
     # -- transaction-key gating ----------------------------------------------
 

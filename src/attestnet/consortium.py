@@ -278,23 +278,37 @@ def _record_policy_digest(universe: Universe, policy: EvidencePolicy):
 # ---------------------------------------------------------------------------
 
 
-def _apply_fault(universe: Universe, fault: FaultInjection):
-    node = universe.nodes[fault.node_id]
-    env = node.target_env
+def faulted(env_of, fault: FaultInjection) -> TargetEnvironment:
+    """The environment that `fault` gives its node, where `env_of(node_id)` is a
+    node's environment before it: for `run_epoch` and `check_faults` alike."""
+    env = env_of(fault.node_id)
     if fault.mutation == "flip_sw_byte":
         if not env.sw_images:
-            raise SimError(f"node {fault.node_id} has no sw images to flip")
+            raise SimError(f"fault on {fault.node_id}: flip_sw_byte at tick {fault.tick} "
+                           "finds no sw images to flip")
         name, image = env.sw_images[0]
         flipped = bytes([image[0] ^ 0x01]) + image[1:]
-        node.target_env = replace(env, sw_images=((name, flipped),) + env.sw_images[1:])
-    elif fault.mutation == "change_fw":
-        node.target_env = replace(env, fw_version=fault.fw_version)
-    elif fault.mutation == "move_geo":
-        node.target_env = replace(env, geo=GeoPoint(fault.lat, fault.lon, env.geo.altitude))
-    elif fault.mutation == "clone_config":
-        node.target_env = universe.nodes[fault.from_node].target_env
-    else:
-        raise SimError(f"unknown fault mutation {fault.mutation!r}")
+        return replace(env, sw_images=((name, flipped),) + env.sw_images[1:])
+    if fault.mutation == "change_fw":
+        return replace(env, fw_version=fault.fw_version)
+    if fault.mutation == "move_geo":
+        return replace(env, geo=GeoPoint(fault.lat, fault.lon, env.geo.altitude))
+    if fault.mutation == "clone_config":
+        return env_of(fault.from_node)
+    raise SimError(f"unknown fault mutation {fault.mutation!r}")
+
+
+def _apply_fault(universe: Universe, fault: FaultInjection):
+    nodes = universe.nodes
+    nodes[fault.node_id].target_env = faulted(lambda node_id: nodes[node_id].target_env, fault)
+
+
+def check_faults(universe: Universe):
+    """Dry-run the pending faults, in `run_epoch`'s order, over a copy of the
+    nodes' environments: a fault that cannot apply fails before any epoch runs."""
+    envs = {node_id: node.target_env for node_id, node in universe.nodes.items()}
+    for fault in universe.faults:
+        envs[fault.node_id] = faulted(envs.__getitem__, fault)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ from .model import (
 )
 from .verifier import appraise_evidence, appraise_result
 
+RESOURCE_ID = "resource"  # the one resource that the flows request access to
+
 
 class FlowError(RuntimeError):
     """Transport or protocol failure that aborts a flow."""
@@ -186,7 +188,6 @@ class VerifierContext:
 class RelyingPartyContext:
     identity: SignerIdentity
     result_policy: ResultPolicy
-    resource_id: str = "resource"
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def run_passport_flow(
     """Attester obtains a signed result from the verifier and carries it to the
     relying party like a passport. `evidence_override` and `result_tamper` are
     test hooks modelling a misbehaving attester."""
-    transport.send(AccessRequest(attester.identity, rp_ctx.resource_id))
+    transport.send(AccessRequest(attester.identity, RESOURCE_ID))
     challenge = verifier_ctx.issue_challenge(clock)
     transport.send(ChallengeNonce(verifier_ctx.identity.entity, challenge))
 
@@ -243,7 +244,7 @@ def run_background_check_flow(
 ) -> Decision:
     """Relying party forwards the evidence to the verifier and receives the
     result directly; the verifier's challenge reaches the attester via the RP."""
-    transport.send(AccessRequest(attester.identity, rp_ctx.resource_id))
+    transport.send(AccessRequest(attester.identity, RESOURCE_ID))
     challenge = verifier_ctx.issue_challenge(clock)
     transport.send(ChallengeNonce(verifier_ctx.identity.entity, challenge))
     transport.send(ChallengeNonce(rp_ctx.identity.entity, challenge))  # RP relays

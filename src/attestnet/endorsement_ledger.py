@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
+from string import hexdigits
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -134,6 +135,8 @@ class ContentStore:
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             for f in self._dir.iterdir():
+                if not (f.is_file() and len(f.name) == 64 and set(f.name) <= set(hexdigits)):
+                    raise LedgerError(f"content store: {f.name!r} is not a file named by a hex address")
                 self._entries[bytes.fromhex(f.name)] = f.read_bytes()
 
     def put(self, value: bytes) -> Digest:

@@ -982,7 +982,6 @@ _POLICY = Table(
 class ResultPolicy:
     accepted_verifiers: tuple[EntityId, ...]
     max_result_age: int
-    required_verdict: Verdict = Verdict.COMPLIANT
 
     def __post_init__(self):
         if not self.accepted_verifiers:

@@ -1,6 +1,6 @@
 """Scenario configuration: a key-sorted JSON document describing products,
 domains, nodes, faults, and consensus parameters, plus the builder that turns
-one into a fully wired simulation universe.
+one into a fully wired simulation universe and dry-runs its fault schedule.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import random
 from dataclasses import make_dataclass
 
 from .attester import AttestingEnvironment, TargetEnvironment
-from .consortium import ConsortiumConfig, Domain, FaultInjection, Node, SimError, Universe
+from .consortium import ConsortiumConfig, Domain, FaultInjection, Node, SimError, Universe, check_faults
 from .conveyance import VerifierContext
 from .model import (
     _INT64_MAX,
@@ -257,23 +257,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _checked(where, GeoPoint, fault.lat, fault.lon, 0.0)  # move_geo builds this point mid-run
         faults.append(fault)
     cfg.faults = sorted(faults, key=lambda f: (f.tick, f.node_id))  # the order they apply in
-    _check_flips(cfg, products)
     return cfg
-
-
-def _check_flips(cfg: ScenarioConfig, products: dict):
-    """Replay which nodes hold sw images through the faults, which are in the
-    order that `run_epoch` applies them, so that a `flip_sw_byte` fault on a node
-    with none fails here rather than in its own epoch, after every earlier
-    epoch has run. Only `clone_config` changes whether a node holds images:
-    the node takes its source's, as they are at that point of the run."""
-    has_images = {n.node_id: bool(products[n.product_id].sw_images) for n in cfg.nodes}
-    for fault in cfg.faults:
-        if fault.mutation == "clone_config":
-            has_images[fault.node_id] = has_images[fault.from_node]
-        elif fault.mutation == "flip_sw_byte" and not has_images[fault.node_id]:
-            raise ScenarioError(f"fault on {fault.node_id}: flip_sw_byte at tick {fault.tick} "
-                                "finds no sw images to flip")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -364,4 +348,5 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
 
     if not universe.nodes:
         raise SimError("scenario defines no nodes")
+    check_faults(universe)
     return universe

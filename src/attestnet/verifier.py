@@ -32,6 +32,7 @@ import logging
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
+from .attester import layer_chain
 from .model import (
     AttestationResult,
     ClaimSet,
@@ -46,7 +47,6 @@ from .model import (
     SignerIdentity,
     Verdict,
     _once,
-    digest,
     sign_message,
 )
 
@@ -156,9 +156,11 @@ def _evaluate_evidence(
     if not evidence.verify_signature():
         reasons.append("sig")
     if expected_nonce is not None:
-        if evidence.nonce_echo.value != expected_nonce.value:
+        echo = evidence.nonce_echo
+        if echo != expected_nonce:
             reasons.append("nonce")
-        if clock - evidence.nonce_echo.issued_at > policy.freshness_window:
+        # from the older tick, so that an echo with a later tick gains no time
+        if clock - min(echo.issued_at, expected_nonce.issued_at) > policy.freshness_window:
             reasons.append("stale")
     reasons.extend(_rule_reasons(evidence.target_claims, references, policy))
     return reasons
@@ -210,8 +212,6 @@ def appraise_layered(
 ) -> AttestationResult:
     """Recompute the layer-key chain from the registered device secret and the
     golden measurements; trust in a layer requires all previous layers."""
-    from .attester import derive_layer_key  # local import avoids a cycle
-
     reasons: list[str] = []
     chain = evidence.layer_chain or ()
     secret = device_secret_registry.get(evidence.attester.name)
@@ -220,11 +220,8 @@ def appraise_layered(
     elif len(chain) != len(golden_measurements):
         reasons.append("layer.len")
     else:
-        current = secret
-        for i, golden in enumerate(golden_measurements):
-            current = derive_layer_key(current, golden)
-            rec = chain[i]
-            if rec.measurement != golden or rec.layer_key_id != digest(current):
+        for i, (rec, want) in enumerate(zip(chain, layer_chain(secret, golden_measurements))):
+            if rec != want:
                 reasons.append(f"layer.{i}")
                 break
     reasons.extend(_evaluate_evidence(evidence, references, policy, expected_nonce, clock))
@@ -274,4 +271,4 @@ def appraise_result(result: AttestationResult, rp_policy: ResultPolicy, clock: i
         return False
     if clock - result.created_at > rp_policy.max_result_age:
         return False
-    return result.verdict == rp_policy.required_verdict
+    return result.verdict == Verdict.COMPLIANT

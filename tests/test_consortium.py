@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attestnet.consortium import (
     LedgerBlock,
@@ -20,7 +21,7 @@ from attestnet.consortium import (
     update_governance,
     verify_chain,
 )
-from attestnet.model import GeoPoint, digest
+from attestnet.model import GeoPoint, ModelError, digest
 from attestnet.scenario import (
     ScenarioError,
     build_universe,
@@ -413,3 +414,37 @@ class TestDeterminism:
             return export_ledger(universe.ledger)
 
         assert run() == run()
+
+
+@st.composite
+def fault_schedules(draw):
+    """1 to 8 nodes on products with and without sw images, and a schedule of
+    every fault kind, clones of imageless nodes among them."""
+    epochs = draw(st.integers(1, 3))
+    kinds = st.sampled_from(["imaged", "bare"])
+    nodes = [{"node_id": f"n{i}", "domain_id": "d1", "product_id": draw(kinds)}
+             for i in range(draw(st.integers(1, 8)))]
+    node_ids = st.sampled_from([node["node_id"] for node in nodes])
+    faults = st.fixed_dictionaries({
+        "node_id": node_ids, "from_node": node_ids, "tick": st.integers(0, 10 * epochs - 1),
+        "mutation": st.sampled_from(["flip_sw_byte", "change_fw", "move_geo", "clone_config"]),
+        "fw_version": st.integers(0, 3), "lat": st.floats(-90, 90), "lon": st.floats(-180, 180),
+    })
+    return {"seed": 5, "epochs": epochs, "domains": [{"domain_id": "d1"}], "nodes": nodes,
+            "products": [{"product_id": "imaged", "sw_images": {"os": "os image"}},
+                         {"product_id": "bare", "sw_images": {}}],
+            "faults": draw(st.lists(faults, max_size=6))}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(doc=fault_schedules())
+def test_a_universe_that_builds_runs_every_epoch(doc):
+    """A fault that cannot apply fails when the universe is built, never in a
+    later epoch, so a run that starts also ends."""
+    try:
+        universe = build_universe(parse_scenario(json.dumps(doc)))
+    except (SimError, ScenarioError, ModelError):
+        return
+    distribute_policies(universe)
+    for _ in range(doc["epochs"]):
+        run_epoch(universe)

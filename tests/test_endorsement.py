@@ -122,6 +122,15 @@ class TestContentStore:
         reopened = ContentStore(tmp_path / "store")
         assert reopened.get(addr) == b"persist me"
 
+    @pytest.mark.parametrize("name, is_dir", [("README", False), ("ab" * 31, False), ("ab" * 32, True)],
+                             ids=["not_hex", "hex_of_31_bytes", "directory"])
+    def test_an_entry_not_named_by_an_address_is_a_ledger_error(self, tmp_path, name, is_dir):
+        ContentStore(tmp_path / "store").put(b"kept")
+        stray = tmp_path / "store" / name
+        stray.mkdir() if is_dir else stray.write_bytes(b"stray")
+        with pytest.raises(LedgerError, match=name):
+            ContentStore(tmp_path / "store")
+
 
 def _setup_registration(rng, product_bytes=b"firmware image v7", store=None):
     manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)

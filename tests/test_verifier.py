@@ -21,6 +21,7 @@ from attestnet.model import (
     digest,
     make_endorsement,
     new_nonce,
+    sign_message,
 )
 from attestnet.verifier import (
     appraise_composite,
@@ -65,6 +66,17 @@ class TestAppraiseEvidence:
         ev = attester.generate_evidence(env, nonce, 0)
         result = appraise_evidence(ev, {}, trivial_policy(freshness=5), nonce, verifier_identity, 6)
         assert result.verdict == Verdict.NON_COMPLIANT and "stale" in result.reasons
+
+    def test_echo_with_a_later_tick_gains_no_freshness(self, attester, env, rng, verifier_identity):
+        """Freshness counts from the challenge's tick: an echo that moves the
+        tick forward is not the challenge, and is as stale as the honest echo."""
+        challenge = new_nonce(100, rng)
+        bumped = attester.generate_evidence(env, replace(challenge, issued_at=150), 150)
+        honest = attester.generate_evidence(env, challenge, 150)
+        for ev, reasons in ((bumped, ("nonce", "stale")), (honest, ("stale",))):
+            result = appraise_evidence(ev, {}, trivial_policy(freshness=10), challenge,
+                                       verifier_identity, 150)
+            assert result.verdict == Verdict.NON_COMPLIANT and result.reasons == reasons
 
     def test_uncovered_reference_is_unknown(self, attester, env, rng, verifier_identity):
         nonce = new_nonce(0, rng)
@@ -220,6 +232,23 @@ class TestAppraiseLayered:
         )
         assert result.verdict == Verdict.NON_COMPLIANT
         assert result.reasons[0] == "layer.1"
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_a_layer_that_lies_about_its_measurement(self, rng, env, verifier_identity, layer):
+        """A tampered layer that reports the golden measurement is caught by its
+        own key, at its own index, even when it is the last layer."""
+        att, images, golden, registry = self._setup(rng)
+        nonce = new_nonce(0, rng)
+        tampered = list(images)
+        tampered[layer] = b"evil" + images[layer]
+        chain = layer_chain_from_images(att.device_secret, tampered)
+        chain[layer] = replace(chain[layer], measurement=golden[layer])
+        ev = sign_message(Evidence(att.identity, measure(env), nonce, 0, layer_chain=tuple(chain)),
+                          att.attestation_key)
+        result = appraise_layered(
+            ev, golden, registry, {}, trivial_policy(), nonce, verifier_identity, 0
+        )
+        assert result.reasons == (f"layer.{layer}",)
 
     def test_short_chain(self, rng, env, verifier_identity):
         att, images, golden, registry = self._setup(rng)
