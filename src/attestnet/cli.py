@@ -105,12 +105,18 @@ def cmd_appraise(args) -> int:
         return EXIT_USAGE
 
     if args.nonce is not None:
+        value, colon, tick = args.nonce.partition(":")
         try:
-            value = bytes.fromhex(args.nonce)
-            expected = Nonce(value, evidence.nonce_echo.issued_at)
+            issued_at = int(tick) if colon else evidence.nonce_echo.issued_at
+            if not 0 <= issued_at < 2**64:
+                raise ValueError(f"tick {issued_at} is not in [0, 2**64)")
+            expected = Nonce(bytes.fromhex(value), issued_at)
         except (ValueError, ModelError) as exc:
             print(f"appraise: bad nonce: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not colon:
+            print("appraise: --nonce gives no tick: freshness is not checked against the "
+                  "challenge's tick", file=sys.stderr)
     else:
         expected = evidence.nonce_echo
 
@@ -221,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("evidence")
     p.add_argument("policy")
     p.add_argument("--endorsement", action="append", default=[])
-    p.add_argument("--nonce", help="expected nonce value, hex")
+    p.add_argument("--nonce", help="the challenge: its value in hex, then :TICK, the tick it "
+                   "was issued at (without it, the evidence's echoed tick is taken)")
     p.add_argument("--clock", type=int, default=None)
     p.add_argument("--out", help="write the signed result here")
     p.add_argument("--seed", type=int, default=None)

@@ -9,8 +9,13 @@ types (no instance dict), since a run keeps every block.
 
 `run_epoch` attests the nodes in batches, in node order: it draws a batch's
 challenges (per node, the domain verifier's first), signs its evidence, queues
-its signature checks if the epoch has more batches to overlap them with, then
-appraises the previous batch. Appraisal draws no randomness, so every
+its signature checks for the helper process if the epoch has more batches to
+overlap them with, then appraises the previous batch. The first batch is a
+quarter of the others, so that the helper starts sooner, and the verifiers'
+endorsements are queued before it. When a batch's first appraisal finds the
+helper's answers not in yet, this process verifies the batch from its tail
+until it meets a check the helper took (`model.check_signatures`), so it
+never waits out a whole batch. Appraisal draws no randomness, so every
 challenge, audit entry and ledger record is that of attesting node by node.
 """
 
@@ -38,7 +43,7 @@ from .model import (
     Table,
     Verdict,
     ZERO_DIGEST,
-    check_evidence_signatures,
+    check_signatures,
     decode,
     digest,
     encode,
@@ -373,10 +378,11 @@ def forge_block(universe: Universe, validator: str, records: Sequence[LedgerReco
     return block
 
 
-# Nodes per batch of `run_epoch`. On a 2-vCPU host, 16 took the 40-node
-# sim-catalog benchmark from 0.114 s to 0.086 s, and 64 (one batch per epoch,
-# nothing to overlap) to 0.108 s; sim-fleet (600 nodes) took 0.55-0.59 s with
-# either, against 0.93 s in process.
+# Nodes per batch of `run_epoch`. On a 2-vCPU host (unscaled benchmark wall
+# time, two rounds of 6 s runs), with 8, 16, 32 and 64: the 40-node
+# sim-catalog took 0.071, 0.068-0.090, 0.084-0.108 and 0.125 s (64 is one
+# batch per epoch, checked in process), and the 600-node sim-fleet 0.60-0.71,
+# 0.57-0.59, 0.55-0.62 and 0.54-0.67 s.
 BATCH_NODES = 16
 
 
@@ -396,17 +402,23 @@ def run_epoch(universe: Universe) -> EpochReport:
         domain.audit_log.clear()  # earlier epochs live on the ledger as audit digests
     cv = cfg.consortium_verifier
     nodes = universe.sorted_nodes()
+    overlap = len(nodes) > BATCH_NODES  # a lone batch has nothing to overlap its checks with
+    if overlap:  # checked before the first appraisal merges them
+        check_signatures([end for v in (cv, *(d.domain_verifier for d in universe.domains.values()))
+                          for end in v.endorsements])
+    # a short first batch, so that the helper starts sooner; the last is empty
+    bounds = [0, *range(BATCH_NODES // 4, len(nodes) + 2 * BATCH_NODES, BATCH_NODES)]
     attested = []
-    for start in range(0, len(nodes) + BATCH_NODES, BATCH_NODES):  # ends on an empty batch
+    for start, end in zip(bounds, bounds[1:]):
         previous, attested = attested, []
-        for node in nodes[start : start + BATCH_NODES]:
+        for node in nodes[start:end]:
             dv = universe.domains[node.domain_id].domain_verifier
             nonces = (dv.issue_challenge(clock), cv.issue_challenge(clock))
             evidences = tuple(node.attesting_env.generate_evidence(node.target_env, nonce, clock)
                               for nonce in nonces)
             attested.append((node, dv, nonces, evidences))
-        if len(nodes) > BATCH_NODES:  # a lone batch has nothing to overlap its checks with
-            check_evidence_signatures([ev for *_, evs in attested for ev in evs])
+        if overlap:
+            check_signatures([ev for *_, evs in attested for ev in evs])
         for node, dv, (dv_nonce, cv_nonce), (dv_evidence, cv_evidence) in previous:
             dv_result = dv.appraise(dv_evidence, dv_nonce, clock)
             cv_result = cv.appraise(cv_evidence, cv_nonce, clock)

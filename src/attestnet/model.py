@@ -37,16 +37,24 @@ message never re-encodes it. Either way, `to_bytes` is the stored signing bytes
 with the signature blob appended (`with_signature`, the inverse of
 `signed_part`).
 
-`check_evidence_signatures` queues evidence signature checks for a helper
-process (Ed25519 holds the GIL), forked on first use where `os.fork` exists,
-more than one CPU may be used and no other thread is alive (a forked child
-could deadlock on a lock one holds). Its pipes carry only public data: per
-check the signed bytes, the signature and the public key, and one answer byte
-from the same `verify_bytes`. A queued evidence's stored check reads the
-answers in send order, up to its batch, storing each on its own evidence; at
-most two batches stay unread, so the pipes never fill. A forked process drops
-the helper. A bad answer or a read cut short stops the helper, and what is
-still queued is checked here; the next batch forks a new helper.
+`check_signatures` queues the signature checks of signed messages for a
+helper process (Ed25519 holds the GIL), forked on first use where `os.fork`
+exists, more than one CPU may be used and no other thread is alive (a forked
+child could deadlock on a lock one holds). Its pipes carry only public data:
+per check the signed bytes, the signature and the public key, and one answer
+byte. Both processes drain the queue. Each queued check has a flag byte in an
+anonymous shared map, made before the fork; each side marks a check before it
+verifies it and skips a check the other side marked, for which the helper
+answers 2. A queued message's stored check reads the answers in send order, up
+to its batch; when that batch's answers are not in yet, this process first
+verifies the batch from its tail until it meets a check the helper took. The
+flags hold no message bytes, and no answer rests on them: every stored check
+is what `verify_bytes` gave in one process or the other, a 2 is never stored,
+and if both sides take a check, the first stored answer stands. At most two
+batches stay unread, so the pipes never fill. A forked process drops the
+helper. A bad answer or a read cut short stops the helper, and a check that
+nobody stored is made here when it is asked for; the next batch forks a new
+helper.
 
 Only evidence, endorsements, results, policies, claim sets and (elsewhere)
 target environments and result messages store values, in their instance dict.
@@ -63,7 +71,9 @@ import atexit
 import contextlib
 import hashlib
 import hmac
+import mmap
 import os
+import select
 import struct
 import threading
 from dataclasses import dataclass
@@ -166,10 +176,6 @@ class ClaimValue:
             raise ModelError(f"claim value {self.value!r} invalid for kind {self.kind}")
 
     @staticmethod
-    def of_bytes(v: bytes) -> "ClaimValue":
-        return ClaimValue("bytes", v)
-
-    @staticmethod
     def of_text(v: str) -> "ClaimValue":
         return ClaimValue("text", v)
 
@@ -180,10 +186,6 @@ class ClaimValue:
     @staticmethod
     def of_digest(v: Digest) -> "ClaimValue":
         return ClaimValue("digest", v)
-
-    @staticmethod
-    def of_geo(lat: float, lon: float, alt: float = 0.0) -> "ClaimValue":
-        return ClaimValue("geo", GeoPoint(lat, lon, alt))
 
 
 class ClaimSet:
@@ -538,12 +540,13 @@ def _signing_bytes(message, table: Table) -> bytes:
     return _once(message, "signing_bytes", lambda: encode(table, message))
 
 
-def _signature_valid(message, public_key: bytes) -> bool:
-    """The stored check; a queued evidence's is the helper's answer."""
+def _signature_valid(message) -> bool:
+    """The stored check of `message` under its signer's key; a queued
+    message's may be the helper's answer."""
     while id(message) in _helper.queued:  # read in send order, up to its batch
         _helper.read_oldest()
-    return _once(message, "signature_valid",
-                 lambda: verify_bytes(message.signing_bytes(), message.signature, public_key))
+    return _once(message, "signature_valid", lambda: verify_bytes(
+        message.signing_bytes(), message.signature, message.signer.public_key))
 
 
 def _decode_signed(table: Table, data: bytes, depth: int = 1):
@@ -585,54 +588,100 @@ def sign_message(message, key: SigningKey):
 
 
 # ---------------------------------------------------------------------------
-# Evidence signature checks in a helper process (see the module docstring)
+# Signature checks shared with a helper process (see the module docstring)
 # ---------------------------------------------------------------------------
 
-_CHECKS = seq(seq(BLOB))  # per check: the signed bytes, the signature, the public key
+# the slot of the batch's first flag, then per check: the signed bytes, the
+# signature, the public key
+_REQUEST = pair(U64, seq(seq(BLOB)))
+# Checks per batch: the flags are two halves of this many bytes, and each of
+# the at most two unread batches holds one half.
+_HALF = 1024
+_SKIPPED = 2  # the helper's answer for a check that this process took
+
+
+def _take(flags, slot: int) -> bool:
+    """Mark the check at `slot` taken, unless the other process already has:
+    whether this process may verify it. Both may read the flag as free and
+    both verify, which gives the same answer twice."""
+    if flags[slot]:
+        return False
+    flags[slot] = 1
+    return True
+
+
+def _ready(stream) -> bool:
+    """Whether reading `stream` would not block: it holds data, or its end."""
+    poll = select.poll()
+    poll.register(stream, select.POLLIN)
+    return bool(poll.poll(0))
 
 
 class _Helper:
-    """This process's helper: its pid, this process's ends of its pipes, and
-    the evidences sent whose answers are unread, by batch, with their ids."""
+    """This process's helper: its pid, this process's ends of its pipes, the
+    flags shared with it, and the messages sent whose answers are unread, by
+    batch with the slot of the batch's first flag, and their ids."""
 
     def __init__(self):
-        self.pid, self.requests, self.answers, self.batches, self.queued = 0, None, None, [], set()
+        self.pid, self.requests, self.answers, self.flags = 0, None, None, None
+        self.batches, self.queued = [], set()
 
     def send(self, batch: list):
-        """Queue the checks of `batch`'s evidences; on failure, queue nothing."""
+        """Queue the checks of `batch`'s messages, at most `_HALF`; on
+        failure, queue nothing."""
         if len(self.batches) == 2:
             self.read_oldest()  # answers left unread would fill both pipes and block
-        request = encode(BLOB, encode(_CHECKS, [
-            (ev.signing_bytes(), ev.signature, ev.attester.public_key) for ev in batch]))
+        slot = _HALF - self.batches[0][1] if self.batches else 0  # the half no batch holds
+        request = encode(BLOB, encode(_REQUEST, (slot, [
+            (m.signing_bytes(), m.signature, m.signer.public_key) for m in batch])))
         try:
             if not self.pid:
                 self._fork()
             if self.requests.write(request) != len(request):
                 raise OSError("short write")
-            self.batches.append(batch)
+            self.batches.append((batch, slot))
             self.queued.update(map(id, batch))
         except OSError:  # no process to fork, or the helper died
             self.stop()
 
     def read_oldest(self):
-        """Store the oldest batch's answers on its evidences, or stop the helper."""
-        batch = self.batches.pop(0)
+        """Store the oldest batch's answers on its messages, or stop the
+        helper. If they are not in yet, first verify the batch here from its
+        tail, until a check that the helper took."""
+        batch, slot = self.batches.pop(0)
         self.queued.difference_update(map(id, batch))
         try:
-            answers = self.answers.read(len(batch))
+            if not _ready(self.answers):
+                for i in reversed(range(len(batch))):
+                    if not _take(self.flags, slot + i):
+                        break
+                    _signature_valid(batch[i])  # no longer queued: verified here
+            answers = self._read(len(batch))
         except BaseException:  # cut short, it leaves the later answers out of step
             self.stop()
             raise
-        if len(answers) == len(batch) and set(answers) <= {0, 1}:
-            for ev, answer in zip(batch, answers):
-                _once(ev, "signature_valid", lambda: answer == 1)
+        if len(answers) == len(batch) and set(answers) <= {0, 1, _SKIPPED}:
+            self.flags[slot : slot + len(batch)] = bytes(len(batch))
+            for message, answer in zip(batch, answers):
+                if answer != _SKIPPED:
+                    _once(message, "signature_valid", lambda: answer == 1)
         else:
             self.stop()
 
+    def _read(self, n: int) -> bytes:
+        """`n` answers, or fewer at the end of the pipe. The reader is
+        unbuffered, so that no answer sits where polling does not see it."""
+        answers = b""
+        while len(answers) < n and (chunk := self.answers.read(n - len(answers))):
+            answers += chunk
+        return answers
+
     def _fork(self):
+        flags = mmap.mmap(-1, 2 * _HALF)  # anonymous, shared with the child
         request_r, request_w, answer_r, answer_w = os.pipe() + os.pipe()
         self.requests = open(request_w, "wb", buffering=0)  # so that closing it never writes
-        self.answers = open(answer_r, "rb")
+        self.answers = open(answer_r, "rb", buffering=0)
+        self.flags = flags
         try:
             pid = os.fork()
         except OSError:
@@ -642,11 +691,15 @@ class _Helper:
         if pid == 0:
             code = 1
             try:
+                # the fork handler has already dropped the helper, map
+                # included: the child holds the map through `flags`
                 self.drop()  # holding the request pipe open, it would never see its end
                 requests, answers = open(request_r, "rb"), open(answer_w, "wb", buffering=0)
                 while header := requests.read(_U32.size):  # until the parent closes the pipe
-                    checks = decode(_CHECKS, requests.read(_U32.unpack(header)[0]))
-                    answers.write(bytes(verify_bytes(*check) for check in checks))
+                    slot, checks = decode(_REQUEST, requests.read(_U32.unpack(header)[0]))
+                    answers.write(bytes(
+                        verify_bytes(*check) if _take(flags, slot + i) else _SKIPPED
+                        for i, check in enumerate(checks)))
                 code = 0
             finally:
                 os._exit(code)  # flushes and tears down nothing of the parent's
@@ -656,7 +709,8 @@ class _Helper:
 
     def drop(self):
         """Forget the helper and its queue, closing this process's pipe ends;
-        a forked child does so at once, so as not to hold the helper's pipe open."""
+        a forked child does so at once, so as not to hold the helper's pipe
+        open. The map is not closed: a helper just forked still uses it."""
         for stream in filter(None, (self.requests, self.answers)):
             stream.close()
         self.__init__()
@@ -677,15 +731,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper.drop)
 
 
-def check_evidence_signatures(evidences: Sequence["Evidence"]) -> None:
-    """Queue, as one batch for the helper, the checks of the signed `evidences`
-    neither checked nor queued yet; their stored checks read the answers."""
-    batch = [ev for ev in evidences if ev.signature and id(ev) not in _helper.queued
-             and "signature_valid" not in ev.__dict__.get("_memo", {})]
+def check_signatures(messages: Sequence) -> None:
+    """Queue for the helper the checks of the signed `messages` (evidence,
+    endorsements or results) neither checked nor queued yet, each once, in
+    batches of at most `_HALF`; their stored checks read the answers."""
+    batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
+                  and "signature_valid" not in m.__dict__.get("_memo", {})}.values())
     if (batch and hasattr(os, "fork")
             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
             and threading.active_count() == 1):
-        _helper.send(batch)
+        for start in range(0, len(batch), _HALF):
+            _helper.send(batch[start : start + _HALF])
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +796,10 @@ class Evidence:
     def from_bytes(data: bytes) -> "Evidence":
         return _decode_signed(_EVIDENCE, data)
 
+    signer = property(attrgetter("attester"))  # the EntityId whose key signs
+
     def verify_signature(self) -> bool:
-        return _signature_valid(self, self.attester.public_key)
+        return _signature_valid(self)
 
 
 def _get_component(dec: Decoder) -> Evidence:
@@ -795,8 +853,10 @@ class Endorsement:
     def from_bytes(data: bytes) -> "Endorsement":
         return _decode_signed(_ENDORSEMENT, data)
 
+    signer = property(attrgetter("endorser"))  # the EntityId whose key signs
+
     def verify_signature(self) -> bool:
-        return _signature_valid(self, self.endorser.public_key)
+        return _signature_valid(self)
 
 
 _ENDORSEMENT = Table(
@@ -857,8 +917,10 @@ class AttestationResult:
     def from_bytes(data: bytes) -> "AttestationResult":
         return _decode_signed(_RESULT, data)
 
+    signer = property(attrgetter("verifier"))  # the EntityId whose key signs
+
     def verify_signature(self) -> bool:
-        return _signature_valid(self, self.verifier.public_key)
+        return _signature_valid(self)
 
 
 _RESULT = Table(

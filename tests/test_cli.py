@@ -21,6 +21,7 @@ from attestnet.model import (
     ClaimSet,
     ClaimValue,
     EvidencePolicy,
+    Nonce,
     PolicyRule,
     Role,
     RuleKind,
@@ -163,6 +164,52 @@ class TestAppraise:
         ])
         result = AttestationResult.from_bytes(out.read_bytes())
         assert result.verdict == Verdict.COMPLIANT and result.verify_signature()
+
+
+class TestChallengeTick:
+    """`--nonce HEX:TICK` gives the challenge's tick, so freshness counts from
+    when the challenge was issued, not from the tick the evidence echoes."""
+
+    VALUE = bytes(range(16))
+
+    @pytest.fixture
+    def late_echo(self, tmp_path, attester, env):
+        """Evidence echoing the challenge's value with the later tick 150,
+        and a policy with a freshness window of 10."""
+        evidence = attester.generate_evidence(env, Nonce(self.VALUE, 150), 150)
+        policy = EvidencePolicy("cli-policy", (), freshness_window=10)
+        paths = (tmp_path / "evidence.bin", tmp_path / "policy.bin")
+        paths[0].write_bytes(evidence.to_bytes())
+        paths[1].write_bytes(policy.to_bytes())
+        return [str(path) for path in paths]
+
+    def appraise(self, files, nonce):
+        return main(["appraise", *files, "--nonce", nonce, "--clock", "150"])
+
+    def test_a_late_echo_is_neither_the_nonce_nor_fresh(self, late_echo, capsys):
+        assert self.appraise(late_echo, f"{self.VALUE.hex()}:100") == EXIT_NON_COMPLIANT
+        captured = capsys.readouterr()
+        assert captured.out == "verdict: non_compliant\nnonce\nstale\n"
+        assert captured.err == ""
+
+    def test_the_honest_echo_is_compliant(self, late_echo, capsys):
+        assert self.appraise(late_echo, f"{self.VALUE.hex()}:150") == EXIT_OK
+        assert capsys.readouterr() == ("verdict: compliant\n", "")
+
+    def test_a_bare_value_takes_the_echoed_tick_and_says_so(self, late_echo, capsys):
+        assert self.appraise(late_echo, self.VALUE.hex()) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "verdict: compliant\n"
+        assert captured.err.count("\n") == 1
+        assert "no tick" in captured.err
+
+    @pytest.mark.parametrize("tick", ["-1", str(2**64), "x", "1.5", ""])
+    def test_a_tick_outside_u64_exits_2(self, late_echo, tick, capsys):
+        assert self.appraise(late_echo, f"{self.VALUE.hex()}:{tick}") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("appraise: bad nonce: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSimulate:

@@ -163,22 +163,32 @@ def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
 
 @pytest.fixture
 def helper_checks(monkeypatch):
-    """Counts the signature checks queued for the helper."""
-    counts = {"checks": 0}
-    send = model._Helper.send
+    """Counts the signature checks queued for the helper, and the helper's
+    answers that this process reads: 0 or 1 for a check the helper made, 2
+    for one that it left to this process."""
+    counts = {"checks": 0, "answers": bytearray()}
+    send, read = model._Helper.send, model._Helper._read
 
     def counting_send(self, batch):
         counts["checks"] += len(batch)
         return send(self, batch)
 
+    def recording_read(self, n):
+        data = read(self, n)
+        counts["answers"].extend(data)
+        return data
+
     monkeypatch.setattr(model._Helper, "send", counting_send)
+    monkeypatch.setattr(model._Helper, "_read", recording_read)
     return counts
 
 
 def test_simulate_checks_each_evidence_once(budget, helper_checks, monkeypatch, tmp_path,
                                             capsys):
-    """With the helper on, every evidence signature is checked exactly once,
-    by the helper: the only verifies here are of the endorsements."""
+    """With the helper on, every evidence and endorsement signature is queued
+    once, and the helper answers each once. Each check is made at least once
+    and at most twice: here, by the helper, or by both when both take it at
+    once; the helper leaves a check to this process only if it made it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
     doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
@@ -186,10 +196,13 @@ def test_simulate_checks_each_evidence_once(budget, helper_checks, monkeypatch, 
     scenario = tmp_path / "fleet.json"
     scenario.write_text(json.dumps(doc))
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
-    evidences = 2 * len(doc["nodes"]) * doc["epochs"]
-    # each endorsement is checked once, here: the verifiers share the objects
-    assert helper_checks["checks"] == evidences
-    assert budget["verifies"] == len(doc["products"])
+    # the verifiers share the endorsement objects: each is queued once
+    checks = 2 * len(doc["nodes"]) * doc["epochs"] + len(doc["products"])
+    answers = helper_checks["answers"]
+    assert helper_checks["checks"] == len(answers) == checks
+    helper = sum(answer != 2 for answer in answers)
+    assert answers.count(2) <= budget["verifies"] <= checks
+    assert checks <= budget["verifies"] + helper <= 2 * checks
 
 
 def test_simulate_builds_each_block_once(blocks, tmp_path, capsys):

@@ -402,7 +402,7 @@ def _endorsement_object(data, manufacturer, product: bytes) -> bytes:
         return data.draw(st.binary(max_size=40))
     claim = ClaimValue.of_digest(digest(product + b"x" if kind == "other_product" else product))
     if kind == "bytes_claim":
-        claim = ClaimValue.of_bytes(digest(product).value)
+        claim = ClaimValue("bytes", digest(product).value)
     genuine = make_endorsement(manufacturer, "widget", ClaimSet({"product.digest": claim}), 1)
     encoded = genuine.to_bytes()
     if kind == "truncated":

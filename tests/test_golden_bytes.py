@@ -42,11 +42,11 @@ VERIFIER = EntityId(Role.VERIFIER, "verifier-a", VERIFIER_KEY.public_bytes)
 ENDORSER = EntityId(Role.ENDORSER, "vendor-a", ENDORSER_KEY.public_bytes)
 
 CLAIMS = ClaimSet({
-    "b": ClaimValue.of_bytes(b"\x00\xff"),
+    "b": ClaimValue("bytes", b"\x00\xff"),
     "t": ClaimValue.of_text("text é"),
     "i": ClaimValue.of_int(-7),
     "d": ClaimValue.of_digest(digest(b"d")),
-    "g": ClaimValue.of_geo(48.15, 11.58, 520.0),
+    "g": ClaimValue("geo", GeoPoint(48.15, 11.58, 520.0)),
 })
 
 

@@ -5,6 +5,9 @@ byte format of every message, digest and block the simulation produces. A
 change to any of them must show up here.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,40 @@ def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().out == (
         "tip: 4badecafee0e4c9fc3258c35f8fcdaf13d0216082b8b392b43284002985bc40e\n")
+
+
+# Runs `simulate` on one scenario with the helper off (one CPU reported) and
+# on with 1, 16 and 64 nodes per batch, each into its own directory.
+_RUNS = """
+import os, sys
+from attestnet import cli, consortium
+for cpus, batch in (({0}, 16), ({0, 1}, 1), ({0, 1}, 16), ({0, 1}, 64)):
+    os.sched_getaffinity = lambda pid, cpus=cpus: cpus
+    consortium.BATCH_NODES = batch
+    out = os.path.join(sys.argv[2], f"{len(cpus)}-{batch}")
+    assert cli.main(["simulate", sys.argv[1], "--out", out]) == 0
+"""
+
+
+def test_tip_depends_on_the_scenario_alone(tmp_path, monkeypatch):
+    """Which process makes a signature check depends on timing, and string
+    hashing on `PYTHONHASHSEED`; neither may reach the ledger. A generated
+    40-node, 3-epoch scenario with cloned configurations gives the same
+    `ledger.hex` under `PYTHONHASHSEED` 0 and 1, with the helper off, and on
+    with 1, 16 and 64 nodes per batch."""
+    from .test_bench_bindings import _perfbench_module
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    inputs = workloads.generate_sim(workloads.SimShape(40, 2, 1, 32, 3, "clone_config"), 5)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(inputs.scenario_text, encoding="utf-8")
+    src = str(Path(attestnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        run = subprocess.run([sys.executable, "-c", _RUNS, str(scenario), str(tmp_path / seed)],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert run.returncode == 0, run.stderr
+    ledgers = {out.read_bytes() for out in tmp_path.glob("*/*/ledger.hex")}
+    assert len(list(tmp_path.glob("*/*/ledger.hex"))) == 8
+    assert len(ledgers) == 1

@@ -323,11 +323,11 @@ def _encodings() -> dict:
         ("config.digest",),
     )
     claims = ClaimSet({
-        "b": ClaimValue.of_bytes(b"\x00\xff"),
+        "b": ClaimValue("bytes", b"\x00\xff"),
         "t": ClaimValue.of_text("text"),
         "i": ClaimValue.of_int(-7),
         "d": ClaimValue.of_digest(digest(b"d")),
-        "g": ClaimValue.of_geo(1.0, 2.0, 3.0),
+        "g": ClaimValue("geo", GeoPoint(1.0, 2.0, 3.0)),
     })
     evidence = Evidence(
         _entity(), claims, Nonce(b"\x03" * 16, 1), 2,
@@ -489,8 +489,8 @@ def _canonical_cases() -> dict:
     component = sign_message(Evidence(_entity(), ClaimSet(), Nonce(b"\x04" * 16, 1), 1),
                              _ENTITY_KEY)
     composite = sign_message(
-        Evidence(_entity(), ClaimSet({"g": ClaimValue.of_geo(1.0, 2.0)}), Nonce(b"\x05" * 16, 1),
-                 2, components=(component,), lead_assertion=True),
+        Evidence(_entity(), ClaimSet({"g": ClaimValue("geo", GeoPoint(1.0, 2.0, 0.0))}),
+                 Nonce(b"\x05" * 16, 1), 2, components=(component,), lead_assertion=True),
         _ENTITY_KEY,
     )
     endorsement = make_endorsement(SignerIdentity(_FUZZ_VERIFIER, _FUZZ_KEY), "p",

@@ -1,12 +1,13 @@
-"""The helper process that checks evidence signatures for `run_epoch`.
+"""The helper process that shares signature checks with this process.
 
-Every answer the helper gives must be the answer `verify_bytes` gives in this
-process, stored on the right evidence; a helper that dies or answers short
-must change no answer; no helper is forked where forking is unsafe or
-useless; and none outlives its process or is kept alive by a forked one. The
-helper is on here whenever the gate allows it: each test that needs it
-patches `os.sched_getaffinity` to report two CPUs, so the tests do not depend
-on the host's."""
+Every stored check must be the answer `verify_bytes` gives in this process,
+stored on the right evidence; each queued check is made at least once, and at
+most twice (by both processes, when both take it at once); a helper that dies,
+answers short or skips a check must change no answer; no helper is forked
+where forking is unsafe or useless; and none outlives its process or is kept
+alive by a forked one. The helper is on here whenever the gate allows it: each
+test that needs it patches `os.sched_getaffinity` to report two CPUs, so the
+tests do not depend on the host's."""
 
 import json
 import os
@@ -26,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from attestnet import model
 from attestnet.cli import EXIT_OK, main
 from attestnet.consortium import BATCH_NODES
-from attestnet.model import check_evidence_signatures, new_nonce, verify_bytes
+from attestnet.model import check_signatures, new_nonce, verify_bytes
 
 KINDS = ("valid", "tampered", "wrong_key", "empty_signature", "garbage_key", "off_curve_key")
 # one batch of `run_epoch`: two evidences per node
@@ -90,6 +91,26 @@ def parent_verifies(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def helper_answers(monkeypatch):
+    """The answer bytes that this process reads from the helper, in order:
+    0 or 1 for a check the helper made, 2 for one it skipped."""
+    answers = bytearray()
+    read = model._Helper._read
+
+    def recording_read(self, n):
+        data = read(self, n)
+        answers.extend(data)
+        return data
+
+    monkeypatch.setattr(model._Helper, "_read", recording_read)
+    return answers
+
+
+def helper_verifies(answers) -> int:
+    return sum(answer != 2 for answer in answers)
+
+
 def batch(signed, kinds):
     evidences, spare = signed
     return [variant(evidences[i % len(evidences)], kind, spare) for i, kind in enumerate(kinds)]
@@ -97,51 +118,60 @@ def batch(signed, kinds):
 
 def check(evidences):
     """Queue the checks of `evidences`, then ask for each, as `run_epoch` does."""
-    check_evidence_signatures(evidences)
+    check_signatures(evidences)
     for ev in evidences:
         ev.verify_signature()
 
 
 def queued_ids():
-    return [[id(ev) for ev in each] for each in model._helper.batches]
+    return [[id(ev) for ev in each] for each, _ in model._helper.batches]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2 * BATCH),
                 min_size=1, max_size=3),
        st.randoms(use_true_random=False))
-def test_stored_answers_equal_fresh_checks(signed, two_cpus, parent_verifies, kinds, order):
+def test_stored_answers_equal_fresh_checks(signed, two_cpus, parent_verifies, helper_answers,
+                                           kinds, order):
     """1 to 3 batches mixing valid and broken signatures, all queued before
     any check is asked for, then asked for in any order: each check is the
-    fresh in-process one, stored on its own evidence, and only the unsigned
-    evidences, which are never sent, are verified in this process."""
+    fresh in-process one, stored on its own evidence. Each is made at least
+    once and at most twice: once here at most, once by the helper at most,
+    which answers every signed evidence once, and skips only checks made
+    here. The unsigned evidences are never sent."""
     model._helper.stop()
     batches = [batch(signed, each) for each in kinds]
     parent_verifies["verifies"] = 0
+    helper_answers.clear()
     for evs in batches:
-        check_evidence_signatures(evs)
+        check_signatures(evs)
     asked = [ev for evs in batches for ev in evs]
     order.shuffle(asked)
     for ev in asked:
         assert ev.verify_signature() is fresh_check(ev)
     for ev in asked:
         assert stored_check(ev) is fresh_check(ev)
-    unsigned = sum(not ev.signature for ev in asked)
-    assert parent_verifies["verifies"] == unsigned
+    signed_count = sum(bool(ev.signature) for ev in asked)
+    assert len(helper_answers) == signed_count
+    assert parent_verifies["verifies"] <= len(asked)
+    assert helper_answers.count(2) <= parent_verifies["verifies"] - (len(asked) - signed_count)
+    assert len(asked) <= parent_verifies["verifies"] + helper_verifies(helper_answers)
     assert model._helper.queued == set() and model._helper.batches == []
-    assert (model._helper.pid != 0) == (unsigned < len(asked))
+    assert (model._helper.pid != 0) == (signed_count > 0)
 
 
-def test_checked_evidence_is_not_sent_again(signed, two_cpus, parent_verifies):
-    """An evidence already checked, one already queued, and one not signed
-    yet (its check would describe the empty signature) are never sent."""
+def test_checked_evidence_is_not_sent_again(signed, two_cpus, parent_verifies, helper_answers):
+    """An evidence already checked, one already queued, one listed twice,
+    and one not signed yet (its check would describe the empty signature)
+    are never sent: the helper answers the 7 others once each."""
     evidences = batch(signed, ["valid"] * 8 + ["empty_signature"])
     evidences[0].verify_signature()
-    check_evidence_signatures(evidences)
-    check_evidence_signatures(evidences)
+    check_signatures(evidences + evidences[1:2])
+    check_signatures(evidences)
     assert queued_ids() == [[id(ev) for ev in evidences[1:-1]]]
     check(evidences)
-    assert parent_verifies["verifies"] == 2
+    assert len(helper_answers) == 7
+    assert 2 <= parent_verifies["verifies"] <= 2 + 7
     assert all(stored_check(ev) is fresh_check(ev) for ev in evidences)
 
 
@@ -157,15 +187,16 @@ def _reaped(pid: int) -> bool:
     return False
 
 
-def test_helper_killed_while_a_batch_is_queued(signed, two_cpus, parent_verifies):
+def test_helper_killed_while_a_batch_is_queued(signed, two_cpus, parent_verifies,
+                                               helper_answers):
     """The helper dies holding a request it never answers: the answers are
     short, so the batch is checked in this process, the dead helper is
-    reaped, and the next batch forks a new helper that answers it."""
+    reaped, and the next batch forks a new helper that answers all of it."""
     check(batch(signed, _kinds(BATCH)))
     first = model._helper.pid
     os.kill(first, signal.SIGSTOP)  # queued, never read
     queued = batch(signed, _kinds(BATCH + 5))
-    check_evidence_signatures(queued)
+    check_signatures(queued)
     os.kill(first, signal.SIGKILL)
     parent_verifies["verifies"] = 0
     for ev in queued:
@@ -175,10 +206,10 @@ def test_helper_killed_while_a_batch_is_queued(signed, two_cpus, parent_verifies
     assert model._helper.pid == 0 and _reaped(first)
 
     after = [ev for ev in batch(signed, _kinds(BATCH + 7)) if ev.signature]
-    parent_verifies["verifies"] = 0
+    helper_answers.clear()
     check(after)
     assert model._helper.pid not in (0, first)
-    assert parent_verifies["verifies"] == 0
+    assert len(helper_answers) == len(after)
     assert all(stored_check(ev) is fresh_check(ev) for ev in after)
 
 
@@ -275,29 +306,22 @@ class Interrupted(BaseException):
     pass
 
 
-class CutShort:
-    """The helper's answer stream, whose first read is interrupted."""
-
-    def __init__(self, stream):
-        self.stream, self.cut = stream, False
-
-    def read(self, n: int) -> bytes:
-        if not self.cut:
-            self.cut = True
-            raise Interrupted
-        return self.stream.read(n)
-
-    def close(self):
-        self.stream.close()
-
-
-def test_a_read_cut_short_stops_the_helper(signed, two_cpus):
+def test_a_read_cut_short_stops_the_helper(signed, two_cpus, monkeypatch):
     """A read of the answers that an exception cuts short (an interrupt, say)
     stops the helper, so no later batch takes an earlier batch's answers."""
     valid, tampered = batch(signed, ["valid"] * BATCH), batch(signed, ["tampered"] * BATCH)
-    check_evidence_signatures(valid)
-    check_evidence_signatures(tampered)
-    model._helper.answers = CutShort(model._helper.answers)
+    check_signatures(valid)
+    check_signatures(tampered)
+    read = model._Helper._read
+    cut = []
+
+    def cut_short(self, n):
+        if not cut:
+            cut.append(n)
+            raise Interrupted
+        return read(self, n)
+
+    monkeypatch.setattr(model._Helper, "_read", cut_short)
     with pytest.raises(Interrupted):
         valid[0].verify_signature()
     assert model._helper.pid == 0
@@ -309,7 +333,7 @@ def test_a_batch_nobody_asked_for_is_stored_on_its_own_evidences(signed, two_cpu
     appraising it) has its answers read before the next batch's, stored on
     its own evidences, and the helper keeps running."""
     valid = batch(signed, ["valid"] * BATCH)
-    check_evidence_signatures(valid)  # never asked for
+    check_signatures(valid)  # never asked for
     first = model._helper.pid
     tampered = batch(signed, ["tampered"] * BATCH)
     check(tampered)
@@ -319,7 +343,7 @@ def test_a_batch_nobody_asked_for_is_stored_on_its_own_evidences(signed, two_cpu
 
 
 def _timeout(signum, frame):
-    raise AssertionError("queueing blocked")  # not an OSError, which the helper would take
+    raise AssertionError("blocked past the alarm")  # not an OSError, which the helper would take
 
 
 def test_answers_nobody_reads_never_block(signed, two_cpus):
@@ -337,7 +361,7 @@ def test_answers_nobody_reads_never_block(signed, two_cpus):
         queued = []
         for _ in range(2100):
             queued.append([replace(ev) for ev in bases])
-            check_evidence_signatures(queued[-1])
+            check_signatures(queued[-1])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -345,6 +369,83 @@ def test_answers_nobody_reads_never_block(signed, two_cpus):
     assert all(ev.verify_signature() is want
                for copies in queued for ev, want in zip(copies, expected))
     assert all(stored_check(ev) is want for copies in queued for ev, want in zip(copies, expected))
+
+
+def test_a_skipped_check_is_never_stored(signed, two_cpus, parent_verifies, helper_answers):
+    """The helper answers 2 for a check whose flag it finds marked, and that
+    answer is never stored: checks marked (here, while the helper is
+    stopped) but never made are made here when they are asked for."""
+    check(batch(signed, ["valid"]))
+    helper = model._helper.pid
+    tampered = batch(signed, ["tampered"] * 4)
+    os.kill(helper, signal.SIGSTOP)
+    try:
+        check_signatures(tampered)
+        (_, slot), = model._helper.batches
+        model._helper.flags[slot : slot + len(tampered)] = b"\x01" * len(tampered)
+    finally:
+        os.kill(helper, signal.SIGCONT)
+    parent_verifies["verifies"] = 0
+    helper_answers.clear()
+    assert [ev.verify_signature() for ev in tampered] == [False] * len(tampered)
+    assert helper_answers == b"\x02" * len(tampered)
+    assert parent_verifies["verifies"] == len(tampered)
+    assert model._helper.pid == helper
+
+
+def test_shared_flags_under_preemption(signed, monkeypatch):
+    """This process and its helper pinned to one CPU, so that they
+    interleave at every preemption, while the gate still sees two: 300
+    batches mixing valid, tampered and wrong-key evidence, each asked for
+    while the next one is queued, as `run_epoch` does. Every stored check is
+    the fresh one, no flag is left marked, and the helper exits cleanly. A
+    missing answer hangs; that fails after 60 s."""
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    kinds = ("valid", "tampered", "wrong_key")
+    queued = []
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    os.sched_setaffinity(0, {min(cpus)})  # the helper, forked below, inherits it
+    signal.alarm(60)
+    try:
+        for i in range(300):
+            queued.append(batch(signed, [kinds[(i + j) % 3] for j in range(1 + i % BATCH)]))
+            check_signatures(queued[-1])
+            for ev in queued[-2] if i else ():
+                ev.verify_signature()
+        for ev in queued[-1]:
+            ev.verify_signature()
+        assert not any(model._helper.flags[:])
+        assert model._helper.stop() == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.sched_setaffinity(0, cpus)
+    assert all(stored_check(ev) is fresh_check(ev) for evs in queued for ev in evs)
+
+
+def test_a_slow_helper_leaves_the_tail_to_this_process(signed, two_cpus, parent_verifies,
+                                                       monkeypatch):
+    """A helper whose verifies take 20 ms each would take 0.64 s over a batch
+    of 32; this process does not wait for it, but makes the checks from the
+    batch's tail until it meets the one the helper is making, so the batch's
+    checks are all in well before that."""
+    parent, verify = os.getpid(), model.verify_bytes
+
+    def slow_in_the_helper(*args):
+        if os.getpid() != parent:
+            time.sleep(0.02)
+        return verify(*args)
+
+    monkeypatch.setattr(model, "verify_bytes", slow_in_the_helper)  # before the fork
+    evidences = batch(signed, ["valid", "tampered"] * (BATCH // 2))
+    check_signatures(evidences)
+    start = time.monotonic()
+    answers = [ev.verify_signature() for ev in evidences]
+    elapsed = time.monotonic() - start
+    assert answers == [fresh_check(ev) for ev in evidences]
+    assert parent_verifies["verifies"] > 0
+    assert elapsed < BATCH * 0.02 / 4
 
 
 # ---------------------------------------------------------------------------
