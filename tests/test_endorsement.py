@@ -1,5 +1,8 @@
+import gc
 import random
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +125,43 @@ class TestContentStore:
         reopened = ContentStore(tmp_path / "store")
         assert reopened.get(addr) == b"persist me"
 
+    def test_an_equal_value_gets_the_held_address_object(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        addr = store.put(b"shared cert")
+        assert store.put(bytes(bytearray(b"shared cert"))) is addr
+        reopened = ContentStore(tmp_path / "store")
+        loaded = reopened.put(b"shared cert")
+        assert loaded == addr and reopened.put(b"shared cert") is loaded
+
+    def test_a_held_value_is_not_written_again(self, rng, tmp_path, monkeypatch):
+        """N registrations under one manufacturer write N endorsements and
+        the shared cert and root once each: N + 2 files, not 3N."""
+        written = []
+        write = Path.write_bytes
+        monkeypatch.setattr(Path, "write_bytes",
+                            lambda path, data: written.append(path.name) or write(path, data))
+        store = ContentStore(tmp_path / "store")
+        manufacturer, _, _, ledger, objects = _setup_registration(rng, store=store)
+        for i in range(1, 5):
+            endorsement = make_endorsement(manufacturer, f"widget-{i}", ClaimSet({}), issued_at=i)
+            objects = [("endorsement", endorsement.to_bytes())] + objects[1:]
+            register_endorsement(manufacturer, f"widget-{i}", objects, store, ledger, clock=i)
+        assert len(written) == len(set(written)) == 5 + 2
+
+    @pytest.mark.parametrize("where", ["memory", "disk"])
+    def test_the_next_put_repairs_a_corrupted_entry(self, tmp_path, where):
+        store = ContentStore(tmp_path / "store")
+        addr = store.put(b"genuine")
+        if where == "memory":
+            store._corrupt(addr, b"altered")
+        else:
+            (tmp_path / "store" / addr.hex()).write_bytes(b"altered")
+            store = ContentStore(tmp_path / "store")
+        assert not store.check(addr)
+        assert store.put(b"genuine") == addr
+        assert store.check(addr) and store.get(addr) == b"genuine"
+        assert ContentStore(tmp_path / "store").check(addr)
+
     @pytest.mark.parametrize("name, is_dir", [("README", False), ("ab" * 31, False), ("ab" * 32, True)],
                              ids=["not_hex", "hex_of_31_bytes", "directory"])
     def test_an_entry_not_named_by_an_address_is_a_ledger_error(self, tmp_path, name, is_dir):
@@ -190,7 +230,28 @@ class TestRegisterEndorsement:
             ledger.append(record)
         with pytest.raises(LedgerError, match="bytearray"):
             ledger.append(bytearray(record.to_bytes()))
+        with pytest.raises(LedgerError, match="bytearray"):
+            ledger.includes(bytearray(record.to_bytes()))
         assert len(ledger) == 1
+
+    def test_the_index_answers_for_the_bytes_not_the_object(self, rng, verifies):
+        """The index is keyed by a hash of the record's bytes: a decoded copy's
+        bytes get the same answers, and a copy with one byte changed is
+        neither included nor verified, whatever was asked before it."""
+        _, record, store, ledger, _ = _setup_registration(rng)
+        assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
+        data = record.to_bytes()
+        copy = EndorsementRecord.from_bytes(data).to_bytes()
+        changed = bytearray(data)
+        changed[len(data) // 2] ^= 1
+        changed = bytes(changed)
+        for asked in (copy, changed, data, changed, copy):
+            assert ledger.includes(asked) is (asked == data)
+            assert ledger.verified_cert(asked) == (record.manufacturer.public_key
+                                                   if asked == data else None)
+        ledger.store_verified_cert(changed, b"cert")
+        assert not ledger.includes(changed) and ledger.verified_cert(changed) is None
+        assert len(verifies) == 1
 
     def test_missing_mandatory_label_rejected(self, rng):
         manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)
@@ -200,6 +261,30 @@ class TestRegisterEndorsement:
                 [("endorsement", b"e"), ("manufacturer_cert", b"c")],
                 ContentStore(), EndorsementsLedger(), 0,
             )
+
+
+def test_bytes_held_per_record(rng):
+    """2,000 products registered under one manufacturer: the store, the
+    ledger and the returned records hold under 1,100 bytes per record
+    (about 900 on CPython 3.11). They held about 1,350 when the ledger was
+    keyed by each record's bytes and every registration built new address
+    objects for the manufacturer's shared cert and root."""
+    manufacturer = SignerIdentity.create(Role.ENDORSER, "acme", rng)
+    cert, root = manufacturer.entity.public_key, b"root-ca-certificate"
+    objects = [[("endorsement", b"endorsement %06d" % i + bytes(200)),
+                ("manufacturer_cert", cert), ("root_cert", root)] for i in range(2000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store, ledger = ContentStore(), EndorsementsLedger()
+        records = [register_endorsement(manufacturer, f"sku-{i:06d}", objs, store, ledger, i)
+                   for i, objs in enumerate(objects)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(ledger) == 2000
+    assert held / len(records) < 1100
 
 
 class TestVerifyProduct:

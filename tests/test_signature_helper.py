@@ -213,6 +213,89 @@ def test_helper_killed_while_a_batch_is_queued(signed, two_cpus, parent_verifies
     assert all(stored_check(ev) is fresh_check(ev) for ev in after)
 
 
+WAIT_S = 0.3  # the answers' bound in the two tests below
+
+
+@pytest.fixture
+def alarm():
+    """Fails a test still blocked after 30 s."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def short_wait(monkeypatch, alarm):
+    monkeypatch.setattr(model, "_ANSWER_WAIT_S", WAIT_S)
+
+
+def _asked_within_the_bound(queued, helper):
+    """Ask for every check of `queued`: each is the fresh one, and the
+    silent `helper` is killed and reaped within the bound."""
+    start = time.monotonic()
+    answers = [ev.verify_signature() for ev in queued]
+    elapsed = time.monotonic() - start
+    assert answers == [fresh_check(ev) for ev in queued]
+    assert all(stored_check(ev) is fresh_check(ev) for ev in queued)
+    assert model._helper.pid == 0 and _reaped(helper)
+    assert 0.9 * WAIT_S <= elapsed < WAIT_S + 2  # it waited for the bound, and no longer
+
+
+def _a_new_helper_answers_the_next_batch(signed, helper, helper_answers):
+    after = [ev for ev in batch(signed, _kinds(BATCH + 7)) if ev.signature]
+    helper_answers.clear()
+    check(after)
+    assert model._helper.pid not in (0, helper)
+    assert len(helper_answers) == len(after)
+    assert all(stored_check(ev) is fresh_check(ev) for ev in after)
+
+
+def test_helper_stopped_while_a_batch_is_queued(signed, two_cpus, short_wait, helper_answers):
+    """A helper that is alive but stopped never answers the batch queued
+    while it is stopped: this process checks the batch, the wait for the
+    answers ends at the bound, and the helper is killed and reaped."""
+    check(batch(signed, _kinds(BATCH)))
+    helper = model._helper.pid
+    os.kill(helper, signal.SIGSTOP)
+    os.waitpid(helper, os.WUNTRACED)  # until it is stopped
+    queued = batch(signed, _kinds(BATCH + 5))
+    check_signatures(queued)
+    _asked_within_the_bound(queued, helper)
+    _a_new_helper_answers_the_next_batch(signed, helper, helper_answers)
+
+
+def test_a_helper_one_answer_short(signed, two_cpus, short_wait, helper_answers):
+    """A helper that answers one byte fewer than its batch has checks (here,
+    the batch gains a check the request never carried), then waits for the
+    next request: the answers are cut at the bound, the helper is killed
+    and reaped, and every check of the batch is still the fresh one."""
+    check(batch(signed, _kinds(BATCH)))
+    helper = model._helper.pid
+    queued = [ev for ev in batch(signed, _kinds(BATCH)) if ev.signature]
+    check_signatures(queued)
+    (sent, _), = model._helper.batches
+    helper_answers.clear()
+    extra = batch(signed, ["tampered"])[0]
+    sent.append(extra)
+    model._helper.queued.add(id(extra))
+    _asked_within_the_bound(queued + [extra], helper)
+    assert len(helper_answers) == len(queued)
+    _a_new_helper_answers_the_next_batch(signed, helper, helper_answers)
+
+
+def test_a_stopped_helper_with_nothing_queued_is_reaped(signed, two_cpus, alarm):
+    """Stopping a helper that is stopped (with nothing queued, as at exit)
+    continues it, so that it sees the end of its requests and exits."""
+    check(batch(signed, _kinds(BATCH)))
+    helper = model._helper.pid
+    os.kill(helper, signal.SIGSTOP)
+    os.waitpid(helper, os.WUNTRACED)  # until it is stopped
+    assert model._helper.stop() == 0
+    assert _reaped(helper)
+
+
 def test_helper_killed_between_batches(signed, two_cpus):
     check(batch(signed, _kinds(BATCH)))
     first = model._helper.pid
