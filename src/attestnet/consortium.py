@@ -52,6 +52,8 @@ from .model import (
 )
 
 GENESIS_PREV = Digest(ZERO_DIGEST)
+_GOVERNANCE = pair(U64, F64)  # a governance record's payload: the new majority, the diversity
+_AUDIT = pair(TEXT, seq(BLOB))  # the domain id and its epoch's audit entries
 
 
 class SimError(ValueError):
@@ -337,7 +339,7 @@ def update_governance(universe: Universe, diversity: float) -> int:
     if new != universe.effective_majority:
         universe.effective_majority = new
         universe.pending_records.append(
-            LedgerRecord("governance", encode(pair(U64, F64), (new, diversity)))
+            LedgerRecord("governance", encode(_GOVERNANCE, (new, diversity)))
         )
     return universe.effective_majority
 
@@ -470,7 +472,7 @@ def run_epoch(universe: Universe) -> EpochReport:
 
 
 def audit_digest(domain_id: str, entries: Sequence[bytes]) -> Digest:
-    return digest(encode(pair(TEXT, seq(BLOB)), (domain_id, entries)))
+    return digest(encode(_AUDIT, (domain_id, entries)))
 
 
 # ---------------------------------------------------------------------------

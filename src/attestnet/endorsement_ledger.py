@@ -15,8 +15,11 @@ from 41.9 to 40.1 MiB (2-vCPU host, CPython 3.11). Records are slotted and hold
 no stored values (`model._once`): storing their bytes, root and signature check
 raised that peak by 4.5%.
 
-A registration, like `verify_product`, encodes the record once and the ledger
-hashes those bytes once; the signature covers them less the signature blob.
+A registration builds the record unsigned, encodes it once and sets the
+signature on that same record, as `model.sign_message` does for messages;
+`verify_product` also encodes the record once, and the ledger hashes those
+bytes once. The signature covers them less the signature blob. Both compute
+the Merkle root level by level, keeping only the level at hand.
 `verify_product` fails with the first of: the record is not on the ledger
 (`ledger_mismatch`), an object is not intact (`store_corrupt`), the root does
 not cover the objects (`root_mismatch`), the manufacturer did not sign the
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from string import hexdigits
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .model import (
@@ -77,36 +79,38 @@ class LedgerError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
-    """Every level of the tree over the raw leaf values, leaf hashes first."""
+def _leaf_hashes(leaves: Sequence[Digest]) -> list[bytes]:
     if not leaves:
         raise LedgerError("merkle tree requires at least one leaf")
-    level = [sha256(LEAF_PREFIX + leaf).digest() for leaf in leaves]
-    levels = [level]
-    while len(level) > 1:
-        nxt = [sha256(NODE_PREFIX + level[i] + level[i + 1]).digest()
-               for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])  # odd node promoted unchanged
-        levels.append(nxt)
-        level = nxt
-    return levels
+    return [sha256(LEAF_PREFIX + leaf.value).digest() for leaf in leaves]
+
+
+def _parents(level: list[bytes]) -> list[bytes]:
+    """The level above `level`: each pair hashed, an odd last node promoted unchanged."""
+    n = len(level)
+    return [sha256(NODE_PREFIX + level[i] + level[i + 1]).digest() if i + 1 < n else level[i]
+            for i in range(0, n, 2)]
 
 
 def merkle_root(leaves: Sequence[Digest]) -> Digest:
-    return Digest(_levels([leaf.value for leaf in leaves])[-1][0])
+    """The root, hashed level by level, keeping only the level at hand."""
+    level = _leaf_hashes(leaves)
+    while len(level) > 1:
+        level = _parents(level)
+    return Digest(level[0])
 
 
 def merkle_prove(leaves: Sequence[Digest], index: int) -> list[tuple[bool, Digest]]:
     """Inclusion proof for leaves[index]: list of (sibling_is_left, sibling)."""
     if not 0 <= index < len(leaves):
         raise LedgerError("proof index out of range")
-    proof = []
-    for level in _levels([leaf.value for leaf in leaves])[:-1]:
+    proof, level = [], _leaf_hashes(leaves)
+    while len(level) > 1:
         sibling = index ^ 1
         if sibling < len(level):
             proof.append((sibling < index, Digest(level[sibling])))
         index //= 2
+        level = _parents(level)
     return proof
 
 
@@ -144,9 +148,9 @@ class ContentStore:
         key = sha256(value).digest()
         address, held = self._entries.get(key) or (Digest(key), None)
         if held != value:
-            self._entries[key] = (address, value)
-            if self._dir is not None:
+            if self._dir is not None:  # first, so that a failed write holds nothing
                 (self._dir / address.hex()).write_bytes(value)
+            self._entries[key] = (address, value)
         return address
 
     def get(self, address: Digest) -> Optional[bytes]:
@@ -266,14 +270,13 @@ def register_endorsement(
     if missing:
         raise LedgerError(f"missing mandatory verification objects: {missing}")
     refs = tuple([(label, store.put(data)) for label, data in objects])
-    # the record's fields, encoded once before the signed record exists
-    fields = SimpleNamespace(manufacturer=manufacturer.entity, product_id=product_id,
-                             merkle_root=merkle_root([addr for _, addr in refs]),
-                             object_refs=refs, registered_at=clock)
-    data = encode(_RECORD, fields)
+    record = EndorsementRecord(manufacturer.entity, product_id,
+                               merkle_root([addr for _, addr in refs]), refs, clock)
+    data = encode(_RECORD, record)  # unsigned: the fields are the signed bytes
     signature = manufacturer.key.sign(data)
+    object.__setattr__(record, "signature", signature)  # the dataclass is frozen
     ledger.append(with_signature(data, signature))
-    return EndorsementRecord(**vars(fields), signature=signature)
+    return record
 
 
 def verify_product(

@@ -7,10 +7,13 @@ checks.
 
 import hashlib
 import hmac
+import operator
 import struct
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+from attestnet.model import Decoder, Digest, ModelError
 
 
 def sha256(data: bytes) -> bytes:
@@ -233,3 +236,98 @@ def evaluate_policy_bruteforce(claims: dict, references: dict, policy_rules: lis
     if soft:
         return "unknown", soft
     return "compliant", []
+
+
+# ---------------------------------------------------------------------------
+# The canonical codec, walked field by field
+# ---------------------------------------------------------------------------
+#
+# A field table is compiled into straight-line code. This walk reads the same
+# table at run time, one kind at a time: the reference for the compiled code.
+# It reads through `Decoder.raw` alone, and calls a "call" kind's own
+# functions, as the compiled code does.
+
+
+def walk_encode(kind, value) -> bytes:
+    """What `model.encode(kind, value)` should give."""
+    out = []
+    _walk_put(kind, out, value)
+    return b"".join(out)
+
+
+def _walk_put(kind, out: list, value):
+    form, args = kind.form, kind.args
+    if form == "fixed":
+        out.append(args[0].pack(value))
+    elif form == "bool":
+        out.append(b"\x01" if value else b"\x00")
+    elif form in ("blob", "text"):
+        out.append(_blob(value.encode("utf-8") if form == "text" else value))
+    elif form == "digest":
+        out.append(value.value)
+    elif form == "tag":
+        _walk_put(args[3], out, {v: c for c, v in args[0].items()}[value])
+    elif form == "seq":
+        out.append(len(value).to_bytes(8, "big"))
+        for item in value:
+            _walk_put(args[0], out, item)
+    elif form == "optional":
+        out.append(b"\x00" if value is None else b"\x01")
+        if value is not None:
+            _walk_put(args[0], out, value)
+    elif form == "pair":
+        _walk_put(args[0], out, value[0])
+        _walk_put(args[1], out, value[1])
+    elif form == "table":
+        for name, field in args[1]:
+            _walk_put(field, out, operator.attrgetter(name)(value))
+    else:
+        assert form == "call", form
+        args[0](out, value)
+
+
+def walk_decode(kind, data: bytes, depth: int = 1):
+    """What `model.decode(kind, data, depth)` should give."""
+    dec = Decoder(data, depth)
+    value = _walk_get(kind, dec)
+    dec.done()
+    return value
+
+
+def _walk_get(kind, dec):
+    form, args = kind.form, kind.args
+    if form == "fixed":
+        return args[0].unpack(dec.raw(args[0].size))[0]
+    if form in ("bool", "optional"):
+        flag = dec.raw(1)[0]
+        if flag > 1:
+            raise ModelError(f"flag byte {flag} is neither 0 nor 1")
+        if form == "bool":
+            return flag == 1
+        return _walk_get(args[0], dec) if flag else None
+    if form in ("blob", "text"):
+        raw = dec.raw(int.from_bytes(dec.raw(4), "big"))
+        if form == "blob":
+            return raw
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError("text field is not valid UTF-8") from exc
+    if form == "digest":
+        return Digest(dec.raw(32))
+    if form == "tag":
+        code = _walk_get(args[3], dec)
+        if code not in args[0]:
+            raise ModelError(f"unknown {args[2]} {code!r}")
+        return args[0][code]
+    if form == "seq":
+        count = int.from_bytes(dec.raw(8), "big")
+        return tuple([_walk_get(args[0], dec) for _ in range(count)])
+    if form == "pair":
+        return _walk_get(args[0], dec), _walk_get(args[1], dec)
+    if form == "table":
+        make, fields, trailer = args
+        kinds = [field for _, field in fields] + ([trailer] if trailer else [])
+        return make(*[_walk_get(field, dec) for field in kinds])
+    assert form == "call", form
+    return args[1](dec)

@@ -162,6 +162,25 @@ class TestContentStore:
         assert store.check(addr) and store.get(addr) == b"genuine"
         assert ContentStore(tmp_path / "store").check(addr)
 
+    def test_a_put_whose_write_failed_writes_when_retried(self, tmp_path, monkeypatch):
+        """A value whose file write raised is not held, so a retried put
+        writes it, and a store reopened from the directory has it."""
+        write = Path.write_bytes
+        failures = [OSError(28, "No space left on device")]
+
+        def failing_write(path, data):
+            if failures:
+                raise failures.pop()
+            return write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write)
+        store = ContentStore(tmp_path / "store")
+        with pytest.raises(OSError):
+            store.put(b"retried")
+        addr = store.put(b"retried")
+        assert store.get(addr) == b"retried"
+        assert ContentStore(tmp_path / "store").get(addr) == b"retried"
+
     @pytest.mark.parametrize("name, is_dir", [("README", False), ("ab" * 31, False), ("ab" * 32, True)],
                              ids=["not_hex", "hex_of_31_bytes", "directory"])
     def test_an_entry_not_named_by_an_address_is_a_ledger_error(self, tmp_path, name, is_dir):

@@ -12,7 +12,6 @@ from attestnet.model import (
     AttestationResult,
     ClaimSet,
     ClaimValue,
-    Decoder,
     Digest,
     Endorsement,
     EntityId,
@@ -371,7 +370,7 @@ class TestDecoderErrors:
 
     def test_invalid_utf8_text(self):
         with pytest.raises(ModelError, match="UTF-8"):
-            Decoder(b"\x00\x00\x00\x01\xff").text()
+            decode(model.TEXT, b"\x00\x00\x00\x01\xff")
 
     @pytest.mark.parametrize("cls", [AttestationResult, EvidencePolicy, Evidence],
                              ids=lambda c: c.__name__)

@@ -231,15 +231,32 @@ def short_wait(monkeypatch, alarm):
     monkeypatch.setattr(model, "_ANSWER_WAIT_S", WAIT_S)
 
 
-def _asked_within_the_bound(queued, helper):
+@pytest.fixture
+def stop_statuses(monkeypatch):
+    """The wait status that each stop of a helper reaps (None: no helper)."""
+    statuses = []
+    stop = model._Helper.stop
+
+    def recording_stop(self, kill=False):
+        statuses.append(stop(self, kill))
+        return statuses[-1]
+
+    monkeypatch.setattr(model._Helper, "stop", recording_stop)
+    return statuses
+
+
+def _asked_within_the_bound(queued, helper, stop_statuses):
     """Ask for every check of `queued`: each is the fresh one, and the
-    silent `helper` is killed and reaped within the bound."""
+    silent `helper` is killed (by SIGKILL, not ended any other way) and
+    reaped within the bound."""
     start = time.monotonic()
     answers = [ev.verify_signature() for ev in queued]
     elapsed = time.monotonic() - start
     assert answers == [fresh_check(ev) for ev in queued]
     assert all(stored_check(ev) is fresh_check(ev) for ev in queued)
     assert model._helper.pid == 0 and _reaped(helper)
+    status, = [status for status in stop_statuses if status is not None]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     assert 0.9 * WAIT_S <= elapsed < WAIT_S + 2  # it waited for the bound, and no longer
 
 
@@ -252,7 +269,8 @@ def _a_new_helper_answers_the_next_batch(signed, helper, helper_answers):
     assert all(stored_check(ev) is fresh_check(ev) for ev in after)
 
 
-def test_helper_stopped_while_a_batch_is_queued(signed, two_cpus, short_wait, helper_answers):
+def test_helper_stopped_while_a_batch_is_queued(signed, two_cpus, short_wait, helper_answers,
+                                                stop_statuses):
     """A helper that is alive but stopped never answers the batch queued
     while it is stopped: this process checks the batch, the wait for the
     answers ends at the bound, and the helper is killed and reaped."""
@@ -262,11 +280,11 @@ def test_helper_stopped_while_a_batch_is_queued(signed, two_cpus, short_wait, he
     os.waitpid(helper, os.WUNTRACED)  # until it is stopped
     queued = batch(signed, _kinds(BATCH + 5))
     check_signatures(queued)
-    _asked_within_the_bound(queued, helper)
+    _asked_within_the_bound(queued, helper, stop_statuses)
     _a_new_helper_answers_the_next_batch(signed, helper, helper_answers)
 
 
-def test_a_helper_one_answer_short(signed, two_cpus, short_wait, helper_answers):
+def test_a_helper_one_answer_short(signed, two_cpus, short_wait, helper_answers, stop_statuses):
     """A helper that answers one byte fewer than its batch has checks (here,
     the batch gains a check the request never carried), then waits for the
     next request: the answers are cut at the bound, the helper is killed
@@ -280,7 +298,7 @@ def test_a_helper_one_answer_short(signed, two_cpus, short_wait, helper_answers)
     extra = batch(signed, ["tampered"])[0]
     sent.append(extra)
     model._helper.queued.add(id(extra))
-    _asked_within_the_bound(queued + [extra], helper)
+    _asked_within_the_bound(queued + [extra], helper, stop_statuses)
     assert len(helper_answers) == len(queued)
     _a_new_helper_answers_the_next_batch(signed, helper, helper_answers)
 
