@@ -28,6 +28,7 @@ from .model import (
     Role,
     SigningKey,
     Table,
+    _digest_of,
     _once,
     decode,
     digest,
@@ -63,7 +64,7 @@ class TargetEnvironment:
         return encode(_TARGET, self)
 
     def config_digest(self) -> Digest:
-        return _once(self, "config_digest", lambda: digest(self.to_bytes()))
+        return _once(self, "config_digest", _digest_of)
 
 
 _TARGET = Table(
@@ -83,7 +84,7 @@ def measure(env: TargetEnvironment) -> ClaimSet:
     The environment is immutable, so its claims are measured once and stored
     on it; a changed environment is a new object with nothing stored.
     """
-    return _once(env, "claims", lambda: _measure(env))
+    return _once(env, "claims", _measure)
 
 
 def _measure(env: TargetEnvironment) -> ClaimSet:

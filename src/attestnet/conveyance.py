@@ -82,18 +82,21 @@ class ResultMsg:
         """The message conveying the signed `result` from `sender`, which
         carries `result` itself rather than a decode of its bytes."""
         msg = ResultMsg(sender, result.to_bytes())
-        _once(msg, "result", lambda: result)
+        _once(msg, "result", lambda m: result)
         return msg
 
     def result(self) -> AttestationResult:
-        return _once(self, "result", lambda: AttestationResult.from_bytes(self.result_bytes))
+        return _once(self, "result", ResultMsg._decode)
+
+    def _decode(self) -> AttestationResult:
+        return AttestationResult.from_bytes(self.result_bytes)
 
     def forwarded_by(self, sender: EntityId, result_bytes: bytes) -> "ResultMsg":
         """`result_bytes` conveyed on by `sender`; if they equal this message's
         bytes, the forward shares this message's decoded result."""
         forward = ResultMsg(sender, result_bytes)
         if result_bytes == self.result_bytes:
-            _once(forward, "result", self.result)
+            _once(forward, "result", lambda m: self.result())
         return forward
 
 

@@ -20,12 +20,16 @@ evidence nested at most `MAX_COMPONENT_DEPTH` deep, checked before it is
 decoded. Every decoding failure raises `ModelError`.
 
 Because messages never change, what is derived from them is worked out at most
-once per object and stored on it: the signing bytes and signature validity of
-evidence, endorsements and results, the digest of a policy, and the encoded
-entries of a claim set (which every evidence or endorsement holding that claim
-set appends to its signing bytes). A changed message is a new object built with
-`dataclasses.replace`, and a changed claim set a new `ClaimSet`; either starts
-with nothing stored, so a stored value can never describe other field values.
+once per object and stored on it by `_once`: the signing bytes and signature
+validity of evidence, endorsements and results, the digest and rule plan of a
+policy, and the encoded entries of a claim set (which every evidence or
+endorsement holding that claim set appends to its signing bytes). They sit in
+the instance dict, outside the dataclass fields, so equality and repr ignore
+them. A stored read is two dict reads and builds nothing: a caller passes a
+function of the value made once (`Table.encode`, say), not a closure made for
+the call. A changed message is a new object built with `dataclasses.replace`,
+and a changed claim set a new `ClaimSet`; either starts with nothing stored,
+so a stored value can never describe other field values.
 
 Signing is the one change made in place. A signed message is built once,
 unsigned, and `sign_message` sets the signature on that same object: the
@@ -60,13 +64,12 @@ kill the helper and reap it; a check that nobody stored is made here when it
 is asked for, and the next batch forks a new helper. Any other stop continues
 the helper first, so that one stopped with nothing queued still exits.
 
-Only evidence, endorsements, results, policies, claim sets and (elsewhere)
-target environments and result messages store values, in their instance dict.
-Every other frozen value type (`Digest`, `Nonce`, `GeoPoint`, `ClaimValue`,
-`EntityId`, `LayerRecord`, `GeoFence`, `PolicyRule`, ...) is a slotted
-dataclass with no instance dict: it stores nothing, and a long run holds many
-of them (on CPython 3.11 a `Digest` object takes 40 bytes instead of 80,
-not counting its value).
+Only the message types above, policies, claim sets and (elsewhere) target
+environments and result messages store values. Every other frozen value type
+(`Digest`, `Nonce`, `GeoPoint`, `ClaimValue`, `EntityId`, `LayerRecord`,
+`GeoFence`, `PolicyRule`, ...) is a slotted dataclass with no instance dict, as
+a long run holds many of them (on CPython 3.11 a `Digest` takes 40 bytes
+instead of 80, not counting its value).
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import ItemsView, Optional, Sequence, Union
 
@@ -125,21 +129,23 @@ def digest(data: bytes) -> Digest:
     return Digest(hashlib.sha256(data).digest())
 
 
+def _digest_of(value) -> Digest:
+    return digest(value.to_bytes())
+
+
 def keyed_digest(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256; the keyed variant used for layer-secret derivation."""
     return hmac.new(key, data, hashlib.sha256).digest()
 
 
 def _once(value, name: str, compute):
-    """`compute()` for the immutable `value`, run on the first request only.
-
-    The result is stored in the instance dict, outside the dataclass fields,
-    so equality and repr ignore it and `dataclasses.replace` drops it.
-    """
-    memo = value.__dict__.setdefault("_memo", {})
-    if name not in memo:
-        memo[name] = compute()
-    return memo[name]
+    """`compute(value)`, stored on the immutable `value` at the first request
+    (see the module docstring); nothing stored is None."""
+    memo = value.__dict__.get("_memo") or value.__dict__.setdefault("_memo", {})
+    stored = memo.get(name)
+    if stored is None:
+        memo[name] = stored = compute(value)
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +565,7 @@ class Table(Kind):
 
     def __init__(self, make, *fields: tuple[str, Kind], trailer: Optional[Kind] = None):
         super().__init__("table", make, fields, trailer)
+        self.encode = partial(encode, self)  # a function of the value, for `_once`
 
 
 def encode(kind: Kind, value) -> bytes:
@@ -636,20 +643,16 @@ def _get_claims(dec: Decoder) -> ClaimSet:
     return ClaimSet(dict(entries))
 
 
-def _put_claims(out: list, cs: ClaimSet):
-    out.append(_once(cs, "encoded", lambda: encode(_CLAIM_ENTRIES, cs.items())))
+def _encode_claims(cs: ClaimSet) -> bytes:
+    return encode(_CLAIM_ENTRIES, cs.items())
 
 
 # A claim set: its entries in ascending key byte order, each key once.
-CLAIMS = Kind("call", _put_claims, _get_claims)
+CLAIMS = Kind("call", lambda out, cs: out.append(_once(cs, "encoded", _encode_claims)), _get_claims)
 
 
 # Evidence, endorsements and results are signed messages: their signing bytes
 # are the fields of their table, and `to_bytes` appends the signature as a blob.
-
-
-def _signing_bytes(message, table: Table) -> bytes:
-    return _once(message, "signing_bytes", lambda: encode(table, message))
 
 
 def _signature_valid(message) -> bool:
@@ -657,15 +660,18 @@ def _signature_valid(message) -> bool:
     message's may be the helper's answer."""
     while id(message) in _helper.queued:  # read in send order, up to its batch
         _helper.read_oldest()
-    return _once(message, "signature_valid", lambda: verify_bytes(
-        message.signing_bytes(), message.signature, message.signer.public_key))
+    return _once(message, "signature_valid", _verify_message)
+
+
+def _verify_message(message) -> bool:
+    return verify_bytes(message.signing_bytes(), message.signature, message.signer.public_key)
 
 
 def _decode_signed(table: Table, data: bytes, depth: int = 1):
     """The signed message that `data` encodes, holding the bytes it was
     signed over: `data` without the trailing signature blob."""
     message = decode(table, data, depth)
-    _once(message, "signing_bytes", lambda: signed_part(data, message.signature))
+    _once(message, "signing_bytes", lambda m: signed_part(data, m.signature))
     return message
 
 
@@ -781,7 +787,7 @@ class _Helper:
             self.flags[slot : slot + len(batch)] = bytes(len(batch))
             for message, answer in zip(batch, answers):
                 if answer != _SKIPPED:
-                    _once(message, "signature_valid", lambda: answer == 1)
+                    _once(message, "signature_valid", lambda m: answer == 1)
         else:
             self.stop(kill=True)
 
@@ -907,12 +913,10 @@ class Evidence:
             raise ModelError("component nesting exceeds depth 4")
 
     def _depth(self) -> int:
-        if not self.components:
-            return 1
-        return 1 + max(c._depth() for c in self.components)
+        return 1 + max((c._depth() for c in self.components or ()), default=0)
 
     def signing_bytes(self) -> bytes:
-        return _signing_bytes(self, _EVIDENCE)
+        return _once(self, "signing_bytes", _EVIDENCE.encode)
 
     def to_bytes(self) -> bytes:
         return with_signature(self.signing_bytes(), self.signature)
@@ -969,7 +973,7 @@ class Endorsement:
             raise ModelError("product id must be non-empty")
 
     def signing_bytes(self) -> bytes:
-        return _signing_bytes(self, _ENDORSEMENT)
+        return _once(self, "signing_bytes", _ENDORSEMENT.encode)
 
     def to_bytes(self) -> bytes:
         return with_signature(self.signing_bytes(), self.signature)
@@ -1033,7 +1037,7 @@ class AttestationResult:
             raise ModelError("verdict is compliant iff reasons are empty")
 
     def signing_bytes(self) -> bytes:
-        return _signing_bytes(self, _RESULT)
+        return _once(self, "signing_bytes", _RESULT.encode)
 
     def to_bytes(self) -> bytes:
         return with_signature(self.signing_bytes(), self.signature)
@@ -1105,12 +1109,7 @@ class PolicyRule:
     def __post_init__(self):
         if not self.rule_id:
             raise ModelError("rule id must be non-empty")
-        if self.kind in (
-            RuleKind.REFERENCE_MATCH,
-            RuleKind.VERSION_AT_LEAST,
-            RuleKind.GEO_FENCE,
-            RuleKind.CLAIM_PRESENT,
-        ) and not self.claim_key:
+        if self.kind != RuleKind.COMPONENTS_ALL_COMPLIANT and not self.claim_key:
             raise ModelError(f"rule kind {self.kind.value} requires a claim key")
         if self.kind == RuleKind.GEO_FENCE and self.fence is None:
             raise ModelError("geo_fence rule requires fence bounds")
@@ -1137,7 +1136,7 @@ class EvidencePolicy:
         return decode(_POLICY, data)
 
     def digest(self) -> Digest:
-        return _once(self, "digest", lambda: digest(self.to_bytes()))
+        return _once(self, "digest", _digest_of)
 
 
 _RULE = Table(

@@ -5,12 +5,15 @@ Appraisals take the reference claims already merged from the endorsements
 (`merge_reference_claims`), so a verifier that appraises many times merges
 and checks its endorsements once, not once per appraisal.
 
-The policy rules judge only the claim set, the merged references and the
-policy, so their reasons are worked out once per (claim set, reference map,
-policy) and stored on the claim set, which every evidence of an unchanged
-configuration shares. They are stored only when the reference map is a
-`MappingProxyType`: the read-only view that `merge_reference_claims` returns
-over a dict that nothing else holds, so that its contents never change. (A
+The rules are judged from a plan made once per policy object and stored on it:
+claim_present, version_at_least and geo_fence rules on every claim set, and
+reference_match rules, vacuous on an absent claim, by claim key, walking the
+claim keys or the plan's, whichever are fewer; the reasons keep policy order.
+They judge only the claim set, the merged references and the policy, so they
+are worked out once per (claim set, reference map, policy) and stored on the
+claim set, which every evidence of an unchanged configuration shares, but only
+when the reference map is a `MappingProxyType`: the read-only view that
+`merge_reference_claims` returns over a dict that nothing else holds. (A
 caller passing a view of its own must not change the dict under it.) Any other
 mapping, such as a plain dict that its caller may change in place, is
 evaluated at every appraisal. A changed endorsement set is a new reference map
@@ -89,6 +92,23 @@ def merge_reference_claims(endorsements: Sequence[Endorsement]) -> Mapping[str, 
     return MappingProxyType({k: v for k, (_, v) in merged.items()})
 
 
+def _rule_plan(policy: EvidencePolicy) -> tuple[list, dict]:
+    """`policy`'s rules, each with its place in the policy: those judged on
+    every claim set, as (place, id, claim key, claim kind, test of the value),
+    and the reference_match rules by claim key, as (place, id)."""
+    every, by_key = [], {}
+    for place, rule in enumerate(policy.rules):
+        if rule.kind == RuleKind.REFERENCE_MATCH:
+            by_key.setdefault(rule.claim_key, []).append((place, rule.rule_id))
+        elif rule.kind == RuleKind.VERSION_AT_LEAST:  # value >= bound
+            every.append((place, rule.rule_id, rule.claim_key, "int", rule.bound.__le__))
+        elif rule.kind == RuleKind.GEO_FENCE:
+            every.append((place, rule.rule_id, rule.claim_key, "geo", rule.fence.contains))
+        elif rule.kind == RuleKind.CLAIM_PRESENT:
+            every.append((place, rule.rule_id, rule.claim_key, None, None))
+    return every, by_key  # components_all_compliant is judged by appraise_composite
+
+
 def _evaluate_rules(
     claims: ClaimSet,
     references: Mapping[str, ClaimValue],
@@ -98,29 +118,23 @@ def _evaluate_rules(
     for key in policy.required_claims:
         if key not in claims:
             reasons.append(f"missing_claim:{key}")
-    for rule in policy.rules:
-        if rule.kind == RuleKind.COMPONENTS_ALL_COMPLIANT:
-            continue  # handled by composite appraisal
-        claim = claims.get(rule.claim_key)
-        if rule.kind == RuleKind.CLAIM_PRESENT:
-            if claim is None:
-                reasons.append(rule.rule_id)
-        elif rule.kind == RuleKind.REFERENCE_MATCH:
-            if claim is None:
-                # vacuous on an absent claim; presence is enforced separately
-                # via claim_present rules or required_claims
-                continue
-            ref = references.get(rule.claim_key)
+    every, by_key = _once(policy, "rule_plan", _rule_plan)
+    failed = []
+    for place, rule_id, key, kind, test in every:
+        claim = claims.get(key)
+        if claim is None or (kind and (claim.kind != kind or not test(claim.value))):
+            failed.append((place, rule_id))
+    for key in claims.keys() if len(claims) < len(by_key) else by_key:
+        rules, claim = by_key.get(key), claims.get(key)
+        if rules and claim is not None:
+            ref = references.get(key)
             if ref is None:
-                reasons.append(rule.rule_id + NO_REFERENCE_SUFFIX)
+                failed += [(place, rule_id + NO_REFERENCE_SUFFIX) for place, rule_id in rules]
             elif claim != ref:
-                reasons.append(rule.rule_id)
-        elif rule.kind == RuleKind.VERSION_AT_LEAST:
-            if claim is None or claim.kind != "int" or claim.value < rule.bound:
-                reasons.append(rule.rule_id)
-        elif rule.kind == RuleKind.GEO_FENCE:
-            if claim is None or claim.kind != "geo" or not rule.fence.contains(claim.value):
-                reasons.append(rule.rule_id)
+                failed += rules
+    if failed:
+        failed.sort()  # into policy order
+        reasons += [reason for _, reason in failed]
     return reasons
 
 
@@ -135,13 +149,17 @@ def _rule_reasons(
         return _evaluate_rules(claims, references, policy)
     # Keyed by identity: each entry holds both objects, so neither id can name
     # another object while the entry exists, and the `is` checks confirm a hit.
-    stored = _once(claims, "rule_reasons", dict)
+    stored = _once(claims, "rule_reasons", _new_store)
     key = (id(references), id(policy))
     entry = stored.get(key)
     if entry is None or entry[0] is not references or entry[1] is not policy:
         entry = (references, policy, tuple(_evaluate_rules(claims, references, policy)))
         stored[key] = entry
     return entry[2]
+
+
+def _new_store(claims: ClaimSet) -> dict:
+    return {}
 
 
 def _evaluate_evidence(

@@ -238,6 +238,41 @@ def evaluate_policy_bruteforce(claims: dict, references: dict, policy_rules: lis
     return "compliant", []
 
 
+def evaluate_rules_loop(claims, references, policy) -> list:
+    """The policy rule reasons of `claims` (a `ClaimSet`) against
+    `references` and `policy` (an `EvidencePolicy`), one loop over every rule
+    in policy order: the reference for the verifier's indexed evaluation."""
+    reasons = []
+    for key in policy.required_claims:
+        if key not in claims:
+            reasons.append(f"missing_claim:{key}")
+    for rule in policy.rules:
+        kind = rule.kind.value
+        claim = claims.get(rule.claim_key)
+        if kind == "claim_present":
+            if claim is None:
+                reasons.append(rule.rule_id)
+        elif kind == "reference_match":
+            if claim is None:
+                continue  # vacuous on an absent claim
+            ref = references.get(rule.claim_key)
+            if ref is None:
+                reasons.append(rule.rule_id + ".no_reference")
+            elif claim != ref:
+                reasons.append(rule.rule_id)
+        elif kind == "version_at_least":
+            if claim is None or claim.kind != "int" or claim.value < rule.bound:
+                reasons.append(rule.rule_id)
+        elif kind == "geo_fence":
+            fence = rule.fence
+            if claim is None or claim.kind != "geo" or not (
+                fence.lat_min <= claim.value.latitude <= fence.lat_max
+                and fence.lon_min <= claim.value.longitude <= fence.lon_max
+            ):
+                reasons.append(rule.rule_id)
+    return reasons
+
+
 # ---------------------------------------------------------------------------
 # The canonical codec, walked field by field
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from attestnet import cli
 from attestnet.cli import (
     EXIT_INTEGRITY,
     EXIT_NON_COMPLIANT,
@@ -409,6 +410,25 @@ def _simulate(tmp_path, doc) -> int:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return main(["simulate", str(path), "--out", str(tmp_path / "o")])
+
+
+def test_main_shares_one_parser_and_runs_the_command_bound_when_it_runs(tmp_path, monkeypatch,
+                                                                       capsys):
+    """The parser is built once per process, and `main` looks up `cmd_<name>`
+    as it runs the command, so a command patched after the first call (as the
+    benchmark's tracing does) is the one that runs."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parse, parsed = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: parsed.append(argv) or parse(argv))
+    scenario = str(SCENARIO_DIR / "healthy-4nodes.json")
+    assert main(["simulate", scenario, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("tip: ")
+    ran = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: ran.append(args.out) or 42)
+    assert main(["simulate", scenario, "--out", str(tmp_path / "b")]) == 42
+    assert ran == [str(tmp_path / "b")] and len(parsed) == 2
+    assert not (tmp_path / "b").exists()
 
 
 class TestBadScenario:

@@ -5,7 +5,9 @@ byte format of every message, digest and block the simulation produces. A
 change to any of them must show up here.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import attestnet
+from attestnet import model
 from attestnet.cli import EXIT_OK, main
 
 SCENARIO_DIR = Path(attestnet.__file__).parent / "scenarios"
@@ -28,6 +31,26 @@ def test_bundled_scenario_tip(name, tmp_path, capsys):
     code = main(["simulate", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == f"tip: {GOLDEN_TIPS[name]}"
+
+
+@pytest.fixture
+def nothing_stored(monkeypatch):
+    """`model._once` computes every time, in `model` and in each attestnet
+    module that imports it: no stored value is ever read back."""
+    once, patched = model._once, []
+    for info in pkgutil.iter_modules(attestnet.__path__):
+        module = importlib.import_module(f"attestnet.{info.name}")
+        if vars(module).get("_once") is once:
+            patched.append(info.name)
+            monkeypatch.setattr(module, "_once", lambda value, name, compute: compute(value))
+    assert {"model", "verifier", "attester", "conveyance"} <= set(patched)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TIPS))
+def test_bundled_scenario_tip_with_nothing_stored(name, nothing_stored, tmp_path, capsys):
+    """Stored values are invisible: with every one computed afresh, both
+    bundled scenarios keep their pinned tips."""
+    test_bundled_scenario_tip(name, tmp_path, capsys)
 
 
 def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):

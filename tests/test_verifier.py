@@ -2,7 +2,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from attestnet import verifier
 from attestnet.attester import AttestingEnvironment, layer_chain_from_images, measure
 from attestnet.model import (
     ClaimSet,
@@ -11,6 +13,7 @@ from attestnet.model import (
     Evidence,
     EvidencePolicy,
     GeoFence,
+    GeoPoint,
     Nonce,
     PolicyRule,
     ResultPolicy,
@@ -32,7 +35,7 @@ from attestnet.verifier import (
 )
 
 from .conftest import random_env
-from .oracles import evaluate_policy_bruteforce
+from .oracles import evaluate_policy_bruteforce, evaluate_rules_loop
 
 
 def trivial_policy(freshness=10, rules=(), required=()):
@@ -202,6 +205,40 @@ class TestOracleEquivalence:
                 assert after.verdict == Verdict.COMPLIANT
             if before.verdict == Verdict.NON_COMPLIANT:
                 assert after.verdict == Verdict.NON_COMPLIANT
+
+
+# Policies, claim sets and reference maps over a few keys, so that keys and
+# rule ids repeat, claims are absent or of the wrong kind, and references miss.
+_KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
+_VALUES = st.one_of(
+    st.builds(ClaimValue.of_int, st.integers(0, 3)),
+    st.builds(ClaimValue.of_digest, st.sampled_from([Digest(bytes(32)), Digest(b"\x01" * 32)])),
+    st.builds(ClaimValue.of_text, st.sampled_from(["x", "y"])),
+    st.builds(ClaimValue, st.just("bytes"), st.sampled_from([b"x", b"y"])),
+    st.builds(ClaimValue, st.just("geo"), st.sampled_from(
+        [GeoPoint(0.0, 0.0, 0.0), GeoPoint(10.0, 10.0, 0.0), GeoPoint(10.0, -10.0, 0.0)])),
+)
+_FENCES = st.sampled_from([GeoFence(-5.0, 5.0, -5.0, 5.0), GeoFence(0.0, 20.0, 0.0, 20.0)])
+_RULES = st.builds(
+    PolicyRule, st.sampled_from(["r1", "r2", "r3", "r4"]), st.sampled_from(list(RuleKind)), _KEYS,
+    st.integers(0, 4), _FENCES,
+)
+_POLICIES = st.builds(
+    EvidencePolicy, st.just("p-drawn"), st.lists(_RULES, max_size=12).map(tuple), st.just(10),
+    st.lists(_KEYS, max_size=3).map(tuple),
+)
+_CLAIMS = st.dictionaries(_KEYS, _VALUES).map(ClaimSet)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_POLICIES, st.lists(_CLAIMS, min_size=1, max_size=3), st.dictionaries(_KEYS, _VALUES))
+def test_rule_plan_gives_the_loops_reasons(policy, claim_sets, references):
+    """The rules judged from the policy's stored plan give the reasons, in
+    order, of one loop over every rule; a changed policy gets its own plan."""
+    for pol in (policy, replace(policy, rules=policy.rules[::-1])):
+        for claims in claim_sets:
+            want = evaluate_rules_loop(claims, references, pol)
+            assert verifier._evaluate_rules(claims, references, pol) == want
 
 
 class TestAppraiseLayered:
