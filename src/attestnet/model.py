@@ -86,7 +86,6 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from operator import attrgetter
 from typing import ItemsView, Optional, Sequence, Union
 
@@ -371,9 +370,6 @@ class Decoder:
         self._pos += n
         return out
 
-    def blob(self) -> bytes:
-        return self.raw(_U32.unpack(self.raw(_U32.size))[0])
-
     def done(self):
         if self._pos != len(self._data):
             raise ModelError("trailing bytes after canonical encoding")
@@ -565,7 +561,7 @@ class Table(Kind):
 
     def __init__(self, make, *fields: tuple[str, Kind], trailer: Optional[Kind] = None):
         super().__init__("table", make, fields, trailer)
-        self.encode = partial(encode, self)  # a function of the value, for `_once`
+        self.encode = lambda value: encode(self, value)  # for `_once`; finds `encode` when called
 
 
 def encode(kind: Kind, value) -> bytes:
@@ -588,7 +584,7 @@ U8, U64, I64, F64 = (Kind("fixed", struct.Struct(fmt)) for fmt in (">B", ">Q", "
 BOOL, DIGEST = Kind("bool", U8.args[0]), Kind("digest", struct.Struct(f"{DIGEST_LEN}s"))
 BLOB, TEXT = Kind("blob"), Kind("text")
 SIGNING_KEY = Kind("call", lambda out, k: BLOB.put(out, k.private_bytes),
-                   lambda dec: SigningKey(dec.blob()))
+                   lambda dec: SigningKey(BLOB.get(dec)))
 
 
 def tag(table: dict, what: str, code: Kind = U8) -> Kind:
@@ -647,8 +643,12 @@ def _encode_claims(cs: ClaimSet) -> bytes:
     return encode(_CLAIM_ENTRIES, cs.items())
 
 
+def _put_claims(out: list, cs: ClaimSet):
+    out.append(_once(cs, "encoded", _encode_claims))
+
+
 # A claim set: its entries in ascending key byte order, each key once.
-CLAIMS = Kind("call", lambda out, cs: out.append(_once(cs, "encoded", _encode_claims)), _get_claims)
+CLAIMS = Kind("call", _put_claims, _get_claims)
 
 
 # Evidence, endorsements and results are signed messages: their signing bytes
@@ -913,7 +913,9 @@ class Evidence:
             raise ModelError("component nesting exceeds depth 4")
 
     def _depth(self) -> int:
-        return 1 + max((c._depth() for c in self.components or ()), default=0)
+        if not self.components:
+            return 1
+        return 1 + max(c._depth() for c in self.components)
 
     def signing_bytes(self) -> bytes:
         return _once(self, "signing_bytes", _EVIDENCE.encode)
@@ -935,7 +937,7 @@ def _get_component(dec: Decoder) -> Evidence:
     # checked before descending, so hostile nesting never recurses deeply
     if dec.depth >= MAX_COMPONENT_DEPTH:
         raise ModelError("component nesting exceeds depth 4")
-    return _decode_signed(_EVIDENCE, dec.blob(), dec.depth + 1)
+    return _decode_signed(_EVIDENCE, BLOB.get(dec), dec.depth + 1)
 
 
 _COMPONENT = Kind("call", lambda out, ev: BLOB.put(out, ev.to_bytes()), _get_component)
@@ -1109,7 +1111,12 @@ class PolicyRule:
     def __post_init__(self):
         if not self.rule_id:
             raise ModelError("rule id must be non-empty")
-        if self.kind != RuleKind.COMPONENTS_ALL_COMPLIANT and not self.claim_key:
+        if self.kind in (
+            RuleKind.REFERENCE_MATCH,
+            RuleKind.VERSION_AT_LEAST,
+            RuleKind.GEO_FENCE,
+            RuleKind.CLAIM_PRESENT,
+        ) and not self.claim_key:
             raise ModelError(f"rule kind {self.kind.value} requires a claim key")
         if self.kind == RuleKind.GEO_FENCE and self.fence is None:
             raise ModelError("geo_fence rule requires fence bounds")

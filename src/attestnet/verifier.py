@@ -32,6 +32,8 @@ check the verifier could not judge; if only such reasons occur the verdict is
 from __future__ import annotations
 
 import logging
+from functools import partial
+from operator import le
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -101,7 +103,7 @@ def _rule_plan(policy: EvidencePolicy) -> tuple[list, dict]:
         if rule.kind == RuleKind.REFERENCE_MATCH:
             by_key.setdefault(rule.claim_key, []).append((place, rule.rule_id))
         elif rule.kind == RuleKind.VERSION_AT_LEAST:  # value >= bound
-            every.append((place, rule.rule_id, rule.claim_key, "int", rule.bound.__le__))
+            every.append((place, rule.rule_id, rule.claim_key, "int", partial(le, rule.bound)))
         elif rule.kind == RuleKind.GEO_FENCE:
             every.append((place, rule.rule_id, rule.claim_key, "geo", rule.fence.contains))
         elif rule.kind == RuleKind.CLAIM_PRESENT:

@@ -241,6 +241,18 @@ def test_rule_plan_gives_the_loops_reasons(policy, claim_sets, references):
             assert verifier._evaluate_rules(claims, references, pol) == want
 
 
+@pytest.mark.parametrize("bound", ["3", b"3", None], ids=["text", "bytes", "none"])
+def test_version_rule_with_a_bound_of_another_type_raises(bound):
+    """A version bound that cannot be compared with the claimed int raises, as
+    in the loop, rather than letting the rule pass."""
+    policy = trivial_policy(rules=(PolicyRule("v", RuleKind.VERSION_AT_LEAST, "fw", bound),))
+    claims = ClaimSet({"fw": ClaimValue.of_int(5)})
+    with pytest.raises(TypeError):
+        evaluate_rules_loop(claims, {}, policy)
+    with pytest.raises(TypeError):
+        verifier._evaluate_rules(claims, {}, policy)
+
+
 class TestAppraiseLayered:
     def _setup(self, rng):
         att = AttestingEnvironment.create("layered", rng, [])
