@@ -7,10 +7,14 @@ fields in encoding order, each with a kind (`U64`, `TEXT`, `DIGEST`,
 `seq(...)`, `optional(...)`, `tag(...)`, a nested table, ...). A table
 compiles, once, on first use, into one straight-line `put` and one `get` (see
 `Kind`), which `encode` and `decode` call; nothing else reads or writes
-fields. The fields are
-what a signature covers (a message's signing bytes, a block's content
-bytes); the trailer, the signature or the block digest, follows them in
-`to_bytes`.
+fields. The fields are what a signature covers (a message's signing bytes, a
+block's content bytes); the trailer, the signature or the block digest,
+follows them in `to_bytes`.
+
+Evidence, endorsements and results (RFC 9334's conveyed messages) are claims
+signed by their producer: the table's fields, then the signature as a blob.
+`_signed` gives the three classes the same five members, each set on its class,
+not a base, since the benchmark rebinds them by name in each class's namespace.
 
 Decoding accepts only the canonical encoding, so equal values have one byte
 image and a signed message cannot be re-encoded under the same signature:
@@ -651,8 +655,16 @@ def _put_claims(out: list, cs: ClaimSet):
 CLAIMS = Kind("call", _put_claims, _get_claims)
 
 
-# Evidence, endorsements and results are signed messages: their signing bytes
-# are the fields of their table, and `to_bytes` appends the signature as a blob.
+def _signed(table: Table, signer: str):
+    """Give `table`'s class the members of a signed message, signed by the
+    EntityId in its field `signer` (see the module docstring). `from_bytes` is
+    a staticmethod, the one wrapper that the benchmark unwraps."""
+    cls = table.args[0]
+    cls.signing_bytes = lambda self: _once(self, "signing_bytes", table.encode)
+    cls.to_bytes = lambda self: with_signature(self.signing_bytes(), self.signature)
+    cls.from_bytes = staticmethod(lambda data: _decode_signed(table, data))
+    cls.verify_signature = _signature_valid
+    cls.signer = property(attrgetter(signer))  # the EntityId whose key signs
 
 
 def _signature_valid(message) -> bool:
@@ -917,21 +929,6 @@ class Evidence:
             return 1
         return 1 + max(c._depth() for c in self.components)
 
-    def signing_bytes(self) -> bytes:
-        return _once(self, "signing_bytes", _EVIDENCE.encode)
-
-    def to_bytes(self) -> bytes:
-        return with_signature(self.signing_bytes(), self.signature)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Evidence":
-        return _decode_signed(_EVIDENCE, data)
-
-    signer = property(attrgetter("attester"))  # the EntityId whose key signs
-
-    def verify_signature(self) -> bool:
-        return _signature_valid(self)
-
 
 def _get_component(dec: Decoder) -> Evidence:
     # checked before descending, so hostile nesting never recurses deeply
@@ -954,6 +951,7 @@ _EVIDENCE = Table(
     ("lead_assertion", optional(BOOL)),
     trailer=BLOB,
 )
+_signed(_EVIDENCE, "attester")
 
 
 # ---------------------------------------------------------------------------
@@ -974,21 +972,6 @@ class Endorsement:
         if not self.product_id:
             raise ModelError("product id must be non-empty")
 
-    def signing_bytes(self) -> bytes:
-        return _once(self, "signing_bytes", _ENDORSEMENT.encode)
-
-    def to_bytes(self) -> bytes:
-        return with_signature(self.signing_bytes(), self.signature)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Endorsement":
-        return _decode_signed(_ENDORSEMENT, data)
-
-    signer = property(attrgetter("endorser"))  # the EntityId whose key signs
-
-    def verify_signature(self) -> bool:
-        return _signature_valid(self)
-
 
 _ENDORSEMENT = Table(
     Endorsement,
@@ -999,6 +982,7 @@ _ENDORSEMENT = Table(
     ("issued_at", U64),
     trailer=BLOB,
 )
+_signed(_ENDORSEMENT, "endorser")
 
 
 def make_endorsement(
@@ -1038,21 +1022,6 @@ class AttestationResult:
         if (self.verdict == Verdict.COMPLIANT) != (len(self.reasons) == 0):
             raise ModelError("verdict is compliant iff reasons are empty")
 
-    def signing_bytes(self) -> bytes:
-        return _once(self, "signing_bytes", _RESULT.encode)
-
-    def to_bytes(self) -> bytes:
-        return with_signature(self.signing_bytes(), self.signature)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "AttestationResult":
-        return _decode_signed(_RESULT, data)
-
-    signer = property(attrgetter("verifier"))  # the EntityId whose key signs
-
-    def verify_signature(self) -> bool:
-        return _signature_valid(self)
-
 
 _RESULT = Table(
     AttestationResult,
@@ -1066,6 +1035,7 @@ _RESULT = Table(
     ("created_at", U64),
     trailer=BLOB,
 )
+_signed(_RESULT, "verifier")
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ ScenarioConfig = _spec(
     "ScenarioConfig",
     ("seed", _integer(), _REQUIRED),
     ("epochs", _integer(0), _REQUIRED),
-    ("epoch_length", _integer(), 10),
+    ("epoch_length", _integer(1), 10),
     ("geo_fence", _or_null(_fence), None),
     ("products", _objects, _REQUIRED),
     ("domains", _objects, _REQUIRED),

@@ -55,3 +55,14 @@ def random_env(rng) -> TargetEnvironment:
         gpu_count=rng.randint(0, 8),
         stake=rng.randint(0, 100),
     )
+
+
+def one_signed_message_of_each_type(rng, attester, env, verifier_identity) -> list:
+    """A signed evidence, endorsement and result, in that order."""
+    nonce = model.new_nonce(5, rng)
+    endorser = SignerIdentity.create(Role.ENDORSER, "endorser-1", rng)
+    result = model.AttestationResult(verifier_identity.entity, attester.identity,
+                                     model.Verdict.COMPLIANT, model.digest(b"policy"), nonce, (), 5)
+    return [attester.generate_evidence(env, nonce, 5),
+            model.make_endorsement(endorser, "product-1", model.ClaimSet(), 0),
+            model.sign_message(result, verifier_identity.key)]

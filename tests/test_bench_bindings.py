@@ -14,6 +14,8 @@ import pytest
 
 from attestnet import cli, consortium, scenario
 
+from .conftest import one_signed_message_of_each_type
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -118,3 +120,31 @@ def test_sim_unit_matches_the_benchmark_oracle(shape, tmp_path, monkeypatch):
         unit = workloads.run_sim(path, tmp_path / "out", inputs, tracer)
     assert unit.attempted > 0
     assert unit.failed == 0
+
+
+def test_every_binding_wraps_and_restores(monkeypatch, rng, attester, env, verifier_identity):
+    """With every `LAYERS` and `COUNTED` binding wrapped, as `run.py --trace
+    1` wraps them, one flows unit still matches the oracle, a message of each
+    signed type decodes through its wrapped `from_bytes` (one `model.decode`
+    span each), and leaving restores every binding. A `from_bytes` that the
+    tracer cannot wrap, such as a classmethod, fails here when it is called."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+
+    def bound():
+        return [vars(owner)[attr] for owner, attr in (
+            tracing._resolve(module, path) for _, module, path in tracing.LAYERS + tracing.COUNTED)]
+
+    originals = bound()
+    messages = one_signed_message_of_each_type(rng, attester, env, verifier_identity)
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.LAYERS, tracing.COUNTED):
+        unit = workloads.run_flows(workloads.generate_flows(1), tracer)
+        decodes = sum(span[0] == "model.decode" for span in tracer.spans)
+        for message in messages:
+            decoded = type(message).from_bytes(message.to_bytes())
+            assert decoded == message and decoded.verify_signature()
+    assert unit.attempted > 0
+    assert unit.failed == 0
+    assert sum(span[0] == "model.decode" for span in tracer.spans) == decodes + len(messages)
+    assert bound() == originals

@@ -355,11 +355,11 @@ BAD_SCENARIOS = {
     ),
     "zero_epoch_length": (
         _set(("epoch_length",), 0),
-        "freshness window must be >= 1 tick",
+        "scenario: epoch_length must be an integer in [1, 2**63)",
     ),
     "negative_epoch_length": (
         _set(("epoch_length",), -3),
-        "freshness window must be >= 1 tick",
+        "scenario: epoch_length must be an integer in [1, 2**63)",
     ),
     # raised UnicodeEncodeError before: `json` reads a lone surrogate from a
     # \ud800 escape, and such a string has no UTF-8 encoding

@@ -18,6 +18,8 @@ import attestnet
 from attestnet import model
 from attestnet.cli import EXIT_OK, main
 
+from .conftest import one_signed_message_of_each_type
+
 SCENARIO_DIR = Path(attestnet.__file__).parent / "scenarios"
 
 GOLDEN_TIPS = {
@@ -51,6 +53,20 @@ def test_bundled_scenario_tip_with_nothing_stored(name, nothing_stored, tmp_path
     """Stored values are invisible: with every one computed afresh, both
     bundled scenarios keep their pinned tips."""
     test_bundled_scenario_tip(name, tmp_path, capsys)
+
+
+def test_signed_messages_store_nothing_with_nothing_stored(
+        nothing_stored, rng, attester, env, verifier_identity):
+    """The members of evidence, endorsements and results reach `model._once`
+    through the module when they run, so with nothing stored, signing,
+    encoding, decoding and checking a message of each type leaves no stored
+    value on it: the tip test above then covers signed messages too."""
+    messages = one_signed_message_of_each_type(rng, attester, env, verifier_identity)
+    for message in messages:
+        decoded = type(message).from_bytes(message.to_bytes())
+        assert decoded == message
+        assert message.verify_signature() and decoded.verify_signature()
+        assert "_memo" not in vars(message) and "_memo" not in vars(decoded)
 
 
 def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):
