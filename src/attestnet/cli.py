@@ -125,7 +125,18 @@ def cmd_appraise(args) -> int:
     if not 0 <= clock < 2**64:
         print("appraise: --clock must be an integer in [0, 2**64)", file=sys.stderr)
         return EXIT_USAGE
-    verifier = SignerIdentity.create(Role.VERIFIER, "cli-verifier", random.Random(args.seed))
+    if args.verifier is None:
+        verifier = SignerIdentity.create(Role.VERIFIER, "cli-verifier", random.Random(args.seed))
+    else:
+        try:
+            verifier = load_identity(Path(args.verifier))
+        except (OSError, ModelError) as exc:
+            print(f"appraise: cannot read identity {args.verifier}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if verifier.entity.role != Role.VERIFIER:
+            print(f"appraise: {args.verifier} is not a verifier identity "
+                  f"(role {verifier.entity.role.value})", file=sys.stderr)
+            return EXIT_USAGE
     references = merge_reference_claims(endorsements)
     result = appraise_evidence(evidence, references, policy, expected, verifier, clock)
 
@@ -232,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "was issued at (without it, the evidence's echoed tick is taken)")
     p.add_argument("--clock", type=int, default=None)
     p.add_argument("--out", help="write the signed result here")
+    p.add_argument("--verifier", metavar="IDENTITY", help="sign the result with this `keygen` "
+                   "verifier identity (without it, with a key built from --seed)")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="run a scenario and export ledger + reports")

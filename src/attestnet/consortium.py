@@ -256,7 +256,9 @@ class Universe:
 def distribute_policies(universe: Universe):
     """Anchor the consortium and domain policy digests on the ledger
     (idempotent by digest). A domain rule conflicting with a consortium rule
-    is recorded and loses: the domain verifier gets the consortium's copy."""
+    is recorded and loses: the domain verifier gets the consortium's copy.
+    A scenario's policies share one rule set, so only a domain's
+    fw_min_version override conflicts; a shared rule is matched by identity."""
     consortium_policy = universe.config.consortium_verifier.policy
     _record_policy_digest(universe, consortium_policy)
     by_id = {r.rule_id: r for r in consortium_policy.rules}
@@ -264,7 +266,7 @@ def distribute_policies(universe: Universe):
         dv = domain.domain_verifier
         resolved = tuple(by_id.get(r.rule_id, r) for r in dv.policy.rules)
         for rule, winner in zip(dv.policy.rules, resolved):
-            if winner != rule:
+            if winner is not rule and winner != rule:
                 universe.pending_records.append(
                     LedgerRecord("policy.conflict", f"{domain.domain_id}:{rule.rule_id}".encode())
                 )

@@ -274,20 +274,23 @@ def load_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _policy_for(cfg: ScenarioConfig, policy_id: str, fw_min: int) -> EvidencePolicy:
-    rules = [
-        PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", fw_min),
-    ]
-    for product in cfg.products:
-        for name, _ in product.sw_images:
-            rules.append(
-                PolicyRule(f"ref.sw.{name}", RuleKind.REFERENCE_MATCH, f"sw.{name}.digest")
-            )
-    if cfg.geo_fence is not None:
-        rules.append(PolicyRule("geo.fence", RuleKind.GEO_FENCE, "geo", fence=cfg.geo_fence))
-    return EvidencePolicy(
-        policy_id, tuple(rules), cfg.epoch_length, required_claims=("config.digest",)
+def _rules_by_bound(cfg: ScenarioConfig) -> dict[int, tuple[PolicyRule, ...]]:
+    """The policy rules for each firmware bound in use: fw.min, one
+    reference_match rule per sw image, then the geo_fence rule. Every tuple
+    shares the rules after fw.min, and each bound has one fw.min rule."""
+    rest = tuple(
+        PolicyRule(f"ref.sw.{name}", RuleKind.REFERENCE_MATCH, f"sw.{name}.digest")
+        for product in cfg.products for name, _ in product.sw_images
     )
+    if cfg.geo_fence is not None:
+        rest += (PolicyRule("geo.fence", RuleKind.GEO_FENCE, "geo", fence=cfg.geo_fence),)
+    bounds = {cfg.fw_min_version} | {d.fw_min_version for d in cfg.domains} - {None}
+    return {bound: (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", bound),) + rest
+            for bound in bounds}
+
+
+def _policy_for(cfg: ScenarioConfig, policy_id: str, rules) -> EvidencePolicy:
+    return EvidencePolicy(policy_id, rules, cfg.epoch_length, required_claims=("config.digest",))
 
 
 def build_universe(cfg: ScenarioConfig) -> Universe:
@@ -304,9 +307,13 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
             make_endorsement(endorser, product.product_id, ClaimSet(refs), issued_at=0)
         )
 
+    # The policies share one rule set. A domain's fw_min_version override is
+    # its only rule of its own, and `distribute_policies` records it as a
+    # policy.conflict that the consortium's rule wins.
+    rules = _rules_by_bound(cfg)
     cv = VerifierContext(
         SignerIdentity.create(Role.VERIFIER, "consortium-verifier", rng),
-        _policy_for(cfg, "consortium", cfg.fw_min_version), list(endorsements), rng,
+        _policy_for(cfg, "consortium", rules[cfg.fw_min_version]), list(endorsements), rng,
     )
     config = ConsortiumConfig(
         consortium_verifier=cv,
@@ -328,7 +335,7 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
         fw_min = dspec.fw_min_version if dspec.fw_min_version is not None else cfg.fw_min_version
         dv = VerifierContext(
             SignerIdentity.create(Role.VERIFIER, f"dv-{dspec.domain_id}", rng),
-            _policy_for(cfg, f"domain-{dspec.domain_id}", fw_min), list(endorsements), rng,
+            _policy_for(cfg, f"domain-{dspec.domain_id}", rules[fw_min]), list(endorsements), rng,
         )
         rng.randbytes(32)
         universe.add_domain(Domain(dspec.domain_id, dv))

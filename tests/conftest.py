@@ -1,7 +1,11 @@
+import importlib
+import json
+import pkgutil
 import random
 
 import pytest
 
+import attestnet
 from attestnet import model
 from attestnet.attester import AttestingEnvironment, TargetEnvironment
 from attestnet.model import GeoPoint, Role, SignerIdentity
@@ -66,3 +70,47 @@ def one_signed_message_of_each_type(rng, attester, env, verifier_identity) -> li
     return [attester.generate_evidence(env, nonce, 5),
             model.make_endorsement(endorser, "product-1", model.ClaimSet(), 0),
             model.sign_message(result, verifier_identity.key)]
+
+
+ONCE = model._once  # as imported, before any test replaces it
+
+
+def replace_once(monkeypatch, once):
+    """Puts `once` in place of `_once` in `model` and in each attestnet
+    module that imports it."""
+    current, patched = model._once, []
+    for info in pkgutil.iter_modules(attestnet.__path__):
+        module = importlib.import_module(f"attestnet.{info.name}")
+        if vars(module).get("_once") is current:
+            patched.append(info.name)
+            monkeypatch.setattr(module, "_once", once)
+    assert {"model", "verifier", "attester", "conveyance"} <= set(patched)
+
+
+@pytest.fixture
+def nothing_stored(monkeypatch):
+    """`model._once` computes every time, in `model` and in each attestnet
+    module that imports it: no stored value is ever read back."""
+    replace_once(monkeypatch, lambda value, name, compute: compute(value))
+
+
+# The fields of the benchmark generator's `SimShape` for the north-star
+# 200-node case: 20 products of 3 x 4 KiB images, 10 epochs, one flip_sw_byte
+# fault; it is generated at seed 11
+NODES_200 = (200, 20, 3, 4096, 10, "flip_sw_byte")
+
+
+def write_generated_scenario(path, monkeypatch, shape, seed: int, edit=None):
+    """Writes to `path` the scenario that the benchmark's generator makes at
+    `seed` for `SimShape(*shape)`. `edit`, if given, may change the
+    scenario's document first."""
+    from .test_bench_bindings import _perfbench_module
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    text = workloads.generate_sim(workloads.SimShape(*shape), seed).scenario_text
+    if edit is not None:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc, sort_keys=True)
+    path.write_text(text, encoding="utf-8")
+    return path

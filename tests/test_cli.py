@@ -167,6 +167,67 @@ class TestAppraise:
         assert result.verdict == Verdict.COMPLIANT and result.verify_signature()
 
 
+class TestAppraiseVerifier:
+    """`--verifier IDENTITY` signs the result with a `keygen` identity; without
+    it, the result is signed with the key that `--seed` builds."""
+
+    def appraise(self, files, tmp_path, *flags):
+        out = tmp_path / "result.bin"
+        code = main(["appraise", str(files["evidence"]), str(files["policy"]),
+                     "--endorsement", str(files["good"]), "--out", str(out), *flags])
+        return code, out
+
+    def test_signs_with_the_identity(self, fixture_files, tmp_path, capsys):
+        from attestnet.model import AttestationResult
+
+        identity = tmp_path / "verifier.id"
+        assert main(["keygen", "verifier", "v1", "--out", str(identity), "--seed", "3"]) == EXIT_OK
+        code, out = self.appraise(fixture_files, tmp_path, "--verifier", str(identity))
+        assert code == EXIT_OK
+        result = AttestationResult.from_bytes(out.read_bytes())
+        assert result.verifier == load_identity(identity).entity
+        assert result.verify_signature()
+
+    def test_without_it_the_seed_key_signs(self, fixture_files, tmp_path):
+        from attestnet.model import AttestationResult
+
+        code, out = self.appraise(fixture_files, tmp_path, "--seed", "7")
+        assert code == EXIT_OK
+        expected = SignerIdentity.create(Role.VERIFIER, "cli-verifier", random.Random(7))
+        assert AttestationResult.from_bytes(out.read_bytes()).verifier == expected.entity
+
+    def test_unreadable_identity_exit_2(self, fixture_files, tmp_path, capsys):
+        missing = tmp_path / "missing.id"
+        code, out = self.appraise(fixture_files, tmp_path, "--verifier", str(missing))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"appraise: cannot read identity {missing}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", [b"", b"\xff\x00garbage"])
+    def test_malformed_identity_exit_2(self, fixture_files, tmp_path, data, capsys):
+        identity = tmp_path / "verifier.id"
+        identity.write_bytes(data)
+        code, out = self.appraise(fixture_files, tmp_path, "--verifier", str(identity))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"appraise: cannot read identity {identity}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    def test_identity_of_another_role_exit_2(self, fixture_files, tmp_path, capsys):
+        identity = tmp_path / "node.id"
+        assert main(["keygen", "attester", "nodeA", "--out", str(identity), "--seed", "1"]) == EXIT_OK
+        capsys.readouterr()
+        code, out = self.appraise(fixture_files, tmp_path, "--verifier", str(identity))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"appraise: {identity} is not a verifier identity (role attester)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestChallengeTick:
     """`--nonce HEX:TICK` gives the challenge's tick, so freshness counts from
     when the challenge was issued, not from the tick the evidence echoes."""

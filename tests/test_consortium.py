@@ -21,7 +21,7 @@ from attestnet.consortium import (
     update_governance,
     verify_chain,
 )
-from attestnet.model import GeoPoint, ModelError, digest
+from attestnet.model import GeoPoint, ModelError, PolicyRule, digest
 from attestnet.scenario import (
     ScenarioError,
     build_universe,
@@ -29,7 +29,10 @@ from attestnet.scenario import (
     parse_scenario,
 )
 
+from .conftest import write_generated_scenario
+
 SCENARIO_DIR = "src/attestnet/scenarios"
+CATALOG = (40, 20, 3, 4096, 3, "flip_sw_byte")  # the benchmark's sim-catalog `SimShape`
 
 
 def base_scenario(**overrides):
@@ -95,12 +98,60 @@ class TestDistributePolicies:
         assert any(r.payload == consortium_digest.value for r in records)
 
     def test_conflicting_domain_rule_recorded_and_overridden(self):
-        universe = fresh_universe(domains=[{"domain_id": "d1", "fw_min_version": 9}])
-        conflicts = [r for r in universe.pending_records if r.kind == "policy.conflict"]
-        assert conflicts and conflicts[0].payload == b"d1:fw.min"
-        dv_policy = universe.domains["d1"].domain_verifier.policy
-        fw_rule = next(r for r in dv_policy.rules if r.rule_id == "fw.min")
-        assert fw_rule.bound == 2  # consortium parameter wins
+        """A domain's fw_min_version override is its only rule of its own;
+        distributing the policies records one conflict, and the domain
+        verifier then holds the consortium's rules."""
+        universe = build_universe(base_scenario(
+            domains=[{"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2"}]))
+        consortium_rules = universe.config.consortium_verifier.policy.rules
+        d1 = universe.domains["d1"].domain_verifier
+        own, *shared = d1.policy.rules
+        assert own.rule_id == "fw.min" and own.bound == 9 and own is not consortium_rules[0]
+        assert all(a is b for a, b in zip(shared, consortium_rules[1:], strict=True))
+        assert universe.domains["d2"].domain_verifier.policy.rules is consortium_rules
+        distribute_policies(universe)
+        conflicts = [r.payload for r in universe.pending_records if r.kind == "policy.conflict"]
+        assert conflicts == [b"d1:fw.min"]
+        assert all(a is b for a, b in zip(d1.policy.rules, consortium_rules, strict=True))
+        assert d1.policy.rules[0].bound == 2  # consortium parameter wins
+
+    def test_catalog_policies_share_one_rule_set(self, tmp_path, monkeypatch):
+        """The benchmark's sim-catalog scenario at seed 1 has a consortium and
+        four domain policies of 61 rules each (fw.min and 60 reference_match
+        rules). They share one rule set: 61 rules are built, not 305, every
+        domain holds the consortium's rules tuple itself, and distributing the
+        policies compares no rule field by field (488 comparisons when each
+        policy had rules of its own)."""
+        counts = {"built": 0, "compared": 0}
+        post_init, eq = PolicyRule.__post_init__, PolicyRule.__eq__
+
+        def counting_post_init(self):
+            counts["built"] += 1
+            post_init(self)
+
+        def counting_eq(self, other):
+            counts["compared"] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(PolicyRule, "__post_init__", counting_post_init)
+        monkeypatch.setattr(PolicyRule, "__eq__", counting_eq)
+        path = write_generated_scenario(tmp_path / "catalog.json", monkeypatch, CATALOG, 1)
+        universe = build_universe(load_scenario(path))
+        consortium_rules = universe.config.consortium_verifier.policy.rules
+        assert len(consortium_rules) == 61 and counts == {"built": 61, "compared": 0}
+        distribute_policies(universe)
+        assert counts == {"built": 61, "compared": 0}
+        assert len(universe.domains) == 4
+        for domain in universe.domains.values():
+            assert domain.domain_verifier.policy.rules is consortium_rules
+        assert not [r for r in universe.pending_records if r.kind == "policy.conflict"]
+
+    def test_domains_with_one_override_share_its_rule(self):
+        universe = build_universe(base_scenario(domains=[
+            {"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2", "fw_min_version": 9}]))
+        d1, d2 = (universe.domains[d].domain_verifier.policy.rules for d in ("d1", "d2"))
+        assert d1[0] is d2[0] and d1[0].bound == 9
+        assert d1[0] is not universe.config.consortium_verifier.policy.rules[0]
 
     def test_redistribution_idempotent(self):
         universe = fresh_universe()

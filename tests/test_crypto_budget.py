@@ -40,6 +40,7 @@ from attestnet.model import (
     sign_message,
 )
 
+from .conftest import NODES_200, ONCE, replace_once, write_generated_scenario
 from .test_conveyance import endorse_env, make_contexts, ref_rules
 
 SCENARIO_DIR = Path("src/attestnet/scenarios")
@@ -219,6 +220,45 @@ def test_simulate_clone_attack(budget, tmp_path, capsys):
     # rules: as for healthy-4nodes, plus one: the clones share n1's
     # configuration, which only domain d2's verifier had not yet appraised
     assert budget["rule_evaluations"] == 9
+
+
+@pytest.fixture
+def misses(monkeypatch):
+    """Counts, per name, the `_once` requests that find no stored value and
+    compute it."""
+    counts = {}
+
+    def counting_once(value, name, compute):
+        if (value.__dict__.get("_memo") or {}).get(name) is None:
+            counts[name] = counts.get(name, 0) + 1
+        return ONCE(value, name, compute)
+
+    replace_once(monkeypatch, counting_once)
+    return counts
+
+
+def test_simulate_200_nodes(budget, misses, tmp_path, monkeypatch, capsys):
+    """The north-star 200-node case of `test_generated_200_node_tip`, with
+    the helper off: 10 epochs of 200 nodes, each appraised by its domain's
+    verifier and the consortium's, one flip_sw_byte fault."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    path = write_generated_scenario(tmp_path / "scenario.json", monkeypatch, NODES_200, 11)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("tip: 4badecaf")
+    # keys: the endorser, the consortium verifier, 4 domain verifiers and
+    # 200 nodes; per node and epoch, 2 evidences and 2 results signed, and 2
+    # evidences verified, plus the 20 endorsements, each signed once and
+    # verified once; rules: the 200 configurations and the faulted one, each
+    # judged once by its domain's verifier and once by the consortium's
+    assert budget == {"keys": 206, "signs": 8020, "verifies": 4020, "result_decodes": 0,
+                      "rule_evaluations": 402}
+    # each signed message's bytes once, and each evidence's and endorsement's
+    # signature check once; claims, their encoding and rule reasons once per
+    # configuration (and the encoding of the 20 endorsements' claims); a
+    # digest and a rule plan once per policy
+    assert misses == {"signing_bytes": 8020, "signature_valid": 4020, "config_digest": 201,
+                      "claims": 201, "encoded": 221, "rule_reasons": 201, "digest": 5,
+                      "rule_plan": 5}
 
 
 def _granted_world(rng, env):

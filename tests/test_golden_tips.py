@@ -5,9 +5,7 @@ byte format of every message, digest and block the simulation produces. A
 change to any of them must show up here.
 """
 
-import importlib
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import attestnet
-from attestnet import model
 from attestnet.cli import EXIT_OK, main
 
-from .conftest import one_signed_message_of_each_type
+from .conftest import NODES_200, one_signed_message_of_each_type, write_generated_scenario
 
 SCENARIO_DIR = Path(attestnet.__file__).parent / "scenarios"
 
@@ -33,19 +30,6 @@ def test_bundled_scenario_tip(name, tmp_path, capsys):
     code = main(["simulate", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == f"tip: {GOLDEN_TIPS[name]}"
-
-
-@pytest.fixture
-def nothing_stored(monkeypatch):
-    """`model._once` computes every time, in `model` and in each attestnet
-    module that imports it: no stored value is ever read back."""
-    once, patched = model._once, []
-    for info in pkgutil.iter_modules(attestnet.__path__):
-        module = importlib.import_module(f"attestnet.{info.name}")
-        if vars(module).get("_once") is once:
-            patched.append(info.name)
-            monkeypatch.setattr(module, "_once", lambda value, name, compute: compute(value))
-    assert {"model", "verifier", "attester", "conveyance"} <= set(patched)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TIPS))
@@ -73,12 +57,7 @@ def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):
     """200 nodes, 20 products of 3 x 4 KiB images, 10 epochs and a
     flip_sw_byte fault, from the benchmark's generator at seed 11: each epoch
     attests the nodes in several batches, so this pins the batched order."""
-    from .test_bench_bindings import _perfbench_module
-
-    workloads = _perfbench_module("workloads", monkeypatch)
-    inputs = workloads.generate_sim(workloads.SimShape(200, 20, 3, 4096, 10, "flip_sw_byte"), 11)
-    path = tmp_path / "scenario.json"
-    path.write_text(inputs.scenario_text, encoding="utf-8")
+    path = write_generated_scenario(tmp_path / "scenario.json", monkeypatch, NODES_200, 11)
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().out == (
         "tip: 4badecafee0e4c9fc3258c35f8fcdaf13d0216082b8b392b43284002985bc40e\n")
@@ -103,12 +82,8 @@ def test_tip_depends_on_the_scenario_alone(tmp_path, monkeypatch):
     40-node, 3-epoch scenario with cloned configurations gives the same
     `ledger.hex` under `PYTHONHASHSEED` 0 and 1, with the helper off, and on
     with 1, 16 and 64 nodes per batch."""
-    from .test_bench_bindings import _perfbench_module
-
-    workloads = _perfbench_module("workloads", monkeypatch)
-    inputs = workloads.generate_sim(workloads.SimShape(40, 2, 1, 32, 3, "clone_config"), 5)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(inputs.scenario_text, encoding="utf-8")
+    scenario = write_generated_scenario(tmp_path / "scenario.json", monkeypatch,
+                                        (40, 2, 1, 32, 3, "clone_config"), 5)
     src = str(Path(attestnet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for seed in ("0", "1"):
