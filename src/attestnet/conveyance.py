@@ -21,7 +21,6 @@ changed is decoded, and checked anew.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from . import verifier
@@ -156,10 +155,9 @@ class VerifierContext:
     endorsements: list[Endorsement]
     rng: object
     seen_nonces: set = field(default_factory=set)
-    # (the endorsement objects merged, their merged reference claims)
-    _merged: tuple[tuple[Endorsement, ...], Mapping[str, ClaimValue]] = field(
-        default_factory=lambda: ((), MappingProxyType({})), init=False, repr=False, compare=False
-    )
+    # (the endorsement objects merged, their merged reference claims), or
+    # (None, None) before the first merge
+    _merged: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def issue_challenge(self, clock: int) -> Nonce:
         return new_nonce(clock, self.rng)

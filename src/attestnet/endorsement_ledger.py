@@ -7,25 +7,24 @@ The ledger only grows, so little is held per record. The store holds one
 address object per value and `put` hands it out again, so a manufacturer's
 cert and root are one `Digest` each, written to a store directory once. The
 ledger's index maps the SHA-256 of each record's canonical bytes (about 310)
-to the store's `manufacturer_cert` bytes that its signature verified under.
+to the store's `manufacturer_cert` bytes that its signature verified under:
 2,000 products of one manufacturer hold about 900 bytes per record in the
-store, the ledger and the records (1,350 with record bytes as keys and three
-new addresses per registration), and the supply-chain benchmark's peak RSS fell
-from 41.9 to 40.1 MiB (2-vCPU host, CPython 3.11). Records are slotted and hold
-no stored values (`model._once`): storing their bytes, root and signature check
-raised that peak by 4.5%.
+store, the ledger and the records. Records are slotted and hold no stored
+values (`model._once`): storing their bytes, root and signature check raised
+the supply-chain benchmark's peak RSS by 4.5%.
 
 A registration builds the record unsigned, encodes it once and sets the
 signature on that same record, as `model.sign_message` does for messages;
 `verify_product` also encodes the record once, and the ledger hashes those
-bytes once. The signature covers them less the signature blob. Both compute
-the Merkle root level by level, keeping only the level at hand.
-`verify_product` fails with the first of: the record is not on the ledger
-(`ledger_mismatch`), an object is not intact (`store_corrupt`), the root does
-not cover the objects (`root_mismatch`), the manufacturer did not sign the
-record (`signature_invalid`), the endorsement does not decode
-(`endorsement_malformed`), it does not name the product's digest
-(`digest_mismatch`). The hashed bytes hold the signature and the cert's
+bytes at each of its lookups: two or three per query, each 0.4-0.5 µs on a
+2-vCPU host with CPython 3.11, against a query's 0.24 ms. The signature covers
+them less the signature blob. Both compute the Merkle root level by level,
+keeping only the level at hand. `verify_product` fails with the first of: the
+record is not on the ledger (`ledger_mismatch`), an object is not intact
+(`store_corrupt`), the root does not cover the objects (`root_mismatch`), the
+manufacturer did not sign the record (`signature_invalid`), the endorsement
+does not decode (`endorsement_malformed`), it does not name the product's
+digest (`digest_mismatch`). The hashed bytes hold the signature and the cert's
 address, and the cert is compared byte for byte, so the stored signature check
 is a pure function of (record bytes, cert); a different cert verifies again.
 Every other check runs on every query, since the store can be corrupted after
@@ -208,6 +207,14 @@ _RECORD = Table(
 )
 
 
+def _key(record_bytes: bytes) -> bytes:
+    """The SHA-256 of a record's canonical bytes: its key in the ledger."""
+    if not isinstance(record_bytes, bytes):
+        raise LedgerError("the ledger takes a record's canonical bytes, not "
+                          f"{type(record_bytes).__name__}")
+    return sha256(record_bytes).digest()
+
+
 class EndorsementsLedger:
     """Append-only ledger of endorsement records: an index from the SHA-256 of
     their canonical bytes, so that a membership check is one dict lookup, to
@@ -217,38 +224,25 @@ class EndorsementsLedger:
     def __init__(self):
         self._index: dict[bytes, Optional[bytes]] = {}
         self._appends = 0
-        self._hashed = (b"", sha256(b"").digest())  # the bytes asked about last, and their key
-
-    def _key(self, record_bytes: bytes) -> bytes:
-        """The SHA-256 of a record's canonical bytes, kept for the bytes object
-        asked about last, so that a query hashes its record once."""
-        last, key = self._hashed  # one read: another thread may replace the pair
-        if record_bytes is not last:
-            if not isinstance(record_bytes, bytes):  # immutable: known by identity
-                raise LedgerError("the ledger takes a record's canonical bytes, not "
-                                  f"{type(record_bytes).__name__}")
-            key = sha256(record_bytes).digest()
-            self._hashed = (record_bytes, key)
-        return key
 
     def append(self, record_bytes: bytes):
         """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`).
         Appending a record again keeps its stored signature check."""
-        self._index.setdefault(self._key(record_bytes), None)
+        self._index.setdefault(_key(record_bytes), None)
         self._appends += 1
 
     def includes(self, record_bytes: bytes) -> bool:
         """Whether a record's canonical bytes were appended."""
-        return self._key(record_bytes) in self._index
+        return _key(record_bytes) in self._index
 
     def verified_cert(self, record_bytes: bytes) -> Optional[bytes]:
         """The cert that the record's signature verified under, if it did."""
-        return self._index.get(self._key(record_bytes))
+        return self._index.get(_key(record_bytes))
 
     def store_verified_cert(self, record_bytes: bytes, cert: bytes):
         """Store that the record's signature verified under `cert`. Bytes never
         appended stay out of the index."""
-        if (key := self._key(record_bytes)) in self._index:
+        if (key := _key(record_bytes)) in self._index:
             self._index[key] = cert
 
     def __len__(self) -> int:

@@ -3,13 +3,15 @@ policies, and the canonical byte encoding that every signature covers.
 
 All types are immutable values after construction. Every wire and storage
 format is declared once, as a field table (`Table`) next to its class: the
-fields in encoding order, each with a kind (`U64`, `TEXT`, `DIGEST`,
-`seq(...)`, `optional(...)`, `tag(...)`, a nested table, ...). A table
-compiles, once, on first use, into one straight-line `put` and one `get` (see
-`Kind`), which `encode` and `decode` call; nothing else reads or writes
-fields. The fields are what a signature covers (a message's signing bytes, a
-block's content bytes); the trailer, the signature or the block digest,
-follows them in `to_bytes`.
+fields in encoding order, each with a kind of one of ten forms (`U64`, `TEXT`,
+`seq(...)`, `optional(...)`, `tag(...)`, a nested table such as `DIGEST`, ...;
+see `Kind`). A table compiles, once, on first use, into one straight-line
+`put` and one `get`, which `encode` and `decode` call; nothing else reads or
+writes fields. Only three kinds are hand-written "call" kinds, which that
+code calls: a claim value, a claim set and component evidence. The fields
+are what a signature covers (a message's signing bytes, a block's content
+bytes); the trailer, the signature or the block digest, follows them in
+`to_bytes`.
 
 Evidence, endorsements and results (RFC 9334's conveyed messages) are claims
 signed by their producer: the table's fields, then the signature as a blob.
@@ -367,13 +369,6 @@ class Decoder:
         self._pos = 0
         self.depth = depth
 
-    def raw(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise ModelError("truncated canonical encoding")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
     def done(self):
         if self._pos != len(self._data):
             raise ModelError("trailing bytes after canonical encoding")
@@ -415,8 +410,7 @@ class _Source:
 
     def function(self, label: str):
         self.line()
-        namespace = {**self.consts, "ModelError": ModelError, "Digest": Digest,
-                     "struct_error": struct.error}
+        namespace = {**self.consts, "ModelError": ModelError, "struct_error": struct.error}
         exec(compile("\n".join(self.lines), f"<{self.name} {label}>", "exec"), namespace)
         return namespace[self.name]
 
@@ -433,8 +427,6 @@ def _write(src: _Source, kind: "Kind", value: str):
         blob = src.local()
         encoded = value + (".encode()" if form == "text" else "")
         src.pieces += [f"{src.const(_U32.pack)}(len({blob} := {encoded}))", blob]
-    elif form == "digest":
-        src.pieces.append(f"{value}.value")
     elif form == "tag":
         src.pieces.append(f"{src.const(args[1])}[{value}]")
     elif form == "seq":
@@ -462,14 +454,12 @@ def _read(src: _Source, kind: "Kind") -> str:
     """Write the code that reads a value at `pos` in `data`: an expression of
     the value, of locals that no later read changes, to be evaluated once."""
     form, args, x = kind.form, kind.args, src.local()
-    if form in ("fixed", "bool", "digest"):  # a short read raises struct.error
+    if form in ("fixed", "bool"):  # a short read raises struct.error
         src.line(f"{x} = {src.const(args[0].unpack_from)}(data, pos)[0]")
         src.line(f"pos += {args[0].size}")
         if form == "bool":
             src.line(f"if {x} > 1: raise ModelError(f'flag byte {{{x}}} is neither 0 nor 1')")
             return f"{x} == 1"
-        if form == "digest":
-            return f"Digest({x})"
     elif form in ("blob", "text"):
         size = src.local()
         src.line(f"{size} = {src.const(_U32.unpack_from)}(data, pos)[0]")
@@ -516,15 +506,17 @@ class Kind:
     value)`, which appends the value's canonical pieces to the list `out`, a
     run of them at once, and `get(dec)`, which reads a value from `dec`. Each
     is one straight-line function with every nested kind written into it but
-    a "call" kind (the claim set with its stored encoding, component evidence
-    with its depth check before descent, the nonce's raw value, a signing
-    key), which it calls. A kind written into a table never compiles itself:
-    compiling each kind when built raised supply-chain peak RSS by 2.4%.
+    a "call" kind, which it calls. There are three: a claim value (a union,
+    its tag choosing the value's kind), a claim set (with its stored
+    encoding), and component evidence (with its depth check before descent).
+    A kind written into a table never compiles itself: compiling each kind
+    when built raised supply-chain peak RSS by 2.4%.
 
-    The forms and their args: "fixed", "bool" and "digest" (a `struct.Struct`),
-    "blob", "text", "tag" (values by code, codes by value, what the value is,
-    the code's kind), "seq" and "optional" (the item's kind), "pair" (the two
-    kinds), "table" (see `Table`) and "call" (the `put` and `get`)."""
+    The ten forms and their args: "fixed" and "bool" (a `struct.Struct`; a
+    digest or a nonce value is fixed, "32s" or "16s"), "blob", "text", "tag"
+    (values by code, codes by value, what the value is, the code's kind),
+    "seq" and "optional" (the item's kind), "pair" (the two kinds), "table"
+    (see `Table`) and "call" (the `put` and `get`)."""
 
     def __init__(self, form: str, *args):
         self.form, self.args = form, args
@@ -585,10 +577,9 @@ def decode(kind: Kind, data: bytes, depth: int = 1):
 
 
 U8, U64, I64, F64 = (Kind("fixed", struct.Struct(fmt)) for fmt in (">B", ">Q", ">q", ">d"))
-BOOL, DIGEST = Kind("bool", U8.args[0]), Kind("digest", struct.Struct(f"{DIGEST_LEN}s"))
-BLOB, TEXT = Kind("blob"), Kind("text")
-SIGNING_KEY = Kind("call", lambda out, k: BLOB.put(out, k.private_bytes),
-                   lambda dec: SigningKey(BLOB.get(dec)))
+BOOL, BLOB, TEXT = Kind("bool", U8.args[0]), Kind("blob"), Kind("text")
+DIGEST = Table(Digest, ("value", Kind("fixed", struct.Struct(f"{DIGEST_LEN}s"))))
+SIGNING_KEY = Table(SigningKey, ("private_bytes", BLOB))
 
 
 def tag(table: dict, what: str, code: Kind = U8) -> Kind:
@@ -614,9 +605,7 @@ def pair(first: Kind, second: Kind) -> Kind:
 GEO = Table(GeoPoint, ("latitude", F64), ("longitude", F64), ("altitude", F64))
 ROLE = tag({r: r.value for r in Role}, "role", TEXT)
 ENTITY = Table(EntityId, ("role", ROLE), ("name", TEXT), ("public_key", BLOB))
-NONCE = Table(
-    Nonce, ("value", Kind("call", list.append, lambda dec: dec.raw(NONCE_LEN))), ("issued_at", U64)
-)
+NONCE = Table(Nonce, ("value", Kind("fixed", struct.Struct(f"{NONCE_LEN}s"))), ("issued_at", U64))
 
 _CLAIM_KIND = tag({"bytes": 1, "text": 2, "int": 3, "digest": 4, "geo": 5}, "claim value tag")
 _CLAIM_VALUES = {"bytes": BLOB, "text": TEXT, "int": I64, "digest": DIGEST, "geo": GEO}
@@ -1090,6 +1079,8 @@ class PolicyRule:
             raise ModelError(f"rule kind {self.kind.value} requires a claim key")
         if self.kind == RuleKind.GEO_FENCE and self.fence is None:
             raise ModelError("geo_fence rule requires fence bounds")
+        if type(self.bound) is not int or not _INT64_MIN <= self.bound <= _INT64_MAX:
+            raise ModelError(f"rule bound {self.bound!r} is not an int64")
 
 
 @dataclass(frozen=True)
@@ -1102,8 +1093,8 @@ class EvidencePolicy:
     def __post_init__(self):
         if not self.policy_id:
             raise ModelError("policy id must be non-empty")
-        if self.freshness_window < 1:
-            raise ModelError("freshness window must be >= 1 tick")
+        if type(self.freshness_window) is not int or not 1 <= self.freshness_window < 2**64:
+            raise ModelError(f"freshness window {self.freshness_window!r} is not in [1, 2**64)")
 
     def to_bytes(self) -> bytes:
         return encode(_POLICY, self)

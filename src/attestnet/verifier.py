@@ -7,8 +7,8 @@ and checks its endorsements once, not once per appraisal.
 
 The rules are judged from a plan made once per policy object and stored on it:
 claim_present, version_at_least and geo_fence rules on every claim set, and
-reference_match rules, vacuous on an absent claim, by claim key, walking the
-claim keys or the plan's, whichever are fewer; the reasons keep policy order.
+reference_match rules, vacuous on an absent claim, by claim key, in one walk
+over the claim set's entries; the reasons keep policy order.
 They judge only the claim set, the merged references and the policy, so they
 are worked out once per (claim set, reference map, policy) and stored on the
 claim set, which every evidence of an unchanged configuration shares, but only
@@ -126,9 +126,9 @@ def _evaluate_rules(
         claim = claims.get(key)
         if claim is None or (kind and (claim.kind != kind or not test(claim.value))):
             failed.append((place, rule_id))
-    for key in claims.keys() if len(claims) < len(by_key) else by_key:
-        rules, claim = by_key.get(key), claims.get(key)
-        if rules and claim is not None:
+    for key, claim in claims.items():
+        rules = by_key.get(key)
+        if rules:
             ref = references.get(key)
             if ref is None:
                 failed += [(place, rule_id + NO_REFERENCE_SUFFIX) for place, rule_id in rules]
@@ -150,14 +150,12 @@ def _rule_reasons(
     if type(references) is not MappingProxyType:
         return _evaluate_rules(claims, references, policy)
     # Keyed by identity: each entry holds both objects, so neither id can name
-    # another object while the entry exists, and the `is` checks confirm a hit.
+    # another object while the claim set lives.
     stored = _once(claims, "rule_reasons", _new_store)
     key = (id(references), id(policy))
-    entry = stored.get(key)
-    if entry is None or entry[0] is not references or entry[1] is not policy:
-        entry = (references, policy, tuple(_evaluate_rules(claims, references, policy)))
-        stored[key] = entry
-    return entry[2]
+    if key not in stored:
+        stored[key] = (references, policy, tuple(_evaluate_rules(claims, references, policy)))
+    return stored[key][2]
 
 
 def _new_store(claims: ClaimSet) -> dict:

@@ -75,16 +75,23 @@ def one_signed_message_of_each_type(rng, attester, env, verifier_identity) -> li
 ONCE = model._once  # as imported, before any test replaces it
 
 
+def replace_everywhere(monkeypatch, name: str, value) -> set:
+    """Puts `value` in place of `model`'s `name` in `model` and in each
+    attestnet module that imports it by name: the modules patched."""
+    current, patched = getattr(model, name), set()
+    for info in pkgutil.iter_modules(attestnet.__path__):
+        module = importlib.import_module(f"attestnet.{info.name}")
+        if vars(module).get(name) is current:
+            patched.add(info.name)
+            monkeypatch.setattr(module, name, value)
+    return patched
+
+
 def replace_once(monkeypatch, once):
     """Puts `once` in place of `_once` in `model` and in each attestnet
     module that imports it."""
-    current, patched = model._once, []
-    for info in pkgutil.iter_modules(attestnet.__path__):
-        module = importlib.import_module(f"attestnet.{info.name}")
-        if vars(module).get("_once") is current:
-            patched.append(info.name)
-            monkeypatch.setattr(module, "_once", once)
-    assert {"model", "verifier", "attester", "conveyance"} <= set(patched)
+    patched = replace_everywhere(monkeypatch, "_once", once)
+    assert {"model", "verifier", "attester", "conveyance"} <= patched
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import struct
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from attestnet.model import Decoder, Digest, ModelError
+from attestnet.model import Decoder, ModelError
 
 
 def sha256(data: bytes) -> bytes:
@@ -279,8 +279,8 @@ def evaluate_rules_loop(claims, references, policy) -> list:
 #
 # A field table is compiled into straight-line code. This walk reads the same
 # table at run time, one kind at a time: the reference for the compiled code.
-# It reads through `Decoder.raw` alone, and calls a "call" kind's own
-# functions, as the compiled code does.
+# It reads through `_raw` alone, and calls a "call" kind's own functions, as
+# the compiled code does.
 
 
 def walk_encode(kind, value) -> bytes:
@@ -298,8 +298,6 @@ def _walk_put(kind, out: list, value):
         out.append(b"\x01" if value else b"\x00")
     elif form in ("blob", "text"):
         out.append(_blob(value.encode("utf-8") if form == "text" else value))
-    elif form == "digest":
-        out.append(value.value)
     elif form == "tag":
         _walk_put(args[3], out, {v: c for c, v in args[0].items()}[value])
     elif form == "seq":
@@ -329,34 +327,40 @@ def walk_decode(kind, data: bytes, depth: int = 1):
     return value
 
 
+def _raw(dec, n: int) -> bytes:
+    """The next `n` bytes of `dec`'s encoding."""
+    if dec._pos + n > len(dec._data):
+        raise ModelError("truncated canonical encoding")
+    dec._pos += n
+    return dec._data[dec._pos - n : dec._pos]
+
+
 def _walk_get(kind, dec):
     form, args = kind.form, kind.args
     if form == "fixed":
-        return args[0].unpack(dec.raw(args[0].size))[0]
+        return args[0].unpack(_raw(dec, args[0].size))[0]
     if form in ("bool", "optional"):
-        flag = dec.raw(1)[0]
+        flag = _raw(dec, 1)[0]
         if flag > 1:
             raise ModelError(f"flag byte {flag} is neither 0 nor 1")
         if form == "bool":
             return flag == 1
         return _walk_get(args[0], dec) if flag else None
     if form in ("blob", "text"):
-        raw = dec.raw(int.from_bytes(dec.raw(4), "big"))
+        raw = _raw(dec, int.from_bytes(_raw(dec, 4), "big"))
         if form == "blob":
             return raw
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelError("text field is not valid UTF-8") from exc
-    if form == "digest":
-        return Digest(dec.raw(32))
     if form == "tag":
         code = _walk_get(args[3], dec)
         if code not in args[0]:
             raise ModelError(f"unknown {args[2]} {code!r}")
         return args[0][code]
     if form == "seq":
-        count = int.from_bytes(dec.raw(8), "big")
+        count = int.from_bytes(_raw(dec, 8), "big")
         return tuple([_walk_get(args[0], dec) for _ in range(count)])
     if form == "pair":
         return _walk_get(args[0], dec), _walk_get(args[1], dec)
@@ -366,3 +370,146 @@ def _walk_get(kind, dec):
         return make(*[_walk_get(field, dec) for field in kinds])
     assert form == "call", form
     return args[1](dec)
+
+
+# ---------------------------------------------------------------------------
+# `simulate`, derived from the scenario alone
+# ---------------------------------------------------------------------------
+
+
+def simulate_facts(doc: dict):
+    """What `attestnet simulate` must find for the scenario document `doc`,
+    one dict per epoch, or None if the run must fail: a flip_sw_byte fault
+    that meets a node with no sw image. The domains' policies hold the
+    consortium's rules once distributed, so a node has one verdict, its
+    consortium's and its domain's: compliant iff its firmware is at least
+    the scenario's `fw_min_version`, every image hashes to the product
+    image of its name, and it is inside the geo fence. A node may forge iff
+    it is compliant with a stake above 0; an epoch with no such node forges no
+    block, and its records wait for the next block. Records are (kind,
+    payload), the payload None where it holds a digest of signed bytes."""
+    length, fw_min = doc.get("epoch_length", 10), doc.get("fw_min_version", 1)
+    fence = doc.get("geo_fence")
+    normal, raised = doc.get("majority_parameter", 51), doc.get("raised_majority", 70)
+    threshold = doc.get("diversity_threshold", 0.5)
+    products = {p["product_id"]: p for p in doc["products"]}
+    endorsed = {name: sha256(image.encode()) for p in doc["products"]
+                for name, image in p["sw_images"].items()}
+    envs = {}
+    for node in doc["nodes"]:
+        product = products[node["product_id"]]
+        envs[node["node_id"]] = (
+            product["product_id"], product.get("fw_version", 1),
+            tuple(sorted((name, image.encode()) for name, image in product["sw_images"].items())),
+            tuple(node.get("geo", (0.0, 0.0, 0.0))), node.get("stake", 1))
+
+    def compliant(env) -> bool:
+        _, fw, images, (lat, lon, _), _ = env
+        return (fw >= fw_min and all(sha256(image) == endorsed[name] for name, image in images)
+                and (fence is None or (fence["lat_min"] <= lat <= fence["lat_max"]
+                                       and fence["lon_min"] <= lon <= fence["lon_max"])))
+
+    pending = [("policy_digest", None)]  # the consortium's, then each domain's
+    for domain in doc["domains"]:
+        if domain.get("fw_min_version") not in (None, fw_min):
+            pending.append(("policy.conflict", f"{domain['domain_id']}:fw.min".encode()))
+        pending.append(("policy_digest", None))
+    faults = sorted(doc.get("faults", ()), key=lambda f: (f["tick"], f["node_id"]))
+    node_ids, audited = sorted(envs), {node["domain_id"] for node in doc["nodes"]}
+    majority, facts = normal, []
+    for epoch in range(doc["epochs"]):
+        while faults and faults[0]["tick"] < (epoch + 1) * length:
+            fault = faults.pop(0)
+            product, fw, images, geo, stake = envs[fault["node_id"]]
+            if fault["mutation"] == "flip_sw_byte":
+                if not images:
+                    return None
+                (name, image), *rest = images
+                images = ((name, bytes([image[0] ^ 1]) + image[1:]), *rest)
+            elif fault["mutation"] == "change_fw":
+                fw = fault.get("fw_version", 0)
+            elif fault["mutation"] == "move_geo":
+                geo = (fault.get("lat", 0.0), fault.get("lon", 0.0), geo[2])
+            else:
+                assert fault["mutation"] == "clone_config", fault
+                product, fw, images, geo, stake = envs[fault["from_node"]]
+            envs[fault["node_id"]] = (product, fw, images, geo, stake)
+        verdicts = {nid: "compliant" if compliant(envs[nid]) else "non_compliant"
+                    for nid in node_ids}
+        pending += [("result_digest", None)] * len(node_ids)
+        pending += [("audit_digest", None)] * len(audited)
+        # distinct configurations, floats compared by their bytes
+        configs = {(p, fw, images, struct.pack(">ddd", *geo), stake)
+                   for p, fw, images, geo, stake in envs.values()}
+        diversity = len(configs) / len(node_ids)
+        wanted = raised if diversity < threshold else normal
+        if wanted != majority:
+            majority = wanted
+            pending.append(("governance", struct.pack(">Qd", majority, diversity)))
+        eligible = {nid for nid in node_ids if verdicts[nid] == "compliant" and envs[nid][4] > 0}
+        if not eligible:
+            pending.append(("no_eligible", b""))
+        facts.append({"tick": epoch * length, "verdicts": verdicts, "diversity": diversity,
+                      "majority": majority, "eligible": eligible,
+                      "block": pending if eligible else None})
+        if eligible:
+            pending = []
+    return facts
+
+
+def decode_block(data: bytes) -> dict:
+    """A ledger block's fields, read field by field: u64 height, the previous
+    block's 32-byte digest, records (u64 count; kind text, payload blob),
+    forger text, u64 tick, then its own digest, which must be the SHA-256
+    of the bytes before it."""
+    height, pos = _take(data, 0, 8)
+    prev, pos = _take(data, pos, 32)
+    count, pos = _take(data, pos, 8)
+    records = []
+    for _ in range(int.from_bytes(count, "big")):
+        kind, pos = _take_text(data, pos)
+        payload, pos = _take_blob(data, pos)
+        records.append((kind, payload))
+    forger, pos = _take_text(data, pos)
+    tick, pos = _take(data, pos, 8)
+    if data[pos:] != sha256(data[:pos]):
+        raise ValueError("block digest is not the SHA-256 of its fields")
+    return {"height": int.from_bytes(height, "big"), "prev": prev, "records": records,
+            "forger": forger, "tick": int.from_bytes(tick, "big"), "digest": data[pos:]}
+
+
+def check_simulate(doc: dict, code: int, reports, ledger_hex):
+    """Asserts that a `simulate` run of `doc`, which exited with `code` and
+    wrote `reports` (epoch_reports.txt) and `ledger_hex` (ledger.hex; each
+    None if not written), agrees with `simulate_facts(doc)`: each epoch's
+    verdicts, diversity, majority and validator, and each forged block's
+    place in the chain, forger, tick and records."""
+    facts = simulate_facts(doc)
+    if facts is None:
+        assert (code, reports, ledger_hex) == (2, None, None)
+        return
+    assert code == 0
+    blocks = [decode_block(bytes.fromhex(line)) for line in ledger_hex.splitlines()]
+    assert len(blocks) == sum(fact["block"] is not None for fact in facts)
+    texts = reports.removesuffix("\n").split("\n\n")
+    assert len(texts) == len(facts)
+    prev, forged = bytes(32), iter(enumerate(blocks))
+    for epoch, (fact, text) in enumerate(zip(facts, texts)):
+        head, nodes = text.split("\n")[:3], text.split("\n")[3:]
+        assert head[:2] == [f"epoch {epoch} tick {fact['tick']}",
+                            f"  diversity {fact['diversity']:.4f} majority {fact['majority']}"]
+        if fact["block"] is None:
+            assert head[2] == "  validator (none eligible)"
+        else:
+            height, block = next(forged)
+            assert nodes.pop() == f"  block {block['digest'].hex()}"
+            validator = head[2].removeprefix("  validator ")
+            assert validator in fact["eligible"]
+            assert (block["height"], block["prev"], block["forger"], block["tick"]) == (
+                height, prev, validator, fact["tick"])
+            assert [kind for kind, _ in block["records"]] == [kind for kind, _ in fact["block"]]
+            assert all(want is None or got == want
+                       for (_, got), (_, want) in zip(block["records"], fact["block"]))
+            prev = block["digest"]
+        assert nodes == [f"  node {nid}: consortium={verdict} domain={verdict}"
+                         for nid, verdict in sorted(fact["verdicts"].items())]

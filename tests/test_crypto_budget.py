@@ -1,18 +1,23 @@
 """Exact counts of the expensive operations: Ed25519 private-key
 constructions, signs and verifies, result decodes, policy rule evaluations,
-endorsement record encodes, and the signed messages and ledger blocks built.
-A change that adds crypto work fails here instead of hiding in benchmark
-noise; a change that removes some updates the pinned counts."""
+stored values computed, encodes per table, and the signed messages and ledger
+blocks built; for small cases, one benchmark unit of each simulation
+workload, and the 200-node case. A change that adds crypto work fails here
+instead of hiding in benchmark noise; a change that removes some updates the
+pinned counts."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import attestnet
 from attestnet import consortium, endorsement_ledger, model, verifier as verifier_module
 from attestnet.cli import EXIT_OK, main
 from attestnet.conveyance import (
@@ -40,7 +45,8 @@ from attestnet.model import (
     sign_message,
 )
 
-from .conftest import NODES_200, ONCE, replace_once, write_generated_scenario
+from .conftest import NODES_200, ONCE, replace_everywhere, replace_once, write_generated_scenario
+from .test_bench_bindings import _perfbench_module
 from .test_conveyance import endorse_env, make_contexts, ref_rules
 
 SCENARIO_DIR = Path("src/attestnet/scenarios")
@@ -237,7 +243,72 @@ def misses(monkeypatch):
     return counts
 
 
-def test_simulate_200_nodes(budget, misses, tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def encodes(monkeypatch):
+    """Counts the `encode` calls made through `model` and each attestnet
+    module that imports it by name, per kind encoded, named as the module that
+    defines it names it (`model._EVIDENCE`, say)."""
+    names = {}
+    for name in ["model"] + [info.name for info in pkgutil.iter_modules(attestnet.__path__)]:
+        for attribute, value in vars(importlib.import_module(f"attestnet.{name}")).items():
+            if isinstance(value, model.Kind):
+                names.setdefault(id(value), f"{name}.{attribute}")
+    counts, encode = {}, model.encode
+
+    def counting_encode(kind, value):
+        name = names.get(id(kind), kind.form)
+        counts[name] = counts.get(name, 0) + 1
+        return encode(kind, value)
+
+    patched = replace_everywhere(monkeypatch, "encode", counting_encode)
+    assert {"model", "attester", "cli", "consortium", "endorsement_ledger"} <= patched
+    return counts
+
+
+def _simulate_unit(workload: str, path: Path, monkeypatch, capsys):
+    """Simulates one unit of the benchmark's `workload` at seed 1, with the
+    helper off, and checks the benchmark's pinned tip."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    shape = dataclasses.astuple(workloads.SHAPES[workload])
+    write_generated_scenario(path / "scenario.json", monkeypatch, shape, 1)
+    assert main(["simulate", str(path / "scenario.json"), "--out", str(path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out == f"tip: {workloads.DEFAULT_SEED_TIPS[workload]}\n"
+
+
+def test_simulate_one_sim_catalog_unit(budget, misses, tmp_path, monkeypatch, capsys):
+    """40 nodes in 4 domains, 20 products of 3 images, 3 epochs, one
+    flip_sw_byte fault in the second epoch."""
+    _simulate_unit("sim-catalog", tmp_path, monkeypatch, capsys)
+    # keys: the endorser, the consortium verifier, 4 domain verifiers and 40
+    # nodes; per node and epoch, 2 evidences and 2 results signed and 2
+    # evidences verified, plus the 20 endorsements; rules: the 40
+    # configurations and the faulted one, each judged by 2 verifiers
+    assert budget == {"keys": 46, "signs": 500, "verifies": 260, "result_decodes": 0,
+                      "rule_evaluations": 82}
+    # claims, their encoding and rule reasons once per configuration (and the
+    # encoding of the 20 endorsements' claims); a digest and a rule plan once
+    # per policy
+    assert misses == {"signing_bytes": 500, "signature_valid": 260, "config_digest": 41,
+                      "claims": 41, "encoded": 61, "rule_reasons": 41, "digest": 5,
+                      "rule_plan": 5}
+
+
+def test_simulate_one_sim_fleet_unit(budget, misses, tmp_path, monkeypatch, capsys):
+    """600 nodes in 4 domains, 2 products of 1 image, 2 epochs, 360 nodes
+    given another node's configuration in the second."""
+    _simulate_unit("sim-fleet", tmp_path, monkeypatch, capsys)
+    # rules: the 600 configurations, each judged by 2 verifiers; a clone
+    # shares its source's configuration object, which only the other 3
+    # domains' verifiers had not yet judged
+    assert budget == {"keys": 606, "signs": 4802, "verifies": 2402, "result_decodes": 0,
+                      "rule_evaluations": 1203}
+    assert misses == {"signing_bytes": 4802, "signature_valid": 2402, "config_digest": 600,
+                      "claims": 600, "encoded": 602, "rule_reasons": 600, "digest": 5,
+                      "rule_plan": 5}
+
+
+def test_simulate_200_nodes(budget, misses, encodes, tmp_path, monkeypatch, capsys):
     """The north-star 200-node case of `test_generated_200_node_tip`, with
     the helper off: 10 epochs of 200 nodes, each appraised by its domain's
     verifier and the consortium's, one flip_sw_byte fault."""
@@ -259,6 +330,13 @@ def test_simulate_200_nodes(budget, misses, tmp_path, monkeypatch, capsys):
     assert misses == {"signing_bytes": 8020, "signature_valid": 4020, "config_digest": 201,
                       "claims": 201, "encoded": 221, "rule_reasons": 201, "digest": 5,
                       "rule_plan": 5}
+    # per signed message, its fields once; the claims of each configuration
+    # and endorsement, and each configuration's environment, once; each
+    # policy once, for its digest; per epoch, each domain's audit log, and
+    # each block twice: when it is sealed and when the ledger is exported
+    assert encodes == {"model._EVIDENCE": 4000, "model._RESULT": 4000, "model._ENDORSEMENT": 20,
+                       "model._CLAIM_ENTRIES": 221, "attester._TARGET": 201, "model._POLICY": 5,
+                       "consortium._AUDIT": 40, "consortium._BLOCK": 20}
 
 
 def _granted_world(rng, env):

@@ -296,6 +296,13 @@ class TestInvariantConstructors:
         with pytest.raises(ModelError):
             EvidencePolicy("p", (), freshness_window=0)
 
+    @pytest.mark.parametrize("window", [2.5, True, "5", None, 2**64])
+    def test_freshness_window_must_be_a_u64(self, window):
+        """A window that the policy's table cannot encode is refused when the
+        policy is built, not when an appraisal digests it."""
+        with pytest.raises(ModelError, match="freshness window"):
+            EvidencePolicy("p", (), freshness_window=window)
+
 
 # ---------------------------------------------------------------------------
 # Decoders raise only ModelError

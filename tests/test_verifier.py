@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,6 +16,7 @@ from attestnet.model import (
     EvidencePolicy,
     GeoFence,
     GeoPoint,
+    ModelError,
     Nonce,
     PolicyRule,
     ResultPolicy,
@@ -36,6 +39,7 @@ from attestnet.verifier import (
 
 from .conftest import random_env
 from .oracles import evaluate_policy_bruteforce, evaluate_rules_loop
+from .test_memo import _appraise, _endorse_env, _reference_context
 
 
 def trivial_policy(freshness=10, rules=(), required=()):
@@ -241,16 +245,30 @@ def test_rule_plan_gives_the_loops_reasons(policy, claim_sets, references):
             assert verifier._evaluate_rules(claims, references, pol) == want
 
 
-@pytest.mark.parametrize("bound", ["3", b"3", None], ids=["text", "bytes", "none"])
+def test_stored_reasons_keep_their_policy_alive(rng, attester, env):
+    """Stored reasons are keyed by the ids of their reference map and policy,
+    and each entry holds both objects: while the claim set lives, neither is
+    collected, so no later map or policy can take over its id, and with it
+    the reasons stored for it."""
+    claims = measure(env)
+    ctx = _reference_context(rng, env, [_endorse_env(rng, env)])
+    assert _appraise(ctx, attester, env).verdict == Verdict.COMPLIANT
+    old_policy = weakref.ref(ctx.policy)
+    strict = (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", 9),)
+    ctx.policy = EvidencePolicy("memo-policy", ctx.policy.rules + strict, 10)
+    ctx.endorsements = [_endorse_env(rng, env, image_of=lambda image: b"other " + image)]
+    gc.collect()
+    assert old_policy() is not None and measure(env) is claims
+    assert _appraise(ctx, attester, env).reasons == ("ref.bootloader", "ref.os", "fw.min")
+
+
+@pytest.mark.parametrize("bound", ["3", b"3", None, 2.5, True, 2**63],
+                         ids=["text", "bytes", "none", "float", "bool", "beyond_int64"])
 def test_version_rule_with_a_bound_of_another_type_raises(bound):
-    """A version bound that cannot be compared with the claimed int raises, as
-    in the loop, rather than letting the rule pass."""
-    policy = trivial_policy(rules=(PolicyRule("v", RuleKind.VERSION_AT_LEAST, "fw", bound),))
-    claims = ClaimSet({"fw": ClaimValue.of_int(5)})
-    with pytest.raises(TypeError):
-        evaluate_rules_loop(claims, {}, policy)
-    with pytest.raises(TypeError):
-        verifier._evaluate_rules(claims, {}, policy)
+    """A bound that the policy's table cannot encode as an int64 is refused
+    when the rule is built, so no appraisal meets it in `policy.digest()`."""
+    with pytest.raises(ModelError, match="rule bound"):
+        PolicyRule("v", RuleKind.VERSION_AT_LEAST, "fw", bound)
 
 
 class TestAppraiseLayered:
