@@ -79,11 +79,8 @@ _TARGET = Table(
 
 
 def measure(env: TargetEnvironment) -> ClaimSet:
-    """Measure a target environment into its standard claim set.
-
-    The environment is immutable, so its claims are measured once and stored
-    on it; a changed environment is a new object with nothing stored.
-    """
+    """Measure a target environment into its standard claim set, stored on
+    the environment (`model._once`)."""
     return _once(env, "claims", _measure)
 
 

@@ -2,21 +2,8 @@
 attestation verdicts gate validator selection, governance adapts to node
 diversity, and policy/audit digests are anchored on a hash-linked ledger.
 
-A domain's audit log holds the current epoch only: each earlier epoch lives on
-the ledger as its `audit_digest`, so the simulator's memory does not grow with
-the audit bytes of a long run. Ledger records and blocks are slotted value
-types (no instance dict), since a run keeps every block.
-
-`run_epoch` attests the nodes in batches, in node order: it draws a batch's
-challenges (per node, the domain verifier's first), signs its evidence, queues
-its signature checks for the helper process if the epoch has more batches to
-overlap them with, then appraises the previous batch. The first batch is a
-quarter of the others, so that the helper starts sooner, and the verifiers'
-endorsements are queued before it. When a batch's first appraisal finds the
-helper's answers not in yet, this process verifies the batch from its tail
-until it meets a check the helper took (`model.check_signatures`), so it
-never waits out a whole batch. Appraisal draws no randomness, so every
-challenge, audit entry and ledger record is that of attesting node by node.
+Ledger records and blocks are slotted value types (no instance dict), since a
+run keeps every block.
 """
 
 from __future__ import annotations
@@ -142,7 +129,8 @@ class Node:
 
 @dataclass
 class Domain:
-    """A domain and its verifier. `audit_log` holds the epoch in progress only:
+    """A domain and its verifier. `audit_log` holds the epoch in progress only,
+    so that a long run's memory does not grow with its audit bytes:
     `run_epoch` clears it when an epoch starts, and anchors it as the epoch's
     `audit_digest` when the epoch ends. `last_audit_tick` outlives the clear,
     so the log stays tick-ordered across epochs (ticks are never negative)."""
@@ -161,12 +149,14 @@ class Domain:
 
 @dataclass
 class ConsortiumConfig:
+    """The consensus parameters; `scenario.build_universe` gives every one."""
+
     consortium_verifier: VerifierContext
-    majority_parameter: int = 51
-    diversity_threshold: float = 0.5
-    raised_majority: int = 70
-    geo_fence: Optional[GeoFence] = None
-    epoch_length: int = 10
+    majority_parameter: int
+    diversity_threshold: float
+    raised_majority: int
+    geo_fence: Optional[GeoFence]
+    epoch_length: int
 
     def __post_init__(self):
         if not 50 < self.majority_parameter <= 100:
@@ -181,7 +171,7 @@ class ConsortiumConfig:
 class FaultInjection:
     tick: int
     node_id: str
-    mutation: str  # flip_sw_byte | change_fw | move_geo | clone_config
+    mutation: str  # one that `faulted` knows
     lat: float = 0.0
     lon: float = 0.0
     fw_version: int = 0
@@ -304,7 +294,7 @@ def faulted(env_of, fault: FaultInjection) -> TargetEnvironment:
         return replace(env, geo=GeoPoint(fault.lat, fault.lon, env.geo.altitude))
     if fault.mutation == "clone_config":
         return env_of(fault.from_node)
-    raise SimError(f"unknown fault mutation {fault.mutation!r}")
+    raise SimError(f"fault on {fault.node_id}: unknown mutation {fault.mutation!r}")
 
 
 def _apply_fault(universe: Universe, fault: FaultInjection):
@@ -393,7 +383,18 @@ BATCH_NODES = 16
 def run_epoch(universe: Universe) -> EpochReport:
     """One attestation epoch: apply scheduled faults, attest every node to its
     domain and the consortium verifier, anchor audit digests, re-evaluate
-    governance, select a validator, and forge the epoch's block."""
+    governance, select a validator, and forge the epoch's block.
+
+    The nodes are attested in batches, in node order: a batch's challenges
+    are drawn (per node, the domain verifier's first), its evidence is signed
+    and its signature checks are queued for the helper process
+    (`model.check_signatures`), then the previous batch is appraised while the
+    helper checks this one. The first batch is a quarter of the others, so
+    that the helper starts sooner, and the verifiers' endorsements are queued
+    before it, so that the first appraisal does not verify them here. An
+    epoch of one batch queues nothing: no later batch would overlap its
+    checks. Appraisal draws no randomness, so every challenge, audit entry and
+    ledger record is that of attesting node by node."""
     cfg = universe.config
     clock = universe.clock
     faults = universe.faults
@@ -403,14 +404,14 @@ def run_epoch(universe: Universe) -> EpochReport:
     verdicts: dict[str, str] = {}
     domain_verdicts: dict[str, str] = {}
     for domain in universe.domains.values():
-        domain.audit_log.clear()  # earlier epochs live on the ledger as audit digests
+        domain.audit_log.clear()
     cv = cfg.consortium_verifier
     nodes = universe.sorted_nodes()
-    overlap = len(nodes) > BATCH_NODES  # a lone batch has nothing to overlap its checks with
-    if overlap:  # checked before the first appraisal merges them
+    overlap = len(nodes) > BATCH_NODES
+    if overlap:
         check_signatures([end for v in (cv, *(d.domain_verifier for d in universe.domains.values()))
                           for end in v.endorsements])
-    # a short first batch, so that the helper starts sooner; the last is empty
+    # a short first batch; the last is empty, to appraise the one before it
     bounds = [0, *range(BATCH_NODES // 4, len(nodes) + 2 * BATCH_NODES, BATCH_NODES)]
     attested = []
     for start, end in zip(bounds, bounds[1:]):

@@ -1,21 +1,16 @@
 """Attestation conveyance: passport and background-check flows run as message
 sequences over an in-memory reliable transport, with nonce replay rejection.
 
-The verifier's own result message carries the signed result it was built
-from (`ResultMsg.of`), so the verifier never decodes bytes it has just
-encoded; the transport still checks that result's signature at send time, and
-the result stores the check. A result message received as bytes is decoded at
-most once: `ResultMsg.result()` stores the decoded result on the message. The
-relying party appraises the result message it received, and the passport flow
-forwards that same message object, so the transport's send-time check of it
-is answered from what the appraisal already stored.
-
-In the passport flow the attester forwards the bytes of the result message
-that the transport carried from the verifier (`ResultMsg.forwarded_by`).
-Decoding is canonical-only, so equal bytes decode to an equal result whose
-signature check gives the same answer: a byte-identical forward shares the
-carried message's result and its check, and only a forward with any byte
-changed is decoded, and checked anew.
+A result message decodes its bytes at most once, storing the result on itself
+(`ResultMsg.result`), and the verifier's own message carries the signed result
+it was built from (`ResultMsg.of`), so the verifier never decodes bytes it has
+just encoded. The transport checks a result's signature at send time and the
+result stores the check, which the relying party's appraisal of the message
+it received, and the passport flow's send of that same message, then reuse.
+In the passport flow the attester forwards the bytes that the transport
+carried (`ResultMsg.forwarded_by`): decoding is canonical-only, so a
+byte-identical forward shares the carried message's result and its check, and
+only a forward with any byte changed is decoded and checked anew.
 """
 
 from __future__ import annotations

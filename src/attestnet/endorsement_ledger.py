@@ -5,26 +5,23 @@ depend on the manufacturer still existing.
 
 The ledger only grows, so little is held per record. The store holds one
 address object per value and `put` hands it out again, so a manufacturer's
-cert and root are one `Digest` each, written to a store directory once. The
-ledger's index maps the SHA-256 of each record's canonical bytes (about 310)
-to the store's `manufacturer_cert` bytes that its signature verified under:
-2,000 products of one manufacturer hold about 900 bytes per record in the
-store, the ledger and the records. Records are slotted and hold no stored
-values (`model._once`): storing their bytes, root and signature check raised
-the supply-chain benchmark's peak RSS by 4.5%.
+cert and root are one `Digest` each, written to a store directory once: with
+the ledger's index (`EndorsementsLedger`), 2,000 products of one manufacturer
+hold about 900 bytes per record in the store, the ledger and the records.
+Records are slotted and hold no stored values (`model._once`): storing their
+bytes, root and signature check raised the supply-chain benchmark's peak RSS
+by 4.5%.
 
-A registration builds the record unsigned, encodes it once and sets the
-signature on that same record, as `model.sign_message` does for messages;
-`verify_product` also encodes the record once, and the ledger hashes those
-bytes at each of its lookups: two or three per query, each 0.4-0.5 µs on a
-2-vCPU host with CPython 3.11, against a query's 0.24 ms. The signature covers
-them less the signature blob. Both compute the Merkle root level by level,
-keeping only the level at hand. `verify_product` fails with the first of: the
-record is not on the ledger (`ledger_mismatch`), an object is not intact
-(`store_corrupt`), the root does not cover the objects (`root_mismatch`), the
-manufacturer did not sign the record (`signature_invalid`), the endorsement
-does not decode (`endorsement_malformed`), it does not name the product's
-digest (`digest_mismatch`). The hashed bytes hold the signature and the cert's
+A registration signs the record in place, as `model.sign_message` does for
+messages. `register_endorsement` and `verify_product` each encode the record
+once, and the ledger hashes those bytes at each of its lookups: two or three
+per query, each 0.4-0.5 µs on a 2-vCPU host with CPython 3.11, against a
+query's 0.24 ms. `verify_product` fails with the first of: the record is not
+on the ledger (`ledger_mismatch`), an object is not intact (`store_corrupt`),
+the root does not cover the objects (`root_mismatch`), the manufacturer did
+not sign the record (`signature_invalid`), the endorsement does not decode
+(`endorsement_malformed`), it does not name the product's digest
+(`digest_mismatch`). The hashed bytes hold the signature and the cert's
 address, and the cert is compared byte for byte, so the stored signature check
 is a pure function of (record bytes, cert); a different cert verifies again.
 Every other check runs on every query, since the store can be corrupted after
@@ -217,7 +214,8 @@ def _key(record_bytes: bytes) -> bytes:
 
 class EndorsementsLedger:
     """Append-only ledger of endorsement records: an index from the SHA-256 of
-    their canonical bytes, so that a membership check is one dict lookup, to
+    their canonical bytes (not the bytes, about 310 of them), so that a
+    membership check is one dict lookup, to
     the `manufacturer_cert` bytes that the record's signature verified under
     (None before the first check), and an append count."""
 

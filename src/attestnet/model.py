@@ -2,28 +2,19 @@
 policies, and the canonical byte encoding that every signature covers.
 
 All types are immutable values after construction. Every wire and storage
-format is declared once, as a field table (`Table`) next to its class: the
-fields in encoding order, each with a kind of one of ten forms (`U64`, `TEXT`,
-`seq(...)`, `optional(...)`, `tag(...)`, a nested table such as `DIGEST`, ...;
-see `Kind`). A table compiles, once, on first use, into one straight-line
-`put` and one `get`, which `encode` and `decode` call; nothing else reads or
-writes fields. Only three kinds are hand-written "call" kinds, which that
-code calls: a claim value, a claim set and component evidence. The fields
-are what a signature covers (a message's signing bytes, a block's content
-bytes); the trailer, the signature or the block digest, follows them in
-`to_bytes`.
+format is declared once, as a field table next to its class (`Table`; its
+field kinds are listed under `Kind`), and only `encode` and `decode` read or
+write fields. Decoding accepts only the canonical encoding, so equal values
+have one byte image and a signed message cannot be re-encoded under the same
+signature: claim keys strictly ascending in UTF-8 byte order, flag and
+presence bytes exactly 0 or 1, known tags, valid UTF-8, no trailing bytes, and
+component evidence nested at most `MAX_COMPONENT_DEPTH` deep, checked before
+it is decoded. Every decoding failure raises `ModelError`.
 
 Evidence, endorsements and results (RFC 9334's conveyed messages) are claims
-signed by their producer: the table's fields, then the signature as a blob.
-`_signed` gives the three classes the same five members, each set on its class,
-not a base, since the benchmark rebinds them by name in each class's namespace.
-
-Decoding accepts only the canonical encoding, so equal values have one byte
-image and a signed message cannot be re-encoded under the same signature:
-claim keys strictly ascending in UTF-8 byte order, flag and presence bytes
-exactly 0 or 1, known tags, valid UTF-8, no trailing bytes, and component
-evidence nested at most `MAX_COMPONENT_DEPTH` deep, checked before it is
-decoded. Every decoding failure raises `ModelError`.
+signed by their producer. `_signed` gives the three classes their members,
+and `sign_message` signs a message in place; `check_signatures` hands their
+signature checks to a helper process (`_Helper`).
 
 Because messages never change, what is derived from them is worked out at most
 once per object and stored on it by `_once`: the signing bytes and signature
@@ -32,43 +23,11 @@ policy, and the encoded entries of a claim set (which every evidence or
 endorsement holding that claim set appends to its signing bytes). They sit in
 the instance dict, outside the dataclass fields, so equality and repr ignore
 them. A stored read is two dict reads and builds nothing: a caller passes a
-function of the value made once (`Table.encode`, say), not a closure made for
-the call. A changed message is a new object built with `dataclasses.replace`,
+function of the value made once (`Table.encode`, say), since a closure made
+per call would take a stored read of the signing bytes from about 150 ns to
+400 ns. A changed message is a new object built with `dataclasses.replace`,
 and a changed claim set a new `ClaimSet`; either starts with nothing stored,
 so a stored value can never describe other field values.
-
-Signing is the one change made in place. A signed message is built once,
-unsigned, and `sign_message` sets the signature on that same object: the
-signing bytes stored on it stay valid, because a signature is not part of
-them, and a stored signature check is dropped. Only a message that carries no
-signature yet can be signed, so a message that someone else already holds never
-changes. Decoding a signed message stores the bytes it received without the
-trailing signature blob: decoding is canonical-only, so those are exactly the
-bytes that encoding the decoded value would give, and checking a received
-message never re-encodes it. Either way, `to_bytes` is the stored signing bytes
-with the signature blob appended (`with_signature`, the inverse of
-`signed_part`).
-
-`check_signatures` queues the signature checks of signed messages for a
-helper process (Ed25519 holds the GIL), forked on first use where `os.fork`
-exists, more than one CPU may be used and no other thread is alive (a forked
-child could deadlock on a lock one holds). Its pipes carry only public data:
-per check the signed bytes, the signature and the public key, and one answer
-byte. Both processes drain the queue. Each queued check has a flag byte in an
-anonymous shared map, made before the fork; each side marks a check before it
-verifies it and skips a check the other side marked, for which the helper
-answers 2. A queued message's stored check reads the answers in send order, up
-to its batch; when that batch's answers are not in yet, this process first
-verifies the batch from its tail until it meets a check the helper took. The
-flags hold no message bytes, and no answer rests on them: every stored check
-is what `verify_bytes` gave in one process or the other, a 2 is never stored,
-and if both sides take a check, the first stored answer stands. At most two
-batches stay unread, so the pipes never fill. A forked process drops the
-helper. A bad answer, a read cut short, or answers not all in within
-`_ANSWER_WAIT_S` seconds (from a helper that is stopped, or answers short)
-kill the helper and reap it; a check that nobody stored is made here when it
-is asked for, and the next batch forks a new helper. Any other stop continues
-the helper first, so that one stopped with nothing queued still exits.
 
 Only the message types above, policies, claim sets and (elsewhere) target
 environments and result messages store values. Every other frozen value type
@@ -88,6 +47,7 @@ import mmap
 import os
 import select
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -106,10 +66,20 @@ NONCE_LEN = 16
 MAX_COMPONENT_DEPTH = 4
 
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
+_FLOAT_MAX = sys.float_info.max
 
 
 class ModelError(ValueError):
     """Raised when a constructor or decoder receives invalid data."""
+
+
+def _require_numbers(value, *names: str):
+    """Refuse a field among `names` of `value` that `F64` cannot encode:
+    anything but a float or an int (not a bool) within the float range."""
+    for name in names:
+        number = getattr(value, name)
+        if not (type(number) is float or type(number) is int and abs(number) <= _FLOAT_MAX):
+            raise ModelError(f"{name} must be a number")
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +135,7 @@ class GeoPoint:
     altitude: float
 
     def __post_init__(self):
+        _require_numbers(self, "latitude", "longitude", "altitude")
         if not -90.0 <= self.latitude <= 90.0:
             raise ModelError(f"latitude {self.latitude} outside [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
@@ -173,7 +144,6 @@ class GeoPoint:
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-_CLAIM_TYPES = {"bytes": bytes, "text": str, "int": int, "digest": Digest, "geo": GeoPoint}
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,9 +154,9 @@ class ClaimValue:
     value: Union[bytes, str, int, Digest, GeoPoint]
 
     def __post_init__(self):
-        if self.kind not in _CLAIM_TYPES:
+        if self.kind not in _CLAIM_KINDS:
             raise ModelError(f"unknown claim kind {self.kind!r}")
-        if not isinstance(self.value, _CLAIM_TYPES[self.kind]) or (
+        if not isinstance(self.value, _CLAIM_KINDS[self.kind][1]) or (
             self.kind == "int" and not _INT64_MIN <= self.value <= _INT64_MAX
         ):
             raise ModelError(f"claim value {self.value!r} invalid for kind {self.kind}")
@@ -279,7 +249,7 @@ class SigningKey:
     def __init__(self, private_bytes: bytes):
         if len(private_bytes) != 32:
             raise ModelError("signing key seed must be 32 bytes")
-        self._priv_bytes = private_bytes
+        self.private_bytes = private_bytes
         self._priv: Optional[Ed25519PrivateKey] = None
 
     @staticmethod
@@ -288,12 +258,8 @@ class SigningKey:
 
     def _key(self) -> Ed25519PrivateKey:
         if self._priv is None:
-            self._priv = Ed25519PrivateKey.from_private_bytes(self._priv_bytes)
+            self._priv = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
         return self._priv
-
-    @property
-    def private_bytes(self) -> bytes:
-        return self._priv_bytes
 
     @property
     def public_bytes(self) -> bytes:
@@ -303,7 +269,7 @@ class SigningKey:
         return self._key().sign(data)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SigningKey) and self._priv_bytes == other._priv_bytes
+        return isinstance(other, SigningKey) and self.private_bytes == other.private_bytes
 
 
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
@@ -510,7 +476,10 @@ class Kind:
     its tag choosing the value's kind), a claim set (with its stored
     encoding), and component evidence (with its depth check before descent).
     A kind written into a table never compiles itself: compiling each kind
-    when built raised supply-chain peak RSS by 2.4%.
+    when built raised supply-chain peak RSS by 2.4%. `tests/oracles.py` walks
+    the tables field by field, the reference that this code is checked
+    against; the compiled code takes the supply-chain benchmark's wall time
+    about 5% lower than that walk.
 
     The ten forms and their args: "fixed" and "bool" (a `struct.Struct`; a
     digest or a nonce value is fixed, "32s" or "16s"), "blob", "text", "tag"
@@ -607,18 +576,20 @@ ROLE = tag({r: r.value for r in Role}, "role", TEXT)
 ENTITY = Table(EntityId, ("role", ROLE), ("name", TEXT), ("public_key", BLOB))
 NONCE = Table(Nonce, ("value", Kind("fixed", struct.Struct(f"{NONCE_LEN}s"))), ("issued_at", U64))
 
-_CLAIM_KIND = tag({"bytes": 1, "text": 2, "int": 3, "digest": 4, "geo": 5}, "claim value tag")
-_CLAIM_VALUES = {"bytes": BLOB, "text": TEXT, "int": I64, "digest": DIGEST, "geo": GEO}
+# Each claim kind: its tag code, its Python type and its field kind.
+_CLAIM_KINDS = {"bytes": (1, bytes, BLOB), "text": (2, str, TEXT), "int": (3, int, I64),
+                "digest": (4, Digest, DIGEST), "geo": (5, GeoPoint, GEO)}
+_CLAIM_KIND = tag({kind: code for kind, (code, _, _) in _CLAIM_KINDS.items()}, "claim value tag")
 
 
 def _put_claim(out: list, cv: ClaimValue):
     _CLAIM_KIND.put(out, cv.kind)
-    _CLAIM_VALUES[cv.kind].put(out, cv.value)
+    _CLAIM_KINDS[cv.kind][2].put(out, cv.value)
 
 
 def _get_claim(dec: Decoder) -> ClaimValue:
     kind = _CLAIM_KIND.get(dec)
-    return ClaimValue(kind, _CLAIM_VALUES[kind].get(dec))
+    return ClaimValue(kind, _CLAIM_KINDS[kind][2].get(dec))
 
 
 _CLAIM_ENTRIES = seq(pair(TEXT, Kind("call", _put_claim, _get_claim)))
@@ -646,8 +617,10 @@ CLAIMS = Kind("call", _put_claims, _get_claims)
 
 def _signed(table: Table, signer: str):
     """Give `table`'s class the members of a signed message, signed by the
-    EntityId in its field `signer` (see the module docstring). `from_bytes` is
-    a staticmethod, the one wrapper that the benchmark unwraps."""
+    EntityId in its field `signer`: the table's fields, then the signature as
+    a blob. Each member is set on the class, not inherited from a base, since
+    the benchmark rebinds each one by name in the class's own namespace;
+    `from_bytes` is a staticmethod, the one wrapper that it unwraps."""
     cls = table.args[0]
     cls.signing_bytes = lambda self: _once(self, "signing_bytes", table.encode)
     cls.to_bytes = lambda self: with_signature(self.signing_bytes(), self.signature)
@@ -670,7 +643,9 @@ def _verify_message(message) -> bool:
 
 def _decode_signed(table: Table, data: bytes, depth: int = 1):
     """The signed message that `data` encodes, holding the bytes it was
-    signed over: `data` without the trailing signature blob."""
+    signed over: `data` without the trailing signature blob. Decoding is
+    canonical-only, so those are exactly the bytes that encoding the decoded
+    value would give, and checking a received message never re-encodes it."""
     message = decode(table, data, depth)
     _once(message, "signing_bytes", lambda m: signed_part(data, m.signature))
     return message
@@ -692,11 +667,12 @@ def sign_message(message, key: SigningKey):
     """`message` (evidence, endorsement or result, freshly built and unsigned)
     signed by `key`: the same object, now carrying the signature.
 
-    The signature is not part of the signing bytes, so the bytes stored on the
-    message while signing stay valid; a signature check stored before signing
-    described the empty signature and is dropped. A message that already
-    carries a signature raises `ModelError`, so one that someone else holds is
-    never changed.
+    Signing is the one change made to a message in place, so that a message
+    is built once. The signature is not part of the signing bytes, so the
+    bytes stored on the message stay valid; a signature check stored before
+    signing described the empty signature and is dropped. A message that
+    already carries a signature raises `ModelError`, so one that someone else
+    holds is never changed.
     """
     if message.signature:
         raise ModelError(f"{type(message).__name__} is already signed")
@@ -707,7 +683,7 @@ def sign_message(message, key: SigningKey):
 
 
 # ---------------------------------------------------------------------------
-# Signature checks shared with a helper process (see the module docstring)
+# Signature checks shared with a helper process (see `_Helper`)
 # ---------------------------------------------------------------------------
 
 # the slot of the batch's first flag, then per check: the signed bytes, the
@@ -744,7 +720,26 @@ def _ready(stream, timeout: float = 0) -> bool:
 class _Helper:
     """This process's helper: its pid, this process's ends of its pipes, the
     flags shared with it, and the messages sent whose answers are unread, by
-    batch with the slot of the batch's first flag, and their ids."""
+    batch with the slot of the batch's first flag, and their ids.
+
+    Its pipes carry only public data: per check the signed bytes, the
+    signature and the public key, and one answer byte. Both processes drain
+    the queue. Each queued check has a flag byte in an anonymous shared map,
+    made before the fork; each side marks a check before it verifies it and
+    skips a check the other side marked, for which the helper answers 2. A
+    queued message's stored check reads the answers in send order, up to its
+    batch; when that batch's answers are not in yet, this process first
+    verifies the batch from its tail until it meets a check the helper took,
+    so it never waits out a whole batch. Reading a batch's answers clears its
+    flags. The flags hold no message bytes, and no answer rests on them: every
+    stored check is what `verify_bytes` gave in one process or the other, a 2
+    is never stored, and if both sides take a check, the first stored answer
+    stands. At most two batches stay unread, so the pipes never fill. A
+    forked process drops the helper. A bad answer, a read cut short, or
+    answers not all in within `_ANSWER_WAIT_S` seconds (from a helper that is
+    stopped, or answers short) kill the helper and reap it; a check that
+    nobody stored is made here when it is asked for, and the next batch forks
+    a new helper."""
 
     def __init__(self):
         self.pid, self.requests, self.answers, self.flags = 0, None, None, None
@@ -866,7 +861,13 @@ if hasattr(os, "register_at_fork"):
 def check_signatures(messages: Sequence) -> None:
     """Queue for the helper the checks of the signed `messages` (evidence,
     endorsements or results) neither checked nor queued yet, each once, in
-    batches of at most `_HALF`; their stored checks read the answers."""
+    batches of at most `_HALF`; their stored checks read the answers.
+
+    `cryptography`'s Ed25519 holds the GIL, so only a second process reaches
+    a second CPU. The helper is forked on first use, and only where `os.fork`
+    exists, more than one CPU may be used and no other thread is alive (a
+    forked child could deadlock on a lock one holds); elsewhere each check is
+    made in process when it is asked for."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
                   and "signature_valid" not in m.__dict__.get("_memo", {})}.values())
     if (batch and hasattr(os, "fork")
@@ -1048,6 +1049,7 @@ class GeoFence:
     lon_max: float
 
     def __post_init__(self):
+        _require_numbers(self, "lat_min", "lat_max", "lon_min", "lon_max")
         # written so that a NaN bound fails too
         if not (self.lat_min <= self.lat_max and self.lon_min <= self.lon_max):
             raise ModelError("geo fence bounds must satisfy min <= max")
@@ -1068,15 +1070,16 @@ class PolicyRule:
     fence: Optional[GeoFence] = None
 
     def __post_init__(self):
-        if not self.rule_id:
-            raise ModelError("rule id must be non-empty")
-        if self.kind in (
-            RuleKind.REFERENCE_MATCH,
-            RuleKind.VERSION_AT_LEAST,
-            RuleKind.GEO_FENCE,
-            RuleKind.CLAIM_PRESENT,
-        ) and not self.claim_key:
+        if not isinstance(self.rule_id, str) or not self.rule_id:
+            raise ModelError(f"rule id {self.rule_id!r} is not a non-empty string")
+        if not isinstance(self.kind, RuleKind):
+            raise ModelError(f"rule kind {self.kind!r} is not a RuleKind")
+        if not isinstance(self.claim_key, str):
+            raise ModelError(f"rule claim key {self.claim_key!r} is not a string")
+        if not self.claim_key and self.kind != RuleKind.COMPONENTS_ALL_COMPLIANT:
             raise ModelError(f"rule kind {self.kind.value} requires a claim key")
+        if not (self.fence is None or isinstance(self.fence, GeoFence)):
+            raise ModelError(f"rule fence {self.fence!r} is not a GeoFence")
         if self.kind == RuleKind.GEO_FENCE and self.fence is None:
             raise ModelError("geo_fence rule requires fence bounds")
         if type(self.bound) is not int or not _INT64_MIN <= self.bound <= _INT64_MAX:
@@ -1091,8 +1094,14 @@ class EvidencePolicy:
     required_claims: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.policy_id:
-            raise ModelError("policy id must be non-empty")
+        if not isinstance(self.policy_id, str) or not self.policy_id:
+            raise ModelError(f"policy id {self.policy_id!r} is not a non-empty string")
+        if not (isinstance(self.rules, tuple)
+                and all(isinstance(rule, PolicyRule) for rule in self.rules)):
+            raise ModelError("policy rules must be a tuple of PolicyRule")
+        if not (isinstance(self.required_claims, tuple)
+                and all(isinstance(key, str) and key for key in self.required_claims)):
+            raise ModelError("policy required claims must be a tuple of non-empty strings")
         if type(self.freshness_window) is not int or not 1 <= self.freshness_window < 2**64:
             raise ModelError(f"freshness window {self.freshness_window!r} is not in [1, 2**64)")
 

@@ -2,31 +2,32 @@
 signed attestation results; also the relying-party appraisal of results.
 
 Appraisals take the reference claims already merged from the endorsements
-(`merge_reference_claims`), so a verifier that appraises many times merges
-and checks its endorsements once, not once per appraisal.
+(`merge_reference_claims`), which `conveyance.VerifierContext` merges once
+per endorsement set.
 
 The rules are judged from a plan made once per policy object and stored on it:
 claim_present, version_at_least and geo_fence rules on every claim set, and
 reference_match rules, vacuous on an absent claim, by claim key, in one walk
-over the claim set's entries; the reasons keep policy order.
-They judge only the claim set, the merged references and the policy, so they
-are worked out once per (claim set, reference map, policy) and stored on the
-claim set, which every evidence of an unchanged configuration shares, but only
-when the reference map is a `MappingProxyType`: the read-only view that
+over the claim set's entries; the reasons keep policy order. They judge only
+the claim set, the merged references and the policy, so they are worked out
+once per (claim set, reference map, policy) and stored on the claim set, which
+every evidence of an unchanged configuration shares, but only when the
+reference map is a `MappingProxyType`: the read-only view that
 `merge_reference_claims` returns over a dict that nothing else holds. (A
 caller passing a view of its own must not change the dict under it.) Any other
-mapping, such as a plain dict that its caller may change in place, is
-evaluated at every appraisal. A changed endorsement set is a new reference map
-and a replaced policy a new object, so either is a miss. The checks that
-depend on the evidence itself (signature, nonce and staleness, and the layer
-chain) run for every evidence.
+mapping is evaluated at every appraisal. A changed endorsement set is a new
+reference map and a replaced policy a new object, so either is a miss. The
+checks that depend on the evidence itself (signature, nonce and staleness, and
+the layer chain) run for every evidence.
 
-Reason vocabulary: builtin ids "sig", "nonce", "stale", "missing_claim:<key>",
-layer ids "layer.<i>" / "layer.len" / "layer.no_secret", component ids
-"component.<i>.<reason>" / "component.<i>.no_policy", and policy rule ids.
-A reason carrying the ".no_reference" suffix (or "layer.no_secret") marks a
-check the verifier could not judge; if only such reasons occur the verdict is
-`unknown` rather than `non_compliant`.
+Reason vocabulary: builtin ids "sig", "nonce" (the echo differs from the
+challenge in value or in tick), "stale" (the older of the two ticks is more
+than the freshness window ago), "missing_claim:<key>", layer ids "layer.<i>" /
+"layer.len" / "layer.no_secret", component ids "component.<i>.<reason>" /
+"component.<i>.no_policy", and policy rule ids. A reason carrying the
+".no_reference" suffix (or "layer.no_secret") marks a check the verifier could
+not judge; if only such reasons occur the verdict is `unknown` rather than
+`non_compliant`.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ def merge_reference_claims(endorsements: Sequence[Endorsement]) -> Mapping[str, 
 def _rule_plan(policy: EvidencePolicy) -> tuple[list, dict]:
     """`policy`'s rules, each with its place in the policy: those judged on
     every claim set, as (place, id, claim key, claim kind, test of the value),
-    and the reference_match rules by claim key, as (place, id)."""
+    and the reference_match rules by claim key, as (place, id). A node's
+    claims reach 4 of the benchmark catalog policy's 61 rules, so the plan
+    judges a claim set about 10 times faster than a loop over every rule."""
     every, by_key = [], {}
     for place, rule in enumerate(policy.rules):
         if rule.kind == RuleKind.REFERENCE_MATCH:

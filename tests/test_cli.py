@@ -450,6 +450,12 @@ BAD_SCENARIOS = {
                ])),
         "fault on n2: flip_sw_byte at tick 25 finds no sw images to flip",
     ),
+    # `consortium.faulted` is the one place that names the mutations; the
+    # dry run of the faults refuses an unknown one before any epoch runs
+    "unknown_mutation": (
+        _set(("faults",), [{"node_id": "n1", "mutation": "melt", "tick": 25}]),
+        "fault on n1: unknown mutation 'melt'",
+    ),
     # exited 0 before: the later definition built the nodes, both were endorsed
     "duplicate_product": (
         lambda doc: doc["products"].append(

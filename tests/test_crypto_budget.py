@@ -1,10 +1,10 @@
 """Exact counts of the expensive operations: Ed25519 private-key
 constructions, signs and verifies, result decodes, policy rule evaluations,
-stored values computed, encodes per table, and the signed messages and ledger
-blocks built; for small cases, one benchmark unit of each simulation
-workload, and the 200-node case. A change that adds crypto work fails here
-instead of hiding in benchmark noise; a change that removes some updates the
-pinned counts."""
+stored values computed, encodes and decodes per table, and the signed
+messages and ledger blocks built; for small cases, one benchmark unit of each
+simulation workload, and the 200-node case. A change that adds crypto work
+fails here instead of hiding in benchmark noise; a change that removes some
+updates the pinned counts."""
 
 import dataclasses
 import importlib
@@ -243,26 +243,38 @@ def misses(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def encodes(monkeypatch):
-    """Counts the `encode` calls made through `model` and each attestnet
-    module that imports it by name, per kind encoded, named as the module that
-    defines it names it (`model._EVIDENCE`, say)."""
+def _count_per_kind(monkeypatch, function: str) -> dict:
+    """Counts the calls of `model`'s `function` (`encode` or `decode`) made
+    through `model` and each attestnet module that imports it by name, per
+    kind, named as the module that defines it names it (`model._EVIDENCE`,
+    say)."""
     names = {}
     for name in ["model"] + [info.name for info in pkgutil.iter_modules(attestnet.__path__)]:
         for attribute, value in vars(importlib.import_module(f"attestnet.{name}")).items():
             if isinstance(value, model.Kind):
                 names.setdefault(id(value), f"{name}.{attribute}")
-    counts, encode = {}, model.encode
+    counts, call = {}, getattr(model, function)
 
-    def counting_encode(kind, value):
+    def counting_call(kind, *args):
         name = names.get(id(kind), kind.form)
         counts[name] = counts.get(name, 0) + 1
-        return encode(kind, value)
+        return call(kind, *args)
 
-    patched = replace_everywhere(monkeypatch, "encode", counting_encode)
+    patched = replace_everywhere(monkeypatch, function, counting_call)
     assert {"model", "attester", "cli", "consortium", "endorsement_ledger"} <= patched
     return counts
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Counts the `encode` calls per kind encoded (`_count_per_kind`)."""
+    return _count_per_kind(monkeypatch, "encode")
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts the `decode` calls per kind decoded (`_count_per_kind`)."""
+    return _count_per_kind(monkeypatch, "decode")
 
 
 def _simulate_unit(workload: str, path: Path, monkeypatch, capsys):
@@ -276,7 +288,7 @@ def _simulate_unit(workload: str, path: Path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"tip: {workloads.DEFAULT_SEED_TIPS[workload]}\n"
 
 
-def test_simulate_one_sim_catalog_unit(budget, misses, tmp_path, monkeypatch, capsys):
+def test_simulate_one_sim_catalog_unit(budget, misses, decodes, tmp_path, monkeypatch, capsys):
     """40 nodes in 4 domains, 20 products of 3 images, 3 epochs, one
     flip_sw_byte fault in the second epoch."""
     _simulate_unit("sim-catalog", tmp_path, monkeypatch, capsys)
@@ -292,9 +304,10 @@ def test_simulate_one_sim_catalog_unit(budget, misses, tmp_path, monkeypatch, ca
     assert misses == {"signing_bytes": 500, "signature_valid": 260, "config_digest": 41,
                       "claims": 41, "encoded": 61, "rule_reasons": 41, "digest": 5,
                       "rule_plan": 5}
+    assert decodes == {}  # `simulate` only writes bytes
 
 
-def test_simulate_one_sim_fleet_unit(budget, misses, tmp_path, monkeypatch, capsys):
+def test_simulate_one_sim_fleet_unit(budget, misses, decodes, tmp_path, monkeypatch, capsys):
     """600 nodes in 4 domains, 2 products of 1 image, 2 epochs, 360 nodes
     given another node's configuration in the second."""
     _simulate_unit("sim-fleet", tmp_path, monkeypatch, capsys)
@@ -306,9 +319,10 @@ def test_simulate_one_sim_fleet_unit(budget, misses, tmp_path, monkeypatch, caps
     assert misses == {"signing_bytes": 4802, "signature_valid": 2402, "config_digest": 600,
                       "claims": 600, "encoded": 602, "rule_reasons": 600, "digest": 5,
                       "rule_plan": 5}
+    assert decodes == {}
 
 
-def test_simulate_200_nodes(budget, misses, encodes, tmp_path, monkeypatch, capsys):
+def test_simulate_200_nodes(budget, misses, encodes, decodes, tmp_path, monkeypatch, capsys):
     """The north-star 200-node case of `test_generated_200_node_tip`, with
     the helper off: 10 epochs of 200 nodes, each appraised by its domain's
     verifier and the consortium's, one flip_sw_byte fault."""
@@ -337,6 +351,7 @@ def test_simulate_200_nodes(budget, misses, encodes, tmp_path, monkeypatch, caps
     assert encodes == {"model._EVIDENCE": 4000, "model._RESULT": 4000, "model._ENDORSEMENT": 20,
                        "model._CLAIM_ENTRIES": 221, "attester._TARGET": 201, "model._POLICY": 5,
                        "consortium._AUDIT": 40, "consortium._BLOCK": 20}
+    assert decodes == {}
 
 
 def _granted_world(rng, env):

@@ -63,6 +63,17 @@ def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):
         "tip: 4badecafee0e4c9fc3258c35f8fcdaf13d0216082b8b392b43284002985bc40e\n")
 
 
+def test_generated_1000_node_tip(tmp_path, monkeypatch, capsys):
+    """The north-star 1000-node case: 20 products of 3 x 4 KiB images, 10
+    epochs and a flip_sw_byte fault, from the benchmark's generator at seed
+    11."""
+    path = write_generated_scenario(tmp_path / "scenario.json", monkeypatch,
+                                    (1000, 20, 3, 4096, 10, "flip_sw_byte"), 11)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "tip: 38fa67f9f3dfe0f9cdc9c5b2c1e300d9b25eca0b62f104f9dbf163e46d5c4564\n")
+
+
 # Runs `simulate` on one scenario with the helper off (one CPU reported) and
 # on with 1, 16 and 64 nodes per batch, each into its own directory.
 _RUNS = """

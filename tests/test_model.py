@@ -303,6 +303,70 @@ class TestInvariantConstructors:
         with pytest.raises(ModelError, match="freshness window"):
             EvidencePolicy("p", (), freshness_window=window)
 
+    # Values that the tables cannot encode, or that could change under a
+    # stored digest, are refused when built, by a `ModelError` naming the
+    # field, not at an appraisal's `policy.digest()`.
+    @pytest.mark.parametrize("args, field", [
+        (("a", 0, 0), "latitude"),
+        ((0, "b", 0), "longitude"),
+        ((0, 0, None), "altitude"),
+        ((True, 0, 0), "latitude"),
+        ((0, 0, 10**400), "altitude"),
+        ((100, 0, 0), "latitude"),
+    ], ids=["text-latitude", "text-longitude", "none-altitude", "bool", "huge-int", "range"])
+    def test_geo_point_refuses(self, args, field):
+        with pytest.raises(ModelError, match=field):
+            GeoPoint(*args)
+
+    @pytest.mark.parametrize("args, field", [
+        (("a", "b", "c", "d"), "lat_min"),
+        ((0, 1, 0, True), "lon_max"),
+        ((0, None, 0, 1), "lat_max"),
+        ((0, 1, -(10**400), 1), "lon_min"),
+        ((1, 0, 0, 1), "min <= max"),
+    ], ids=["text", "bool", "none", "huge-int", "order"])
+    def test_geo_fence_refuses(self, args, field):
+        with pytest.raises(ModelError, match=field):
+            GeoFence(*args)
+
+    @pytest.mark.parametrize("args, kwargs, field", [
+        ((7, RuleKind.CLAIM_PRESENT, "k"), {}, "rule id"),
+        (("", RuleKind.CLAIM_PRESENT, "k"), {}, "rule id"),
+        (("r", RuleKind.CLAIM_PRESENT, b"k"), {}, "claim key"),
+        (("r", RuleKind.CLAIM_PRESENT, ""), {}, "claim key"),
+        (("r", "nope", "k"), {}, "rule kind"),
+        (("r", "claim_present", "k"), {}, "rule kind"),
+        (("r", RuleKind.GEO_FENCE, "geo"), {"fence": (0, 1, 0, 1)}, "fence"),
+        (("r", RuleKind.GEO_FENCE, "geo"), {}, "fence"),
+    ], ids=["int-id", "empty-id", "bytes-key", "empty-key", "unknown-kind", "text-kind",
+            "tuple-fence", "no-fence"])
+    def test_policy_rule_refuses(self, args, kwargs, field):
+        with pytest.raises(ModelError, match=field):
+            PolicyRule(*args, **kwargs)
+
+    @pytest.mark.parametrize("args, field", [
+        ((9, (), 5), "policy id"),
+        (("", (), 5), "policy id"),
+        (("p", [PolicyRule("r", RuleKind.CLAIM_PRESENT, "k")], 5), "rules"),
+        (("p", ("x",), 5), "rules"),
+        (("p", (), 5, (3,)), "required claims"),
+        (("p", (), 5, ("",)), "required claims"),
+        (("p", (), 5, ["k"]), "required claims"),
+    ], ids=["int-id", "empty-id", "list-rules", "text-rule", "int-claim", "empty-claim",
+            "list-claims"])
+    def test_evidence_policy_refuses(self, args, field):
+        """A list of rules or of required claims is refused too: appending to
+        it after the policy's digest is stored would leave that digest stale."""
+        with pytest.raises(ModelError, match=field):
+            EvidencePolicy(*args)
+
+    def test_numbers_of_either_type_encode_alike(self):
+        """An int is a number, as an equal float is, with the same bytes."""
+        assert encode(model.GEO, GeoPoint(1, -2, 3)) == encode(model.GEO, GeoPoint(1.0, -2.0, 3.0))
+        policies = [EvidencePolicy("p", (PolicyRule("f", RuleKind.GEO_FENCE, "geo", fence=f),), 5)
+                    for f in (GeoFence(0, 1, -1, 2), GeoFence(0.0, 1.0, -1.0, 2.0))]
+        assert policies[0].digest() == policies[1].digest()
+
 
 # ---------------------------------------------------------------------------
 # Decoders raise only ModelError
