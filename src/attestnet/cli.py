@@ -159,11 +159,7 @@ def cmd_appraise(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = scenario.load_scenario(args.scenario)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        # a scenario can still break a model or simulation invariant here,
-        # such as a stake below 0 or a repeated domain id
-        universe = scenario.build_universe(cfg)
+        universe = scenario.build_universe(cfg)  # refuses a fault that cannot apply
         consortium.distribute_policies(universe)
         reports = [consortium.run_epoch(universe) for _ in range(cfg.epochs)]
     except OSError as exc:
@@ -250,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario and export ledger + reports")
     p.add_argument("scenario")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ledger", help="inspect or verify a ledger export")
     p.add_argument("ledger")

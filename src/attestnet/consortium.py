@@ -2,6 +2,10 @@
 attestation verdicts gate validator selection, governance adapts to node
 diversity, and policy/audit digests are anchored on a hash-linked ledger.
 
+The universe reads its parameters from the scenario that
+`scenario.parse_scenario` checked, which owns every check on their values; the
+simulator itself refuses only a fault that cannot apply (`faulted`).
+
 Ledger records and blocks are slotted value types (no instance dict), since a
 run keeps every block.
 """
@@ -24,7 +28,6 @@ from .model import (
     AttestationResult,
     Digest,
     EvidencePolicy,
-    GeoFence,
     GeoPoint,
     ModelError,
     Table,
@@ -44,7 +47,8 @@ _AUDIT = pair(TEXT, seq(BLOB))  # the domain id and its epoch's audit entries
 
 
 class SimError(ValueError):
-    """Raised on invalid simulator configuration or state."""
+    """Raised for a fault that cannot apply, and on simulator state that breaks
+    an invariant (an audit entry out of tick order)."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +151,6 @@ class Domain:
         self.audit_log.append((tick, entry))
 
 
-@dataclass
-class ConsortiumConfig:
-    """The consensus parameters; `scenario.build_universe` gives every one."""
-
-    consortium_verifier: VerifierContext
-    majority_parameter: int
-    diversity_threshold: float
-    raised_majority: int
-    geo_fence: Optional[GeoFence]
-    epoch_length: int
-
-    def __post_init__(self):
-        if not 50 < self.majority_parameter <= 100:
-            raise ModelError("majority parameter must be in (50, 100]")
-        if self.raised_majority < self.majority_parameter:
-            raise ModelError("raised majority must be >= majority parameter")
-        if not 0 < self.diversity_threshold <= 1:
-            raise ModelError("diversity threshold must be in (0, 1]")
-
-
 @dataclass(frozen=True, slots=True)
 class FaultInjection:
     tick: int
@@ -206,11 +190,14 @@ class EpochReport:
 
 
 class Universe:
-    """All simulation state; fully determined by the scenario seed."""
+    """All simulation state, fully determined by the scenario. `config` is the
+    `scenario.ScenarioConfig` that `parse_scenario` checked, kept as it is;
+    `scenario.build_universe` fills `domains` and `nodes` from it."""
 
-    def __init__(self, config: ConsortiumConfig, seed: int):
+    def __init__(self, config, consortium_verifier: VerifierContext):
         self.config = config
-        self.rng = random.Random(seed)
+        self.consortium_verifier = consortium_verifier
+        self.rng = random.Random(config.seed)
         self.clock = 0
         self.domains: dict[str, Domain] = {}
         self.nodes: dict[str, Node] = {}
@@ -218,21 +205,9 @@ class Universe:
         self.pending_records: list[LedgerRecord] = []
         self.effective_majority = config.majority_parameter
         # faults not yet applied, in (tick, node_id) order; `run_epoch` pops the due ones
-        self.faults: list[FaultInjection] = []
+        self.faults: list[FaultInjection] = list(config.faults)
         self.epoch_index = 0
         self._recorded_policy_digests: set[bytes] = set()
-
-    def add_domain(self, domain: Domain):
-        if domain.domain_id in self.domains:
-            raise SimError(f"duplicate domain id {domain.domain_id}")
-        self.domains[domain.domain_id] = domain
-
-    def add_node(self, node: Node):
-        if node.node_id in self.nodes:
-            raise SimError(f"duplicate node id {node.node_id}")
-        if node.domain_id not in self.domains:
-            raise SimError(f"node {node.node_id} references unknown domain {node.domain_id}")
-        self.nodes[node.node_id] = node
 
     def sorted_nodes(self) -> list[Node]:
         return [self.nodes[nid] for nid in sorted(self.nodes)]
@@ -249,7 +224,7 @@ def distribute_policies(universe: Universe):
     is recorded and loses: the domain verifier gets the consortium's copy.
     A scenario's policies share one rule set, so only a domain's
     fw_min_version override conflicts; a shared rule is matched by identity."""
-    consortium_policy = universe.config.consortium_verifier.policy
+    consortium_policy = universe.consortium_verifier.policy
     _record_policy_digest(universe, consortium_policy)
     by_id = {r.rule_id: r for r in consortium_policy.rules}
     for domain in universe.domains.values():
@@ -316,9 +291,8 @@ def check_faults(universe: Universe):
 
 
 def diversity_metric(universe: Universe) -> float:
-    nodes = universe.sorted_nodes()
-    if not nodes:
-        raise SimError("diversity metric requires at least one node")
+    """The share of distinct node configurations; a scenario has at least one node."""
+    nodes = universe.nodes.values()
     distinct = {n.target_env.config_digest().value for n in nodes}
     return len(distinct) / len(nodes)
 
@@ -405,7 +379,7 @@ def run_epoch(universe: Universe) -> EpochReport:
     domain_verdicts: dict[str, str] = {}
     for domain in universe.domains.values():
         domain.audit_log.clear()
-    cv = cfg.consortium_verifier
+    cv = universe.consortium_verifier
     nodes = universe.sorted_nodes()
     overlap = len(nodes) > BATCH_NODES
     if overlap:

@@ -73,6 +73,15 @@ class ModelError(ValueError):
     """Raised when a constructor or decoder receives invalid data."""
 
 
+def _shown(value) -> str:
+    """`repr(value)` for an error message, which must not raise: Python refuses
+    to print an int of more than 4,300 digits, or a value holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{type(value).__name__} too large to print"
+
+
 def _require_numbers(value, *names: str):
     """Refuse a field among `names` of `value` that `F64` cannot encode:
     anything but a float or an int (not a bool) within the float range."""
@@ -155,11 +164,11 @@ class ClaimValue:
 
     def __post_init__(self):
         if self.kind not in _CLAIM_KINDS:
-            raise ModelError(f"unknown claim kind {self.kind!r}")
+            raise ModelError(f"unknown claim kind {_shown(self.kind)}")
         if not isinstance(self.value, _CLAIM_KINDS[self.kind][1]) or (
             self.kind == "int" and not _INT64_MIN <= self.value <= _INT64_MAX
         ):
-            raise ModelError(f"claim value {self.value!r} invalid for kind {self.kind}")
+            raise ModelError(f"claim value {_shown(self.value)} invalid for kind {self.kind}")
 
     @staticmethod
     def of_text(v: str) -> "ClaimValue":
@@ -1071,19 +1080,19 @@ class PolicyRule:
 
     def __post_init__(self):
         if not isinstance(self.rule_id, str) or not self.rule_id:
-            raise ModelError(f"rule id {self.rule_id!r} is not a non-empty string")
+            raise ModelError(f"rule id {_shown(self.rule_id)} is not a non-empty string")
         if not isinstance(self.kind, RuleKind):
-            raise ModelError(f"rule kind {self.kind!r} is not a RuleKind")
+            raise ModelError(f"rule kind {_shown(self.kind)} is not a RuleKind")
         if not isinstance(self.claim_key, str):
-            raise ModelError(f"rule claim key {self.claim_key!r} is not a string")
+            raise ModelError(f"rule claim key {_shown(self.claim_key)} is not a string")
         if not self.claim_key and self.kind != RuleKind.COMPONENTS_ALL_COMPLIANT:
             raise ModelError(f"rule kind {self.kind.value} requires a claim key")
         if not (self.fence is None or isinstance(self.fence, GeoFence)):
-            raise ModelError(f"rule fence {self.fence!r} is not a GeoFence")
+            raise ModelError(f"rule fence {_shown(self.fence)} is not a GeoFence")
         if self.kind == RuleKind.GEO_FENCE and self.fence is None:
             raise ModelError("geo_fence rule requires fence bounds")
         if type(self.bound) is not int or not _INT64_MIN <= self.bound <= _INT64_MAX:
-            raise ModelError(f"rule bound {self.bound!r} is not an int64")
+            raise ModelError(f"rule bound {_shown(self.bound)} is not an int64")
 
 
 @dataclass(frozen=True)
@@ -1095,7 +1104,7 @@ class EvidencePolicy:
 
     def __post_init__(self):
         if not isinstance(self.policy_id, str) or not self.policy_id:
-            raise ModelError(f"policy id {self.policy_id!r} is not a non-empty string")
+            raise ModelError(f"policy id {_shown(self.policy_id)} is not a non-empty string")
         if not (isinstance(self.rules, tuple)
                 and all(isinstance(rule, PolicyRule) for rule in self.rules)):
             raise ModelError("policy rules must be a tuple of PolicyRule")
@@ -1103,7 +1112,7 @@ class EvidencePolicy:
                 and all(isinstance(key, str) and key for key in self.required_claims)):
             raise ModelError("policy required claims must be a tuple of non-empty strings")
         if type(self.freshness_window) is not int or not 1 <= self.freshness_window < 2**64:
-            raise ModelError(f"freshness window {self.freshness_window!r} is not in [1, 2**64)")
+            raise ModelError(f"freshness window {_shown(self.freshness_window)} is not in [1, 2**64)")
 
     def to_bytes(self) -> bytes:
         return encode(_POLICY, self)

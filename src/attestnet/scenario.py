@@ -1,6 +1,10 @@
 """Scenario configuration: a key-sorted JSON document describing products,
 domains, nodes, faults, and consensus parameters, plus the builder that turns
 one into a fully wired simulation universe and dry-runs its fault schedule.
+
+`parse_scenario` makes every check on the document's values; the universe
+keeps the checked `ScenarioConfig` itself, and `build_universe` refuses only a
+fault that cannot apply, through the dry run.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import random
 from dataclasses import make_dataclass
 
 from .attester import AttestingEnvironment, TargetEnvironment
-from .consortium import ConsortiumConfig, Domain, FaultInjection, Node, SimError, Universe, check_faults
+from .consortium import Domain, FaultInjection, Node, Universe, check_faults
 from .conveyance import VerifierContext
 from .model import (
     _INT64_MAX,
@@ -32,7 +36,8 @@ from .model import (
 
 
 class ScenarioError(ValueError):
-    """Raised when a scenario document fails validation; message names the field."""
+    """Raised when a scenario document fails a check, by `parse_scenario`; the
+    message names the object and the field."""
 
 
 # Each scenario object is declared once, as (key, reader, default) rows; a row
@@ -51,9 +56,10 @@ def _reader(ok, must: str, convert=None):
     return read
 
 
-def _integer(minimum=_INT64_MIN):
-    return _reader(lambda v: type(v) is int and minimum <= v <= _INT64_MAX,
-                   f"be an integer in [{minimum}, 2**63)")
+def _integer(minimum=_INT64_MIN, maximum=_INT64_MAX):
+    upper = "2**63)" if maximum == _INT64_MAX else f"{maximum}]"
+    return _reader(lambda v: type(v) is int and minimum <= v <= maximum,
+                   f"be an integer in [{minimum}, {upper}")
 
 
 def _is_finite(value) -> bool:
@@ -68,6 +74,13 @@ def _is_finite(value) -> bool:
 _float = _reader(_is_finite, "be a finite number", float)
 _objects = _reader(lambda v: type(v) is list and all(type(item) is dict for item in v),
                    "be a list of objects")
+
+
+def _fraction(value, where: str, key: str) -> float:
+    value = _float(value, where, key)
+    if not 0 < value <= 1:
+        raise ScenarioError(f"{where}: {key} must be in (0, 1]")
+    return value
 
 
 def _utf8(value: str, where: str, what: str) -> bytes:
@@ -146,6 +159,18 @@ def _items(docs: list, kind: str, rows, label: str = "{} {}") -> list[dict]:
     return items
 
 
+def _by_id(spec, docs: list, kind: str) -> dict:
+    """Each listed object of `kind`, as a `spec`, keyed by its id: the value of
+    its first row. An id given twice is refused."""
+    specs = {}
+    for fields in _items(docs, kind, spec.rows):
+        key, spec_id = next(iter(fields.items()))
+        if spec_id in specs:
+            raise ScenarioError(f"{kind} {spec_id}: {key} defined more than once")
+        specs[spec_id] = spec(**fields)
+    return specs
+
+
 def _spec(name: str, *rows):
     """A dataclass with a field per row; it keeps the rows as `rows`."""
     spec = make_dataclass(name, [key for key, _, _ in rows])
@@ -165,9 +190,10 @@ ScenarioConfig = _spec(
     ("nodes", _objects, _REQUIRED),
     ("faults", _objects, ()),
     ("fw_min_version", _integer(), 1),
-    ("majority_parameter", _integer(), 51),
-    ("raised_majority", _integer(), 70),
-    ("diversity_threshold", _float, 0.5),
+    # the governance rule: the majority, raised while diversity is below the threshold
+    ("majority_parameter", _integer(51, 100), 51),
+    ("raised_majority", _integer(51, 100), 70),  # at least majority_parameter
+    ("diversity_threshold", _fraction, 0.5),
 )
 ProductSpec = _spec(
     "ProductSpec",
@@ -187,7 +213,7 @@ NodeSpec = _spec(
     ("domain_id", _text, _REQUIRED),
     ("product_id", _text, _REQUIRED),
     ("geo", _geo, GeoPoint(0.0, 0.0, 0.0)),
-    ("stake", _integer(), 1),
+    ("stake", _integer(0), 1),
 )
 # The fields of a `FaultInjection` but `from_node`, which only a clone_config
 # fault reads, and which `parse_scenario` checks against the node ids.
@@ -204,7 +230,8 @@ _FAULT = (
 def parse_scenario(text: str) -> ScenarioConfig:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a ValueError besides a JSONDecodeError: an int literal past Python's 4,300 digits
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if type(doc) is not dict:
         raise ScenarioError("scenario must be a JSON object")
@@ -212,13 +239,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     # the last tick, epochs * epoch_length - 1, is written as a U64 clock
     if cfg.epochs * cfg.epoch_length > 2**64:
         raise ScenarioError("scenario: epoch_length * epochs must be at most 2**64")
+    if cfg.raised_majority < cfg.majority_parameter:
+        raise ScenarioError("scenario: raised_majority must be at least majority_parameter")
 
-    cfg.products = [ProductSpec(**f) for f in _items(cfg.products, "product", ProductSpec.rows)]
-    products, image_names = {}, set()
-    for product in cfg.products:
-        if product.product_id in products:
-            raise ScenarioError(f"product {product.product_id}: product_id defined more than once")
-        products[product.product_id] = product
+    cfg.products = _by_id(ProductSpec, cfg.products, "product")
+    image_names = set()
+    for product in cfg.products.values():
         for name, _ in product.sw_images:
             if name in image_names:
                 raise ScenarioError(
@@ -226,24 +252,24 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 )
             image_names.add(name)
 
-    cfg.domains = [DomainSpec(**f) for f in _items(cfg.domains, "domain", DomainSpec.rows)]
-    domain_ids = {d.domain_id for d in cfg.domains}
-    cfg.nodes = [NodeSpec(**f) for f in _items(cfg.nodes, "node", NodeSpec.rows)]
-    for node in cfg.nodes:
-        if node.domain_id not in domain_ids:
+    cfg.domains = _by_id(DomainSpec, cfg.domains, "domain")
+    cfg.nodes = _by_id(NodeSpec, cfg.nodes, "node")
+    if not cfg.nodes:
+        raise ScenarioError("scenario: nodes must list at least one node")
+    for node in cfg.nodes.values():
+        if node.domain_id not in cfg.domains:
             raise ScenarioError(f"node {node.node_id}: unknown domain {node.domain_id!r}")
-        if node.product_id not in products:
+        if node.product_id not in cfg.products:
             raise ScenarioError(f"node {node.node_id}: unknown product {node.product_id!r}")
 
-    node_ids = {n.node_id for n in cfg.nodes}
     faults = []
     for raw, fields in zip(cfg.faults, _items(cfg.faults, "fault", _FAULT, "{} on {}")):
         clone = fields["mutation"] == "clone_config"
         fault = FaultInjection(**fields, from_node=raw.get("from_node") if clone else "")
         where = f"fault on {fault.node_id}"
-        if fault.node_id not in node_ids:
+        if fault.node_id not in cfg.nodes:
             raise ScenarioError(f"fault: unknown node {fault.node_id!r}")
-        if clone and (type(fault.from_node) is not str or fault.from_node not in node_ids):
+        if clone and (type(fault.from_node) is not str or fault.from_node not in cfg.nodes):
             raise ScenarioError(f"{where}: clone_config needs a known from_node")
         if fault.tick >= cfg.epochs * cfg.epoch_length:
             raise ScenarioError(f"{where}: tick {fault.tick} is after the last tick of the run")
@@ -274,11 +300,11 @@ def _rules_by_bound(cfg: ScenarioConfig) -> dict[int, tuple[PolicyRule, ...]]:
     benchmark's sim-catalog scenario builds 61 rules for its 5 policies."""
     rest = tuple(
         PolicyRule(f"ref.sw.{name}", RuleKind.REFERENCE_MATCH, f"sw.{name}.digest")
-        for product in cfg.products for name, _ in product.sw_images
+        for product in cfg.products.values() for name, _ in product.sw_images
     )
     if cfg.geo_fence is not None:
         rest += (PolicyRule("geo.fence", RuleKind.GEO_FENCE, "geo", fence=cfg.geo_fence),)
-    bounds = {cfg.fw_min_version} | {d.fw_min_version for d in cfg.domains} - {None}
+    bounds = {cfg.fw_min_version} | {d.fw_min_version for d in cfg.domains.values()} - {None}
     return {bound: (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", bound),) + rest
             for bound in bounds}
 
@@ -292,7 +318,7 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
 
     endorser = SignerIdentity.create(Role.ENDORSER, "supply-chain", rng)
     endorsements = []
-    for product in cfg.products:
+    for product in cfg.products.values():
         refs = {
             f"sw.{name}.digest": ClaimValue.of_digest(digest(image))
             for name, image in product.sw_images
@@ -306,32 +332,22 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
         SignerIdentity.create(Role.VERIFIER, "consortium-verifier", rng),
         _policy_for(cfg, "consortium", rules[cfg.fw_min_version]), list(endorsements), rng,
     )
-    config = ConsortiumConfig(
-        consortium_verifier=cv,
-        majority_parameter=cfg.majority_parameter,
-        diversity_threshold=cfg.diversity_threshold,
-        raised_majority=cfg.raised_majority,
-        geo_fence=cfg.geo_fence,
-        epoch_length=cfg.epoch_length,
-    )
-    universe = Universe(config, cfg.seed)
-    universe.faults = list(cfg.faults)
+    universe = Universe(cfg, cv)
 
     # Each domain and each node draws one 32-byte key seed that nothing uses
     # (the bare `rng.randbytes(32)` below): the tips are a function of this
     # rng's stream.
-    products_by_id = {p.product_id: p for p in cfg.products}
-    for dspec in cfg.domains:
+    for dspec in cfg.domains.values():
         fw_min = dspec.fw_min_version if dspec.fw_min_version is not None else cfg.fw_min_version
         dv = VerifierContext(
             SignerIdentity.create(Role.VERIFIER, f"dv-{dspec.domain_id}", rng),
             _policy_for(cfg, f"domain-{dspec.domain_id}", rules[fw_min]), list(endorsements), rng,
         )
         rng.randbytes(32)
-        universe.add_domain(Domain(dspec.domain_id, dv))
+        universe.domains[dspec.domain_id] = Domain(dspec.domain_id, dv)
 
-    for nspec in cfg.nodes:
-        product = products_by_id[nspec.product_id]
+    for nspec in cfg.nodes.values():
+        product = cfg.products[nspec.product_id]
         env = TargetEnvironment(
             hw_model=product.product_id,
             fw_version=product.fw_version,
@@ -341,9 +357,7 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
         )
         attesting = AttestingEnvironment.create(nspec.node_id, rng, [env.config_digest()])
         rng.randbytes(32)
-        universe.add_node(Node(nspec.node_id, nspec.domain_id, attesting, env))
+        universe.nodes[nspec.node_id] = Node(nspec.node_id, nspec.domain_id, attesting, env)
 
-    if not universe.nodes:
-        raise SimError("scenario defines no nodes")
     check_faults(universe)
     return universe

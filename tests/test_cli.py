@@ -2,10 +2,11 @@ import copy
 import json
 import math
 import random
+import traceback
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from attestnet import cli
 from attestnet.cli import (
@@ -31,6 +32,8 @@ from attestnet.model import (
     make_endorsement,
     new_nonce,
 )
+from attestnet.consortium import SimError
+from attestnet.scenario import ScenarioError, build_universe, parse_scenario
 
 SCENARIO_DIR = Path("src/attestnet/scenarios")
 
@@ -385,15 +388,15 @@ BAD_SCENARIOS = {
     ),
     "negative_stake": (
         _set(("nodes", 0, "stake"), -3),
-        "gpu count and stake must be non-negative",
+        "node n1: stake must be an integer in [0, 2**63)",
     ),
     "majority_30": (
         _set(("majority_parameter",), 30),
-        "majority parameter must be in (50, 100]",
+        "scenario: majority_parameter must be an integer in [51, 100]",
     ),
     "duplicate_domain": (
         lambda doc: doc["domains"].append({"domain_id": "d2"}),
-        "duplicate domain id d2",
+        "domain d2: domain_id defined more than once",
     ),
     "nan_fence": (
         _set(("geo_fence",), {"lat_min": math.nan, "lat_max": 90.0,
@@ -464,11 +467,24 @@ BAD_SCENARIOS = {
     ),
     "duplicate_node": (
         lambda doc: doc["nodes"].append(dict(doc["nodes"][1], node_id="n1")),
-        "duplicate node id n1",
+        "node n1: node_id defined more than once",
     ),
     "raised_majority_below_majority": (
-        _set(("raised_majority",), 50),
-        "raised majority must be >= majority parameter",
+        _set(("majority_parameter",), 80),  # the scenario's raised_majority is 70
+        "scenario: raised_majority must be at least majority_parameter",
+    ),
+    # exited 0 before: the raised majority had no upper bound
+    "raised_majority_150": (
+        _set(("raised_majority",), 150),
+        "scenario: raised_majority must be an integer in [51, 100]",
+    ),
+    "diversity_threshold_0": (
+        _set(("diversity_threshold",), 0),
+        "scenario: diversity_threshold must be in (0, 1]",
+    ),
+    "no_nodes": (
+        _set(("nodes",), []),
+        "scenario: nodes must list at least one node",
     ),
 }
 
@@ -546,6 +562,19 @@ class TestBadScenario:
         assert _simulate(tmp_path, HEALTHY) == EXIT_OK
         assert capsys.readouterr().out == tip
 
+    def test_integer_literal_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        """`json` refuses an integer literal of more than 4,300 digits with a
+        `ValueError` that is not a `JSONDecodeError`. Written as text, since
+        `json.dumps` cannot write such an int either."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(HEALTHY).replace('"seed": 20260823', '"seed": ' + "1" * 5000))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "simulate: scenario is not valid JSON: Exceeds the "
+                                       "limit (4300 digits) for integer string conversion: value "
+                                       "has 5000 digits; use sys.set_int_max_str_digits() to "
+                                       "increase the limit\n")
+        assert not (tmp_path / "o").exists()
+
     def test_not_utf8_exit_2(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_bytes(b'{"seed": "\xff"}')
@@ -560,17 +589,29 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
-SUBSTITUTES = [None, -5, 0, math.nan, math.inf, "x", "", [], {}, [1, 2], True, -1.5]
+SUBSTITUTES = [None, -5, 0, math.nan, math.inf, "x", "", [], {}, [1, 2], True, -1.5, 150, 2**63]
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=st.sampled_from(list(_field_paths(HEALTHY))), value=st.sampled_from(SUBSTITUTES))
+@example(field=("nodes", 1, "node_id"), value="n1")  # an id that another node has
+@example(field=("domains", 1, "domain_id"), value="d1")
 def test_any_single_field_substitution_exits_0_or_2(field, value, tmp_path, capsys):
+    """`parse_scenario` makes every check on a scenario's values: a document
+    that it passes builds, unless the dry run of its faults refuses one."""
     doc = copy.deepcopy(HEALTHY)
     _set(field, value)(doc)
     assert _simulate(tmp_path, doc) in (EXIT_OK, EXIT_USAGE)
     capsys.readouterr()
+    try:
+        cfg = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        return
+    try:
+        build_universe(cfg)
+    except SimError as exc:
+        assert "check_faults" in {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
 
 
 class TestLedgerCommand:

@@ -94,7 +94,7 @@ class TestDistributePolicies:
         records = [r for b in universe.ledger for r in b.records if r.kind == "policy_digest"]
         # consortium policy + domain policy (identical rules but distinct id)
         assert len(records) == 2
-        consortium_digest = universe.config.consortium_verifier.policy.digest()
+        consortium_digest = universe.consortium_verifier.policy.digest()
         assert any(r.payload == consortium_digest.value for r in records)
 
     def test_conflicting_domain_rule_recorded_and_overridden(self):
@@ -103,7 +103,7 @@ class TestDistributePolicies:
         verifier then holds the consortium's rules."""
         universe = build_universe(base_scenario(
             domains=[{"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2"}]))
-        consortium_rules = universe.config.consortium_verifier.policy.rules
+        consortium_rules = universe.consortium_verifier.policy.rules
         d1 = universe.domains["d1"].domain_verifier
         own, *shared = d1.policy.rules
         assert own.rule_id == "fw.min" and own.bound == 9 and own is not consortium_rules[0]
@@ -137,7 +137,7 @@ class TestDistributePolicies:
         monkeypatch.setattr(PolicyRule, "__eq__", counting_eq)
         path = write_generated_scenario(tmp_path / "catalog.json", monkeypatch, CATALOG, 1)
         universe = build_universe(load_scenario(path))
-        consortium_rules = universe.config.consortium_verifier.policy.rules
+        consortium_rules = universe.consortium_verifier.policy.rules
         assert len(consortium_rules) == 61 and counts == {"built": 61, "compared": 0}
         distribute_policies(universe)
         assert counts == {"built": 61, "compared": 0}
@@ -151,7 +151,7 @@ class TestDistributePolicies:
             {"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2", "fw_min_version": 9}]))
         d1, d2 = (universe.domains[d].domain_verifier.policy.rules for d in ("d1", "d2"))
         assert d1[0] is d2[0] and d1[0].bound == 9
-        assert d1[0] is not universe.config.consortium_verifier.policy.rules[0]
+        assert d1[0] is not universe.consortium_verifier.policy.rules[0]
 
     def test_redistribution_idempotent(self):
         universe = fresh_universe()

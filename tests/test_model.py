@@ -303,6 +303,19 @@ class TestInvariantConstructors:
         with pytest.raises(ModelError, match="freshness window"):
             EvidencePolicy("p", (), freshness_window=window)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda big: ClaimValue.of_int(big), "claim value"),
+        (lambda big: PolicyRule("r", RuleKind.VERSION_AT_LEAST, "k", bound=big), "rule bound"),
+        (lambda big: EvidencePolicy("p", (), freshness_window=big), "freshness window"),
+        (lambda big: PolicyRule("r", RuleKind.GEO_FENCE, "geo", fence=(big,)), "rule fence"),
+    ], ids=["claim-value", "rule-bound", "freshness-window", "rule-fence"])
+    def test_an_int_too_long_to_print_is_refused(self, build, field):
+        """Python refuses to print an int of more than 4,300 digits, with a
+        `ValueError` that is not a `ModelError`; the message names the field
+        and the value's type instead."""
+        with pytest.raises(ModelError, match=f"^{field} (int|tuple) too large to print"):
+            build(10**5000)
+
     # Values that the tables cannot encode, or that could change under a
     # stored digest, are refused when built, by a `ModelError` naming the
     # field, not at an appraisal's `policy.digest()`.
