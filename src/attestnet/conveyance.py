@@ -1,16 +1,14 @@
 """Attestation conveyance: passport and background-check flows run as message
 sequences over an in-memory reliable transport, with nonce replay rejection.
 
-A result message decodes its bytes at most once, storing the result on itself
-(`ResultMsg.result`), and the verifier's own message carries the signed result
-it was built from (`ResultMsg.of`), so the verifier never decodes bytes it has
-just encoded. The transport checks a result's signature at send time and the
-result stores the check, which the relying party's appraisal of the message
-it received, and the passport flow's send of that same message, then reuse.
-In the passport flow the attester forwards the bytes that the transport
-carried (`ResultMsg.forwarded_by`): decoding is canonical-only, so a
-byte-identical forward shares the carried message's result and its check, and
-only a forward with any byte changed is decoded and checked anew.
+The transport carries messages and judges none of them: the verifier
+appraises evidence and the relying party appraises results (RFC 9334, §3 and
+§5), so a forged evidence or result is a denied `Decision`, not an error. Both
+flows share one verifier exchange (`_exchange`) and one relying-party
+decision (`_decide`). In the passport flow the relying party appraises the
+signed result that the verifier sent when the attester forwards its bytes
+unchanged (decoding is canonical-only, so they would decode to an equal
+result), and decodes only a forward with any byte changed.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .model import (
     Nonce,
     ResultPolicy,
     SignerIdentity,
-    _once,
     new_nonce,
 )
 from .verifier import appraise_evidence, appraise_result
@@ -40,7 +37,7 @@ RESOURCE_ID = "resource"  # the one resource that the flows request access to
 
 
 class FlowError(RuntimeError):
-    """Transport or protocol failure that aborts a flow."""
+    """A closed transport, the one failure that aborts a flow."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,32 +63,10 @@ class EvidenceMsg:
     evidence: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultMsg:
     sender: EntityId
     result_bytes: bytes  # canonical encoding; forwarded byte-identical
-
-    @staticmethod
-    def of(sender: EntityId, result: AttestationResult) -> "ResultMsg":
-        """The message conveying the signed `result` from `sender`, which
-        carries `result` itself rather than a decode of its bytes."""
-        msg = ResultMsg(sender, result.to_bytes())
-        _once(msg, "result", lambda m: result)
-        return msg
-
-    def result(self) -> AttestationResult:
-        return _once(self, "result", ResultMsg._decode)
-
-    def _decode(self) -> AttestationResult:
-        return AttestationResult.from_bytes(self.result_bytes)
-
-    def forwarded_by(self, sender: EntityId, result_bytes: bytes) -> "ResultMsg":
-        """`result_bytes` conveyed on by `sender`; if they equal this message's
-        bytes, the forward shares this message's decoded result."""
-        forward = ResultMsg(sender, result_bytes)
-        if result_bytes == self.result_bytes:
-            _once(forward, "result", lambda m: self.result())
-        return forward
 
 
 FlowMessage = Union[AccessRequest, ChallengeNonce, EvidenceMsg, ResultMsg]
@@ -116,10 +91,6 @@ class Transport:
     def send(self, msg: FlowMessage) -> FlowMessage:
         if not self._open:
             raise FlowError("transport closed")
-        if isinstance(msg, EvidenceMsg) and not msg.evidence.verify_signature():
-            raise FlowError("evidence message not signature-valid at send time")
-        if isinstance(msg, ResultMsg) and not msg.result().verify_signature():
-            raise FlowError("result message not signature-valid at send time")
         self.log.append(msg)
         return msg
 
@@ -191,6 +162,38 @@ class RelyingPartyContext:
 # ---------------------------------------------------------------------------
 
 
+def _exchange(attester: AttestingEnvironment, env: TargetEnvironment, verifier_ctx: VerifierContext,
+              transport: Transport, clock: int, evidence_override: Optional[Evidence],
+              relays: tuple[EntityId, ...] = ()) -> Optional[tuple[AttestationResult, ResultMsg]]:
+    """The verifier's half of a session: the access request; the challenge and
+    the evidence, each passed on by `relays` (the relying party in the
+    background-check model); the replay check, the appraisal and the result
+    message. None means the evidence is a replay."""
+    transport.send(AccessRequest(attester.identity, RESOURCE_ID))
+    challenge = verifier_ctx.issue_challenge(clock)
+    for sender in (verifier_ctx.identity.entity, *relays):
+        transport.send(ChallengeNonce(sender, challenge))
+    evidence = evidence_override or attester.generate_evidence(env, challenge, clock)
+    for sender in (attester.identity, *relays):
+        transport.send(EvidenceMsg(sender, evidence))
+    # only authentic evidence consumes its echo, so forged evidence neither grows
+    # the replay cache nor burns a nonce; appraisal reads this stored check
+    if evidence.verify_signature() and not verifier_ctx.consume_nonce(evidence.nonce_echo):
+        return None
+    result = verifier_ctx.appraise(evidence, challenge, clock)
+    return result, transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
+
+
+def _decide(result: AttestationResult, rp_ctx: RelyingPartyContext, clock: int) -> Decision:
+    """The relying party's decision on the result it received."""
+    if appraise_result(result, rp_ctx.result_policy, clock):
+        return Decision(True)
+    return Decision(False, result.reasons or ("result_rejected",))
+
+
+_REPLAY = Decision(False, ("replay",))
+
+
 def run_passport_flow(
     attester: AttestingEnvironment,
     env: TargetEnvironment,
@@ -204,29 +207,20 @@ def run_passport_flow(
     """Attester obtains a signed result from the verifier and carries it to the
     relying party like a passport. `evidence_override` and `result_tamper` are
     test hooks modelling a misbehaving attester."""
-    transport.send(AccessRequest(attester.identity, RESOURCE_ID))
-    challenge = verifier_ctx.issue_challenge(clock)
-    transport.send(ChallengeNonce(verifier_ctx.identity.entity, challenge))
-
-    evidence = evidence_override or attester.generate_evidence(env, challenge, clock)
-    transport.send(EvidenceMsg(attester.identity, evidence))
-
-    if not verifier_ctx.consume_nonce(evidence.nonce_echo):
-        return Decision(False, ("replay",))
-    result = verifier_ctx.appraise(evidence, challenge, clock)
-    carried = transport.send(ResultMsg.of(verifier_ctx.identity.entity, result))
-
+    exchanged = _exchange(attester, env, verifier_ctx, transport, clock, evidence_override)
+    if exchanged is None:
+        return _REPLAY
+    result, carried = exchanged
     forwarded = result_tamper(carried.result_bytes) if result_tamper else carried.result_bytes
-    forward = carried.forwarded_by(attester.identity, forwarded)
-    try:
-        received = forward.result()
-    except ModelError:
-        return Decision(False, ("result_decode",))
-    granted = appraise_result(received, rp_ctx.result_policy, clock)
-    if granted:
-        transport.send(forward)
-        return Decision(True)
-    return Decision(False, received.reasons or ("result_rejected",))
+    if forwarded != carried.result_bytes:
+        try:
+            result = AttestationResult.from_bytes(forwarded)
+        except ModelError:
+            return Decision(False, ("result_decode",))
+    decision = _decide(result, rp_ctx, clock)
+    if decision.granted:
+        transport.send(ResultMsg(attester.identity, forwarded))
+    return decision
 
 
 def run_background_check_flow(
@@ -240,22 +234,8 @@ def run_background_check_flow(
 ) -> Decision:
     """Relying party forwards the evidence to the verifier and receives the
     result directly; the verifier's challenge reaches the attester via the RP."""
-    transport.send(AccessRequest(attester.identity, RESOURCE_ID))
-    challenge = verifier_ctx.issue_challenge(clock)
-    transport.send(ChallengeNonce(verifier_ctx.identity.entity, challenge))
-    transport.send(ChallengeNonce(rp_ctx.identity.entity, challenge))  # RP relays
-
-    evidence = evidence_override or attester.generate_evidence(env, challenge, clock)
-    transport.send(EvidenceMsg(attester.identity, evidence))  # attester -> RP
-    transport.send(EvidenceMsg(rp_ctx.identity.entity, evidence))  # RP -> verifier
-
-    if not verifier_ctx.consume_nonce(evidence.nonce_echo):
-        return Decision(False, ("replay",))
-    result = verifier_ctx.appraise(evidence, challenge, clock)
-    msg = transport.send(ResultMsg.of(verifier_ctx.identity.entity, result))
-
-    received = msg.result()
-    granted = appraise_result(received, rp_ctx.result_policy, clock)
-    if granted:
-        return Decision(True)
-    return Decision(False, received.reasons or ("result_rejected",))
+    exchanged = _exchange(attester, env, verifier_ctx, transport, clock, evidence_override,
+                          (rp_ctx.identity.entity,))
+    if exchanged is None:
+        return _REPLAY
+    return _decide(exchanged[0], rp_ctx, clock)

@@ -30,7 +30,7 @@ and a changed claim set a new `ClaimSet`; either starts with nothing stored,
 so a stored value can never describe other field values.
 
 Only the message types above, policies, claim sets and (elsewhere) target
-environments and result messages store values. Every other frozen value type
+environments store values. Every other frozen value type
 (`Digest`, `Nonce`, `GeoPoint`, `ClaimValue`, `EntityId`, `LayerRecord`,
 `GeoFence`, `PolicyRule`, ...) is a slotted dataclass with no instance dict, as
 a long run holds many of them (on CPython 3.11 a `Digest` takes 40 bytes

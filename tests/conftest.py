@@ -91,7 +91,7 @@ def replace_once(monkeypatch, once):
     """Puts `once` in place of `_once` in `model` and in each attestnet
     module that imports it."""
     patched = replace_everywhere(monkeypatch, "_once", once)
-    assert {"model", "verifier", "attester", "conveyance"} <= patched
+    assert {"model", "verifier", "attester"} <= patched
 
 
 @pytest.fixture

@@ -513,3 +513,31 @@ def check_simulate(doc: dict, code: int, reports, ledger_hex):
             prev = block["digest"]
         assert nodes == [f"  node {nid}: consortium={verdict} domain={verdict}"
                          for nid, verdict in sorted(fact["verdicts"].items())]
+
+
+# ---------------------------------------------------------------------------
+# Conveyance: freshness and replay
+# ---------------------------------------------------------------------------
+
+
+def flow_decision(override, clock: int, window: int, consumed: set) -> tuple:
+    """The (granted, reasons) of a passport or background-check flow whose
+    challenge is issued at tick `clock`, under a policy with freshness
+    `window` and no rules, given the nonce values `consumed` before it.
+    `override` is None when the attester answers the challenge, or else the
+    evidence sent instead, as (signature valid, echoed nonce value, echoed
+    tick); an override never echoes the new challenge. Authentic evidence
+    consumes the value it echoes, once: adds it to `consumed`. Forged evidence
+    consumes nothing. A flow without override consumes the new challenge,
+    which the caller adds."""
+    if override is None:
+        return True, ()
+    authentic, value, tick = override
+    if authentic:
+        if value in consumed:
+            return False, ("replay",)
+        consumed.add(value)
+    reasons = ("nonce",) if authentic else ("sig", "nonce")
+    if clock - min(tick, clock) > window:
+        reasons += ("stale",)
+    return False, reasons

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from attestnet import conveyance, model
 from attestnet.attester import AttestingEnvironment, TargetEnvironment
 from attestnet.conveyance import (
+    ChallengeNonce,
     Decision,
     EvidenceMsg,
     FlowError,
@@ -22,6 +24,7 @@ from attestnet.model import (
     ClaimValue,
     EvidencePolicy,
     GeoPoint,
+    Nonce,
     PolicyRule,
     ResultPolicy,
     Role,
@@ -31,6 +34,7 @@ from attestnet.model import (
     make_endorsement,
 )
 
+from . import oracles
 from .conftest import random_env
 
 
@@ -134,6 +138,27 @@ class TestBackgroundCheckFlow:
         assert "ref.os" in decision.reasons
 
 
+@pytest.mark.parametrize("flow", ["passport", "background"])
+def test_forged_evidence_is_denied_and_consumes_no_nonce(flow, attester, env, rng):
+    """The transport carries forged evidence; the verifier's appraisal says
+    `sig`, and the nonce it echoes stays unconsumed."""
+    verifier, rp = make_contexts(rng, env)
+    transport = Transport()
+    assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
+    seen = set(verifier.seen_nonces)
+    authentic = next(m.evidence for m in transport.log if isinstance(m, EvidenceMsg))
+    forged = replace(attester.generate_evidence(env, verifier.issue_challenge(0), 0), created_at=1)
+    for evidence in (forged, replace(authentic, created_at=1)):  # a new echo, a consumed one
+        if flow == "passport":
+            decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=1,
+                                         evidence_override=evidence)
+        else:
+            decision = run_background_check_flow(attester, env, rp, verifier, Transport(),
+                                                 clock=1, evidence_override=evidence)
+        assert not decision.granted and "sig" in decision.reasons
+        assert verifier.seen_nonces == seen
+
+
 class TestFlowProperties:
     def _random_setup(self, rng):
         env = random_env(rng)
@@ -200,10 +225,24 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _returns(monkeypatch, owner, name):
+    """Replace `owner.name` with a wrapper that records what it returns."""
+    returned = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return returned
+
+
 class TestVerifyOnce:
-    """Each conveyed result is decoded once per message and its signature is
-    checked once per decoded result; the relying party appraises what it
-    received."""
+    """The verifier checks each evidence's signature once and the relying
+    party each result's; the transport checks none. Only a forward with a
+    changed byte is decoded; otherwise the relying party appraises the signed
+    result that the verifier sent."""
 
     def _granted_contexts(self, rng, env):
         verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
@@ -215,8 +254,9 @@ class TestVerifyOnce:
         verifies = _counting(monkeypatch, model, "verify_bytes")
         decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
         assert decision == Decision(True)
-        # evidence at send time; the verifier's result message (the forward of
-        # the same bytes shares its check)
+        # the evidence, by the verifier; the verifier's result, by the relying
+        # party, which appraises that result itself for a forward of the same
+        # bytes
         assert len(verifies) == 2
 
     def test_granted_background_check_flow_verifies_two_signatures(
@@ -226,35 +266,25 @@ class TestVerifyOnce:
         verifies = _counting(monkeypatch, model, "verify_bytes")
         decision = run_background_check_flow(attester, env, rp, verifier, Transport(), clock=0)
         assert decision == Decision(True)
-        # evidence at send time; the verifier's result message
+        # the evidence, by the verifier; the verifier's result, by the relying
+        # party
         assert len(verifies) == 2
 
-    def test_result_message_decodes_once(self, attester, env, rng, monkeypatch):
-        verifier, _ = make_contexts(rng, env)
-        nonce = verifier.issue_challenge(0)
-        result = verifier.appraise(attester.generate_evidence(env, nonce, 0), nonce, 0)
-        msg = ResultMsg(verifier.identity.entity, result.to_bytes())
-        decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
-        assert msg.result() is msg.result()
-        assert msg.result() == result
-        assert len(decodes) == 1
-        again = ResultMsg(msg.sender, msg.result_bytes)  # another message decodes anew
-        assert again.result() is not msg.result()
-        assert len(decodes) == 2
-
     def test_untampered_forward_shares_the_carried_result(self, attester, env, rng, monkeypatch):
-        verifier, _ = make_contexts(rng, env)
-        nonce = verifier.issue_challenge(0)
-        result = verifier.appraise(attester.generate_evidence(env, nonce, 0), nonce, 0)
-        carried = Transport().send(ResultMsg(verifier.identity.entity, result.to_bytes()))
+        verifier, rp = self._granted_contexts(rng, env)
         decodes = _counting(monkeypatch, AttestationResult, "from_bytes")
         verifies = _counting(monkeypatch, model, "verify_bytes")
-        equal_copy = bytes(bytearray(carried.result_bytes))  # equal, not the same object
-        assert equal_copy is not carried.result_bytes
-        forward = carried.forwarded_by(attester.identity, equal_copy)
-        assert forward.result() is carried.result()
-        assert forward.result().verify_signature()
-        assert decodes == [] and verifies == []
+
+        def equal_copy(raw: bytes) -> bytes:
+            copy = bytes(bytearray(raw))
+            assert copy is not raw  # equal, not the same object
+            return copy
+
+        decision = run_passport_flow(
+            attester, env, verifier, rp, Transport(), clock=0, result_tamper=equal_copy
+        )
+        assert decision == Decision(True)
+        assert decodes == [] and len(verifies) == 2
 
     def test_changed_forward_decodes_anew_and_is_denied(self, attester, env, rng, monkeypatch):
         verifier, rp = make_contexts(rng, env)
@@ -274,22 +304,26 @@ class TestVerifyOnce:
 
     def test_background_check_rp_appraises_received_message(self, attester, env, rng, monkeypatch):
         verifier, rp = make_contexts(rng, env)
+        signed = _returns(monkeypatch, verifier, "appraise")
         appraised = _counting(monkeypatch, conveyance, "appraise_result")
         transport = Transport()
         assert run_background_check_flow(attester, env, rp, verifier, transport, clock=0).granted
         received = [m for m in transport.log if isinstance(m, ResultMsg)]
-        assert len(received) == 1 and len(appraised) == 1
-        assert appraised[0][0] is received[0].result()
+        assert len(received) == 1 and len(appraised) == 1 and len(signed) == 1
+        assert appraised[0][0] is signed[0]
+        assert appraised[0][0] == AttestationResult.from_bytes(received[0].result_bytes)
 
     def test_passport_rp_appraises_forwarded_message(self, attester, env, rng, monkeypatch):
         verifier, rp = make_contexts(rng, env)
+        signed = _returns(monkeypatch, verifier, "appraise")
         appraised = _counting(monkeypatch, conveyance, "appraise_result")
         transport = Transport()
         assert run_passport_flow(attester, env, verifier, rp, transport, clock=0).granted
         forwarded = transport.log[-1]
         assert isinstance(forwarded, ResultMsg) and forwarded.sender == attester.identity
-        assert len(appraised) == 1
-        assert appraised[0][0] is forwarded.result()
+        assert len(appraised) == 1 and len(signed) == 1
+        assert appraised[0][0] is signed[0]
+        assert appraised[0][0] == AttestationResult.from_bytes(forwarded.result_bytes)
 
 
 def _flip_byte(position):
@@ -363,3 +397,62 @@ def test_any_result_tamper_is_denied_never_raised(position, value, truncate):
     )
     assert isinstance(decision, Decision)
     assert not decision.granted
+
+
+FLOW_VARIANTS = ("fresh", "replay", "old", "later", "forged")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    window=st.integers(1, 10),
+    flows=st.lists(
+        st.tuples(
+            st.sampled_from(["passport", "background"]),
+            st.sampled_from(FLOW_VARIANTS),
+            st.integers(0, 1 << 16),  # picks the earlier flow, the age or the later tick
+            st.binary(min_size=16, max_size=16),  # the echoed value of new evidence
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_flow_decisions_match_the_freshness_oracle(window, flows):
+    """Against one verifier, flows of either kind whose attester answers the
+    challenge, replays an earlier flow's evidence, sends old evidence (up to
+    twice the window), echoes a later tick or sends forged evidence each get
+    `oracles.flow_decision`'s decision, and the verifier consumes the nonce
+    values that the oracle does."""
+    rng = random.Random(0xF1E5)
+    env = TargetEnvironment("oracle-hw", 3, (("os", b"os image"),), GeoPoint(1.0, 2.0, 3.0))
+    attester = AttestingEnvironment.create("oracle-attester", rng)
+    verifier, rp = make_contexts(rng, env, freshness=window)
+    sent, consumed = [], set()  # each flow's evidence with its oracle description
+    for i, (kind, variant, pick, value) in enumerate(flows):
+        clock = 2 * window + i
+        if variant == "replay" and sent or variant == "forged" and sent and pick % 2:
+            override, described = sent[pick % len(sent)]
+        elif variant in ("old", "later", "forged"):
+            tick = clock + 1 + pick % window if variant == "later" else clock - pick % (2 * window + 1)
+            override = attester.generate_evidence(env, Nonce(value, tick), tick)
+            described = (True, value, tick)
+        else:
+            override = described = None
+        if variant == "forged":  # a copy of old or earlier evidence, its signature now wrong
+            override = replace(override, created_at=override.created_at + 1)
+            described = (False, *described[1:])
+        transport = Transport()
+        if kind == "passport":
+            decision = run_passport_flow(attester, env, verifier, rp, transport, clock,
+                                         evidence_override=override)
+        else:
+            decision = run_background_check_flow(attester, env, rp, verifier, transport, clock,
+                                                 evidence_override=override)
+        expected = oracles.flow_decision(described, clock, window, consumed)
+        if described is None:
+            challenge = next(m.nonce for m in transport.log if isinstance(m, ChallengeNonce))
+            consumed.add(challenge.value)
+            override = next(m.evidence for m in transport.log if isinstance(m, EvidenceMsg))
+            described = (True, challenge.value, challenge.issued_at)
+        assert (decision.granted, decision.reasons) == expected, (kind, variant)
+        assert verifier.seen_nonces == consumed
+        sent.append((override, described))

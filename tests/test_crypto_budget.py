@@ -190,21 +190,31 @@ def helper_checks(monkeypatch):
     return counts
 
 
-def test_simulate_checks_each_evidence_once(budget, helper_checks, monkeypatch, tmp_path,
+@pytest.mark.parametrize("case", ["small", "200-nodes"])
+def test_simulate_checks_each_evidence_once(case, budget, helper_checks, monkeypatch, tmp_path,
                                             capsys):
     """With the helper on, every evidence and endorsement signature is queued
     once, and the helper answers each once. Each check is made at least once
     and at most twice: here, by the helper, or by both when both take it at
-    once; the helper leaves a check to this process only if it made it."""
+    once; the helper leaves a check to this process only if it made it. The
+    small case is healthy-4nodes with its nodes repeated to fill two batches
+    and part of a third; the other is `test_simulate_200_nodes`' case."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
-    doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
-                    for i in range(2 * consortium.BATCH_NODES + 8)]
-    scenario = tmp_path / "fleet.json"
-    scenario.write_text(json.dumps(doc))
+    scenario = tmp_path / "scenario.json"
+    if case == "small":
+        doc = json.loads((SCENARIO_DIR / "healthy-4nodes.json").read_text())
+        doc["nodes"] = [{**doc["nodes"][i % len(doc["nodes"])], "node_id": f"n{i:03d}"}
+                        for i in range(2 * consortium.BATCH_NODES + 8)]
+        scenario.write_text(json.dumps(doc))
+    else:
+        write_generated_scenario(scenario, monkeypatch, NODES_200, 11)
+        doc = json.loads(scenario.read_text())
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
     # the verifiers share the endorsement objects: each is queued once
     checks = 2 * len(doc["nodes"]) * doc["epochs"] + len(doc["products"])
+    if case == "200-nodes":
+        assert capsys.readouterr().out.startswith("tip: 4badecaf")
+        assert checks == 4020
     answers = helper_checks["answers"]
     assert helper_checks["checks"] == len(answers) == checks
     helper = sum(answer != 2 for answer in answers)
@@ -369,9 +379,9 @@ def test_granted_passport_flow(attester, env, rng, budget, messages):
     _reset(budget, messages)
     decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
     assert decision == Decision(True)
-    # evidence and result signed; evidence at send time and the verifier's
-    # result message verified, which the byte-identical forward shares; the
-    # verifier's message carries its result, so nothing is decoded
+    # evidence and result signed; the evidence verified by the verifier, and
+    # the verifier's result by the relying party, which appraises that result
+    # itself for a byte-identical forward, so nothing is decoded
     assert budget == {"keys": 0, "signs": 2, "verifies": 2, "result_decodes": 0,
                       "rule_evaluations": 1}
     assert messages == ONE_EVIDENCE_ONE_RESULT
@@ -403,6 +413,24 @@ def test_replayed_background_check_flow(attester, env, rng, budget, messages):
     assert budget == {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0,
                       "rule_evaluations": 0}
     assert messages == {"Evidence": 0, "Endorsement": 0, "AttestationResult": 0, "replace": 0}
+
+
+def test_one_flows_unit(budget, monkeypatch):
+    """One unit of the benchmark's flows workload at seed 1: 500 passport and
+    background-check flows against one verifier, with replayed, tampered and
+    stale shares, checked by the benchmark's own oracle."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    unit = workloads.run_flows(workloads.generate_flows(1), tracing.Tracer())
+    assert unit.failed == 0 and unit.tip.startswith("e7b62e23")
+    # keys: the attester, the endorser, the verifier and the relying party;
+    # per flow one evidence and one result signed (a replay neither), the
+    # 2 endorsements once, and per appraised flow the evidence and the result
+    # verified (a tampered passport's changed result instead of the sent one)
+    # plus the endorsements once; a tampered passport's forward decoded; the
+    # flows' one configuration judged once
+    assert budget == {"keys": 4, "signs": 902, "verifies": 902, "result_decodes": 25,
+                      "rule_evaluations": 1}
 
 
 def test_make_endorsement_builds_one_message(rng, budget, messages):

@@ -317,7 +317,7 @@ def test_plain_dict_changed_in_place_changes_next_verdict(rng, attester, env, ve
 # Value types that store derived values keep their instance dict; every other
 # frozen dataclass is slotted, so that a long run's many small values carry none.
 STORING = {"Evidence", "Endorsement", "AttestationResult", "TargetEnvironment",
-           "EvidencePolicy", "ResultMsg"}
+           "EvidencePolicy"}
 
 
 def _frozen_value_types() -> set[str]:
@@ -355,6 +355,7 @@ def test_value_types_that_store_nothing_have_no_instance_dict(
         "AccessRequest": conveyance.AccessRequest(attester.identity, "resource"),
         "ChallengeNonce": conveyance.ChallengeNonce(verifier_identity.entity, nonce),
         "EvidenceMsg": conveyance.EvidenceMsg(attester.identity, evidence),
+        "ResultMsg": conveyance.ResultMsg(verifier_identity.entity, b"result"),
         "Decision": conveyance.Decision(True),
     }
     assert set(values) == _frozen_value_types() - STORING  # every such type is listed
