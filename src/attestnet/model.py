@@ -281,7 +281,35 @@ class SigningKey:
         return isinstance(other, SigningKey) and self.private_bytes == other.private_bytes
 
 
+def _load_sodium():
+    """libsodium, opened by full soname (`find_library` would import ctypes
+    and subprocess), or None where it or cffi is missing."""
+    try:
+        from ._sodium import ffi  # generated by tools/build_sodium.py
+    except ImportError:
+        return None
+    for soname in ("libsodium.so.26", "libsodium.so.23"):
+        with contextlib.suppress(OSError):
+            lib = ffi.dlopen(soname)
+            if lib.sodium_init() >= 0:
+                return lib
+    return None
+
+
+_sodium = _load_sodium()
+
+
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
+    """Whether `signature` is `public_key`'s Ed25519 signature of `data`, as
+    `cryptography` judges it. libsodium, where it is loaded, answers first,
+    at half the cost: it accepts a strict subset of what OpenSSL accepts (it
+    also refuses small-order keys and R), so its acceptance stands, and
+    anything else, arguments it cannot take included, goes to `cryptography`."""
+    if (_sodium is not None and type(data) is type(signature) is type(public_key) is bytes
+            and len(signature) == 64 and len(public_key) == 32
+            and _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
+                                                            public_key) == 0):
+        return True
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
         return True
@@ -872,11 +900,12 @@ def check_signatures(messages: Sequence) -> None:
     endorsements or results) neither checked nor queued yet, each once, in
     batches of at most `_HALF`; their stored checks read the answers.
 
-    `cryptography`'s Ed25519 holds the GIL, so only a second process reaches
-    a second CPU. The helper is forked on first use, and only where `os.fork`
-    exists, more than one CPU may be used and no other thread is alive (a
-    forked child could deadlock on a lock one holds); elsewhere each check is
-    made in process when it is asked for."""
+    libsodium's verify releases the GIL but the Python around each check
+    holds it, and `cryptography`'s verify holds it throughout, so only a
+    second process reaches a second CPU. The helper is forked on first use,
+    and only where `os.fork` exists, more than one CPU may be used and no
+    other thread is alive (a forked child could deadlock on a lock one
+    holds); elsewhere each check is made in process when it is asked for."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
                   and "signature_valid" not in m.__dict__.get("_memo", {})}.values())
     if (batch and hasattr(os, "fork")

@@ -54,11 +54,13 @@ SCENARIO_DIR = Path("src/attestnet/scenarios")
 
 @pytest.fixture
 def budget(monkeypatch):
-    """Counts the Ed25519 private keys built and the signs and verifies made
-    through `attestnet.model`, the `AttestationResult.from_bytes` calls, and
-    the evaluations of a policy's rules against a claim set."""
+    """Counts the Ed25519 private keys built and the signs made through
+    `attestnet.model`, the `verify_bytes` calls made through each attestnet
+    module that binds it (whichever library answers them), the
+    `AttestationResult.from_bytes` calls, and the evaluations of a policy's
+    rules against a claim set."""
     counts = {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0, "rule_evaluations": 0}
-    private, public = model.Ed25519PrivateKey, model.Ed25519PublicKey
+    private, verify = model.Ed25519PrivateKey, model.verify_bytes
     sign = model.SigningKey.sign
     decode_result = model.AttestationResult.from_bytes
     evaluate_rules = verifier_module._evaluate_rules
@@ -71,13 +73,9 @@ def budget(monkeypatch):
         counts["signs"] += 1
         return sign(key, data)
 
-    class CountingPublicKey:
-        def __init__(self, raw):
-            self._key = public.from_public_bytes(raw)
-
-        def verify(self, signature, data):
-            counts["verifies"] += 1
-            return self._key.verify(signature, data)
+    def counting_verify(data, signature, public_key):
+        counts["verifies"] += 1
+        return verify(data, signature, public_key)
 
     def counting_decode(data):
         counts["result_decodes"] += 1
@@ -89,8 +87,7 @@ def budget(monkeypatch):
 
     monkeypatch.setattr(model, "Ed25519PrivateKey", SimpleNamespace(from_private_bytes=counting_key))
     monkeypatch.setattr(model.SigningKey, "sign", counting_sign)
-    monkeypatch.setattr(model, "Ed25519PublicKey",
-                        SimpleNamespace(from_public_bytes=CountingPublicKey))
+    replace_everywhere(monkeypatch, "verify_bytes", counting_verify)
     monkeypatch.setattr(model.AttestationResult, "from_bytes", staticmethod(counting_decode))
     monkeypatch.setattr(verifier_module, "_evaluate_rules", counting_rules)
     return counts

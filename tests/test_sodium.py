@@ -1,0 +1,198 @@
+"""libsodium's Ed25519 verify changes no verdict.
+
+`model.verify_bytes` returns True when libsodium accepts, and otherwise the
+verdict of `cryptography` (OpenSSL). That is exact only because libsodium
+accepts a strict subset of what OpenSSL accepts, so each check here runs
+twice: with the library as loaded (skipped where it is not found) and with
+the handle patched to None, which is the path of a host without it."""
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import attestnet
+from attestnet import model
+from attestnet.cli import EXIT_OK, main
+from attestnet.model import verify_bytes
+
+from .test_bench_bindings import _perfbench_module
+from .test_golden_tips import GOLDEN_TIPS, SCENARIO_DIR
+
+ROOT = Path(__file__).resolve().parents[1]
+L = 2**252 + 27742317777372353535851937790883648493  # the order of the base point
+
+# The 8 points of small order, then non-canonical encodings of three of them:
+# x = 0 with its sign bit set, and y + p for y = 0 and 1, either sign
+SMALL_ORDER = [bytes.fromhex(h) for h in (
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000080",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "0100000000000000000000000000000000000000000000000000000000000080",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+)]
+IDENTITY = SMALL_ORDER[0]
+KEYS = [Ed25519PrivateKey.from_private_bytes(bytes([i]) * 32) for i in range(1, 5)]
+
+
+@pytest.fixture(params=["libsodium", "cryptography"])
+def path(request, monkeypatch):
+    """Which library answers first: libsodium as loaded, or none."""
+    if request.param == "cryptography":
+        monkeypatch.setattr(model, "_sodium", None)
+    elif model._sodium is None:
+        pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
+    return request.param
+
+
+def outcome(verify, *args):
+    """What `verify(*args)` returns, or the type of what it raises."""
+    try:
+        return verify(*args)
+    except Exception as error:  # noqa: BLE001 - the exception is the outcome
+        return type(error)
+
+
+def openssl(data, signature, public_key) -> bool:
+    """`cryptography`'s own verdict, with no other library consulted."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+@st.composite
+def honest(draw):
+    key, data = draw(st.sampled_from(KEYS)), draw(st.binary(max_size=300))
+    return data, key.sign(data), key.public_key().public_bytes_raw()
+
+
+@st.composite
+def changed(draw):
+    """An honest case with 1-4 bytes changed in the signature, the key or
+    the message (an empty message gains a byte instead)."""
+    parts = list(draw(honest()))
+    which = draw(st.integers(0, 2))
+    blob = bytearray(parts[which] or b"\0")
+    for _ in range(draw(st.integers(1, 4))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    parts[which] = bytes(blob)
+    return tuple(parts)
+
+
+@st.composite
+def odd_arguments(draw):
+    """An honest case with the signature or the key cut short or made
+    longer, or any argument passed as a `bytearray` or a `memoryview`."""
+    parts = list(draw(honest()))
+    which = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        parts[which] = draw(st.sampled_from([bytearray, memoryview]))(parts[which])
+    else:
+        which = draw(st.integers(1, 2))
+        size = draw(st.integers(0, len(parts[which]) + 2))
+        parts[which] = (parts[which] + b"\0\0")[:size]
+    return tuple(parts)
+
+
+@st.composite
+def s_plus_l(draw):
+    data, signature, key = draw(honest())
+    s = int.from_bytes(signature[32:], "little") + L
+    return data, signature[:32] + s.to_bytes(32, "little"), key
+
+
+@st.composite
+def small_order(draw):
+    """A small-order key and R, in any of their encodings, with an S that is
+    zero, tiny, just under L, or any 32 bytes."""
+    s = draw(st.sampled_from([0, 1, L - 1]) | st.integers(0, 2**256 - 1))
+    signature = draw(st.sampled_from(SMALL_ORDER)) + s.to_bytes(32, "little")
+    return draw(st.binary(max_size=64)), signature, draw(st.sampled_from(SMALL_ORDER))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(honest(), changed(), odd_arguments(), s_plus_l(), small_order()))
+def test_verdict_is_cryptographys(path, case):
+    assert outcome(verify_bytes, *case) == outcome(openssl, *case)
+
+
+def test_every_small_order_key_and_r(path):
+    """Each of the 14 x 14 small-order key and R encodings, S = 0, over two
+    messages."""
+    for key in SMALL_ORDER:
+        for r in SMALL_ORDER:
+            for data in (b"", b"any message"):
+                case = (data, r + bytes(32), key)
+                assert verify_bytes(*case) == openssl(*case), case
+
+
+@pytest.mark.parametrize("data", [b"", b"any message", bytes(1000)],
+                         ids=["empty", "short", "1000 zero bytes"])
+def test_identity_key_forgery_is_accepted(path, data):
+    """OpenSSL's check is cofactorless and takes any key: under the identity
+    key, R = identity and S = 0 verify for any message. libsodium refuses it,
+    so this pins that its refusal is not the verdict."""
+    assert verify_bytes(data, IDENTITY + bytes(32), IDENTITY)
+
+
+def test_libsodium_accepts_without_cryptography(monkeypatch):
+    """Where libsodium is loaded, an honest signature is accepted by it
+    alone: `cryptography`'s verify is not reached."""
+    if model._sodium is None:
+        pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
+    monkeypatch.setattr(model, "Ed25519PublicKey", None)
+    assert verify_bytes(b"m", KEYS[0].sign(b"m"), KEYS[0].public_key().public_bytes_raw())
+
+
+def test_generated_module_is_current(tmp_path):
+    """`tools/build_sodium.py`, run with the installed cffi and pycparser,
+    writes the checked-in `attestnet/_sodium.py` byte for byte."""
+    build = runpy.run_path(str(ROOT / "tools" / "build_sodium.py"))["build"]
+    build(tmp_path / "_sodium.py")
+    checked_in = Path(attestnet.__file__).parent / "_sodium.py"
+    assert (tmp_path / "_sodium.py").read_bytes() == checked_in.read_bytes()
+
+
+def test_import_loads_no_ctypes_or_subprocess():
+    """The library is opened by soname: importing attestnet imports neither
+    ctypes nor subprocess (as `ctypes.util.find_library` would)."""
+    src = str(Path(attestnet.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, attestnet, attestnet.cli; "
+         "print(sorted({'ctypes', 'subprocess'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_tips_and_flow_decisions_without_libsodium(tmp_path, monkeypatch, capsys):
+    """With the handle None and the helper off (one CPU reported), both
+    bundled tips and one benchmark `flows` unit's decisions are unchanged."""
+    monkeypatch.setattr(model, "_sodium", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for name, tip in GOLDEN_TIPS.items():
+        assert main(["simulate", str(SCENARIO_DIR / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+        assert capsys.readouterr().out == f"tip: {tip}\n"
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    unit = workloads.run_flows(workloads.generate_flows(1), tracing.Tracer())
+    assert unit.failed == 0 and unit.tip.startswith("e7b62e23")
