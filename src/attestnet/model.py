@@ -235,6 +235,21 @@ class Role(str, Enum):
     OWNER = "owner"
 
 
+# The Ed25519 points of small order, as y with the sign bit clear: 0, 1, the
+# two of order 8, p - 1, and the non-canonical p and p + 1. OpenSSL accepts a
+# signature under such a key for any message (R = the identity and S = 0
+# under the identity, say), so no identity may hold one.
+_SMALL_ORDER = frozenset(map(bytes.fromhex, (
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+)))
+
+
 @dataclass(frozen=True, slots=True)
 class EntityId:
     role: Role
@@ -244,53 +259,61 @@ class EntityId:
     def __post_init__(self):
         if not self.name:
             raise ModelError("entity name must be non-empty")
-        if not self.public_key:
-            raise ModelError("entity public key must be non-empty")
+        key = self.public_key
+        if not isinstance(key, bytes) or len(key) != 32:
+            raise ModelError("entity public key must be 32 bytes")
+        if key[:31] + bytes((key[31] & 0x7F,)) in _SMALL_ORDER:
+            raise ModelError("entity public key is of small order")
 
 
 class SigningKey:
     """Ed25519 signing key; deterministic signatures over canonical bytes.
 
-    It holds the 32-byte seed and builds the Ed25519 key on the first `sign`
-    or `public_bytes`, so a key that is never used costs no key setup.
+    It holds the 32-byte seed and builds the key pair (`_key_pair`) on the
+    first `sign` or `public_bytes`, so a key that is never used costs no key
+    setup.
     """
 
     def __init__(self, private_bytes: bytes):
         if len(private_bytes) != 32:
             raise ModelError("signing key seed must be 32 bytes")
         self.private_bytes = private_bytes
-        self._priv: Optional[Ed25519PrivateKey] = None
+        self._pair = None  # the public key and what signs, once built
 
     @staticmethod
     def generate(rng) -> "SigningKey":
         return SigningKey(rng.randbytes(32))
 
-    def _key(self) -> Ed25519PrivateKey:
-        if self._priv is None:
-            self._priv = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
-        return self._priv
+    def _built(self) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]:
+        if self._pair is None:
+            self._pair = _key_pair(self.private_bytes)
+        return self._pair
 
     @property
     def public_bytes(self) -> bytes:
-        return self._key().public_key().public_bytes_raw()
+        return self._built()[0]
 
     def sign(self, data: bytes) -> bytes:
-        return self._key().sign(data)
+        return self._built()[1].sign(data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SigningKey) and self.private_bytes == other.private_bytes
 
 
+try:
+    from ._sodium import ffi as _ffi  # generated by tools/build_sodium.py
+except ImportError:  # no cffi
+    _ffi = None
+
+
 def _load_sodium():
     """libsodium, opened by full soname (`find_library` would import ctypes
     and subprocess), or None where it or cffi is missing."""
-    try:
-        from ._sodium import ffi  # generated by tools/build_sodium.py
-    except ImportError:
+    if _ffi is None:
         return None
     for soname in ("libsodium.so.26", "libsodium.so.23"):
         with contextlib.suppress(OSError):
-            lib = ffi.dlopen(soname)
+            lib = _ffi.dlopen(soname)
             if lib.sodium_init() >= 0:
                 return lib
     return None
@@ -299,12 +322,45 @@ def _load_sodium():
 _sodium = _load_sodium()
 
 
+def _key_pair(seed: bytes) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]:
+    """The public key of the Ed25519 seed `seed`, and what signs with it:
+    libsodium where it is loaded, else `cryptography`. Both derive the key and
+    sign as RFC 8032 fixes (signing is deterministic, §5.1.6), so both give
+    the same bytes, and libsodium at about half the cost. Handing it the seed
+    exposes nothing new: the seed already sits in Python `bytes` and in
+    `SIGNING_KEY`'s encoding, and libsodium's acceptance of a signature
+    already stands alone (`verify_bytes`)."""
+    if _sodium is None:
+        key = Ed25519PrivateKey.from_private_bytes(seed)
+        return key.public_key().public_bytes_raw(), key
+    public, secret = _ffi.new("unsigned char[32]"), _ffi.new("unsigned char[64]")
+    _sodium.crypto_sign_ed25519_seed_keypair(public, secret, seed)
+    return _ffi.buffer(public)[:], _SodiumKey(_sodium, _ffi.buffer(secret)[:])
+
+
+class _SodiumKey:
+    """libsodium's Ed25519 secret key (the seed, then the public key), with
+    the library that signs with it. Slotted: a run holds one per key."""
+
+    __slots__ = ("lib", "secret")
+
+    def __init__(self, lib, secret: bytes):
+        self.lib, self.secret = lib, secret
+
+    def sign(self, data: bytes) -> bytes:
+        # a buffer per call: cffi releases the GIL, so another thread may sign meanwhile
+        signature = _ffi.new("unsigned char[64]")
+        self.lib.crypto_sign_ed25519_detached(signature, _ffi.NULL, data, len(data), self.secret)
+        return _ffi.buffer(signature)[:]
+
+
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
     """Whether `signature` is `public_key`'s Ed25519 signature of `data`, as
-    `cryptography` judges it. libsodium, where it is loaded, answers first,
-    at half the cost: it accepts a strict subset of what OpenSSL accepts (it
-    also refuses small-order keys and R), so its acceptance stands, and
-    anything else, arguments it cannot take included, goes to `cryptography`."""
+    `cryptography` judges it. libsodium, where it is loaded (and then also
+    builds every key pair and signs, in `_key_pair`), answers first, at half
+    the cost: it accepts a strict subset of what OpenSSL accepts (it also
+    refuses small-order keys and R), so its acceptance stands, and anything
+    else, arguments it cannot take included, goes to `cryptography`."""
     if (_sodium is not None and type(data) is type(signature) is type(public_key) is bytes
             and len(signature) == 64 and len(public_key) == 32
             and _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
@@ -900,7 +956,7 @@ def check_signatures(messages: Sequence) -> None:
     endorsements or results) neither checked nor queued yet, each once, in
     batches of at most `_HALF`; their stored checks read the answers.
 
-    libsodium's verify releases the GIL but the Python around each check
+    libsodium's calls release the GIL, but the Python around each check
     holds it, and `cryptography`'s verify holds it throughout, so only a
     second process reaches a second CPU. The helper is forked on first use,
     and only where `os.fork` exists, more than one CPU may be used and no

@@ -56,7 +56,7 @@ def _geo(altitudes=st.floats()):
     return st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180), altitudes)
 
 
-ENTITIES = st.builds(EntityId, st.sampled_from(Role), NAMES, st.binary(min_size=1, max_size=40))
+ENTITIES = st.builds(EntityId, st.sampled_from(Role), NAMES, KEYS.map(lambda key: key.public_bytes))
 NONCES = st.builds(Nonce, st.binary(min_size=16, max_size=16), U64)
 CLAIM_VALUES = st.one_of(
     st.builds(ClaimValue, st.just("bytes"), BLOBS),

@@ -1,8 +1,8 @@
-"""Exact counts of the expensive operations: Ed25519 private-key
-constructions, signs and verifies, result decodes, policy rule evaluations,
-stored values computed, encodes and decodes per table, and the signed
-messages and ledger blocks built; for small cases, one benchmark unit of each
-simulation workload, and the 200-node case. A change that adds crypto work
+"""Exact counts of the expensive operations: Ed25519 key-pair builds, signs
+and verifies, result decodes, policy rule evaluations, stored values
+computed, encodes and decodes per table, and the signed messages and ledger
+blocks built; for small cases, one benchmark unit of each simulation
+workload, and the 200-node case. A change that adds crypto work
 fails here instead of hiding in benchmark noise; a change that removes some
 updates the pinned counts."""
 
@@ -13,7 +13,6 @@ import os
 import pkgutil
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -54,20 +53,20 @@ SCENARIO_DIR = Path("src/attestnet/scenarios")
 
 @pytest.fixture
 def budget(monkeypatch):
-    """Counts the Ed25519 private keys built and the signs made through
-    `attestnet.model`, the `verify_bytes` calls made through each attestnet
-    module that binds it (whichever library answers them), the
-    `AttestationResult.from_bytes` calls, and the evaluations of a policy's
-    rules against a claim set."""
+    """Counts the Ed25519 key pairs built (`model._key_pair`, whichever
+    library builds them) and the signs made through `attestnet.model`, the
+    `verify_bytes` calls made through each attestnet module that binds it
+    (whichever library answers them), the `AttestationResult.from_bytes`
+    calls, and the evaluations of a policy's rules against a claim set."""
     counts = {"keys": 0, "signs": 0, "verifies": 0, "result_decodes": 0, "rule_evaluations": 0}
-    private, verify = model.Ed25519PrivateKey, model.verify_bytes
+    key_pair, verify = model._key_pair, model.verify_bytes
     sign = model.SigningKey.sign
     decode_result = model.AttestationResult.from_bytes
     evaluate_rules = verifier_module._evaluate_rules
 
     def counting_key(seed):
         counts["keys"] += 1
-        return private.from_private_bytes(seed)
+        return key_pair(seed)
 
     def counting_sign(key, data):
         counts["signs"] += 1
@@ -85,7 +84,7 @@ def budget(monkeypatch):
         counts["rule_evaluations"] += 1
         return evaluate_rules(*args)
 
-    monkeypatch.setattr(model, "Ed25519PrivateKey", SimpleNamespace(from_private_bytes=counting_key))
+    monkeypatch.setattr(model, "_key_pair", counting_key)
     monkeypatch.setattr(model.SigningKey, "sign", counting_sign)
     replace_everywhere(monkeypatch, "verify_bytes", counting_verify)
     monkeypatch.setattr(model.AttestationResult, "from_bytes", staticmethod(counting_decode))

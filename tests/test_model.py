@@ -202,17 +202,16 @@ class TestSignatures:
 
 
 def _count_key_builds(monkeypatch) -> list:
-    """Count the Ed25519 private keys that `model` builds from here on."""
+    """Count the Ed25519 key pairs that `model` builds from here on, with
+    either library."""
     built = []
-    real = model.Ed25519PrivateKey
+    real = model._key_pair
 
-    class Counting:
-        @staticmethod
-        def from_private_bytes(seed):
-            built.append(seed)
-            return real.from_private_bytes(seed)
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(model, "Ed25519PrivateKey", Counting)
+    monkeypatch.setattr(model, "_key_pair", counting)
     return built
 
 

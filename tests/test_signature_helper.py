@@ -57,9 +57,13 @@ def variant(base, kind: str, spare: bytes):
         return replace(base, created_at=base.created_at + 1)
     if kind == "empty_signature":
         return replace(base, signature=b"")
-    keys = {"wrong_key": spare, "garbage_key": b"\x05" * 7, "off_curve_key": b"\xff" * 32}
+    keys = {"wrong_key": spare, "off_curve_key": b"\xff" * 32}
     if kind in keys:
         return replace(base, attester=replace(base.attester, public_key=keys[kind]))
+    if kind == "garbage_key":  # a key `EntityId` refuses, set past its check:
+        attester = replace(base.attester)  # the helper answers whatever it is sent
+        object.__setattr__(attester, "public_key", b"\x05" * 7)
+        return replace(base, attester=attester)
     return replace(base)
 
 

@@ -1,15 +1,21 @@
-"""libsodium's Ed25519 verify changes no verdict.
+"""libsodium's Ed25519 changes no byte and no verdict.
 
-`model.verify_bytes` returns True when libsodium accepts, and otherwise the
-verdict of `cryptography` (OpenSSL). That is exact only because libsodium
-accepts a strict subset of what OpenSSL accepts, so each check here runs
+Where libsodium is loaded, `model._key_pair` derives each key pair and signs
+through it, and must give `cryptography`'s public keys and signatures byte for
+byte. `model.verify_bytes` returns True when libsodium accepts, and otherwise
+the verdict of `cryptography` (OpenSSL). That is exact only because libsodium
+accepts a strict subset of what OpenSSL accepts. So each check here runs
 twice: with the library as loaded (skipped where it is not found) and with
-the handle patched to None, which is the path of a host without it."""
+the handle patched to None, which is the path of a host without it. The
+small-order keys under which OpenSSL accepts forgeries are refused by
+`EntityId`, so no identity holds one."""
 
 import os
+import random
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,7 +26,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import attestnet
 from attestnet import model
 from attestnet.cli import EXIT_OK, main
-from attestnet.model import verify_bytes
+from attestnet.model import (
+    ClaimSet,
+    Endorsement,
+    EntityId,
+    ModelError,
+    Role,
+    SignerIdentity,
+    SigningKey,
+    make_endorsement,
+    signed_part,
+    verify_bytes,
+    with_signature,
+)
 
 from .test_bench_bindings import _perfbench_module
 from .test_golden_tips import GOLDEN_TIPS, SCENARIO_DIR
@@ -151,6 +169,88 @@ def test_identity_key_forgery_is_accepted(path, data):
     key, R = identity and S = 0 verify for any message. libsodium refuses it,
     so this pins that its refusal is not the verdict."""
     assert verify_bytes(data, IDENTITY + bytes(32), IDENTITY)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.binary(min_size=32, max_size=32), data=st.binary(max_size=4096))
+def test_key_pair_and_signature_are_cryptographys(path, seed, data):
+    """For any seed and any message of up to 4 KiB, `SigningKey` derives
+    `cryptography`'s public key and makes its signature, byte for byte."""
+    key, reference = SigningKey(seed), Ed25519PrivateKey.from_private_bytes(seed)
+    assert key.public_bytes == reference.public_key().public_bytes_raw()
+    assert key.sign(data) == reference.sign(data)
+
+
+def test_signs_from_four_threads_are_the_serial_ones(path):
+    """Four threads, each with its own key, sign at once (libsodium's call
+    releases the GIL) and get exactly the signatures of signing one by one."""
+    messages = [bytes([i]) * i for i in range(200)]
+    keys = [SigningKey(bytes([i]) * 32) for i in range(10, 14)]
+    serial = [[key.sign(m) for m in messages] for key in keys]
+    got, start = [None] * len(keys), threading.Barrier(len(keys))
+
+    def sign_all(i):
+        start.wait()
+        got[i] = [keys[i].sign(m) for m in messages]
+
+    threads = [threading.Thread(target=sign_all, args=(i,)) for i in range(len(keys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
+
+
+def test_libsodium_signs_without_cryptography(monkeypatch):
+    """Where libsodium is loaded, key pairs are built and signed by it alone:
+    `cryptography`'s private key class is not reached."""
+    if model._sodium is None:
+        pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
+    monkeypatch.setattr(model, "Ed25519PrivateKey", None)
+    key = SigningKey(bytes(32))
+    assert verify_bytes(b"m", key.sign(b"m"), key.public_bytes)
+
+
+@pytest.mark.parametrize("public_key", [b"", b"\x05" * 7, bytes(31), bytes(33), bytearray(32)],
+                         ids=["empty", "7 bytes", "31 bytes", "33 bytes", "bytearray"])
+def test_entity_key_must_be_32_bytes(public_key):
+    with pytest.raises(ModelError, match="must be 32 bytes"):
+        EntityId(Role.ENDORSER, "e", public_key)
+
+
+@pytest.mark.parametrize("public_key", SMALL_ORDER, ids=[k.hex()[:4] + k.hex()[-2:] for k in SMALL_ORDER])
+def test_entity_refuses_every_small_order_key(public_key):
+    with pytest.raises(ModelError, match="small order"):
+        EntityId(Role.ENDORSER, "e", public_key)
+
+
+def test_entity_takes_a_key_one_bit_from_a_small_order_one():
+    """Only the small-order values are refused: each with one bit of its
+    middle byte flipped is held."""
+    for key in SMALL_ORDER:
+        near = key[:16] + bytes([key[16] ^ 1]) + key[17:]
+        assert EntityId(Role.ENDORSER, "e", near).public_key == near
+
+
+def test_identity_key_forged_endorsement_is_refused_when_decoded():
+    """The forgery of `test_identity_key_forgery_is_accepted` carried in an
+    endorsement: its bytes decode to nothing, since its endorser key is the
+    identity."""
+    endorser = SignerIdentity.create(Role.ENDORSER, "vendor", random.Random(5))
+    genuine = make_endorsement(endorser, "widget", ClaimSet(), 0)
+    unsigned = signed_part(genuine.to_bytes(), genuine.signature)
+    forged = with_signature(unsigned.replace(genuine.endorser.public_key, IDENTITY),
+                            IDENTITY + bytes(32))
+    assert verify_bytes(signed_part(forged, IDENTITY + bytes(32)), IDENTITY + bytes(32), IDENTITY)
+    with pytest.raises(ModelError, match="small order"):
+        Endorsement.from_bytes(forged)
 
 
 def test_libsodium_accepts_without_cryptography(monkeypatch):

@@ -1,5 +1,6 @@
 """Writes `src/attestnet/_sodium.py`, the module through which
-`attestnet.model.verify_bytes` calls libsodium's Ed25519 verify.
+`attestnet.model` calls libsodium's Ed25519: `_key_pair` derives each key
+pair and signs, and `verify_bytes` verifies.
 
 It is cffi's out-of-line ABI mode: the written module declares `CDEF` and
 imports only `_cffi_backend`, and the library is opened by soname at run time,
@@ -16,6 +17,11 @@ import cffi
 
 CDEF = """
 int sodium_init(void);
+int crypto_sign_ed25519_seed_keypair(unsigned char *pk, unsigned char *sk,
+                                     const unsigned char *seed);
+int crypto_sign_ed25519_detached(unsigned char *sig, unsigned long long *siglen_p,
+                                 const unsigned char *m, unsigned long long mlen,
+                                 const unsigned char *sk);
 int crypto_sign_ed25519_verify_detached(const unsigned char *sig, const unsigned char *m,
                                         unsigned long long mlen, const unsigned char *pk);
 """
