@@ -185,10 +185,10 @@ def _exchange(attester: AttestingEnvironment, env: TargetEnvironment, verifier_c
 
 
 def _decide(result: AttestationResult, rp_ctx: RelyingPartyContext, clock: int) -> Decision:
-    """The relying party's decision on the result it received."""
+    """The relying party's decision; a forged result gives no reasons of its own."""
     if appraise_result(result, rp_ctx.result_policy, clock):
         return Decision(True)
-    return Decision(False, result.reasons or ("result_rejected",))
+    return Decision(False, result.verify_signature() and result.reasons or ("result_rejected",))
 
 
 _REPLAY = Decision(False, ("replay",))

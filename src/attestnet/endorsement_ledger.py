@@ -18,14 +18,14 @@ once, and the ledger hashes those bytes at each of its lookups: two or three
 per query, each 0.4-0.5 µs on a 2-vCPU host with CPython 3.11, against a
 query's 0.24 ms. `verify_product` fails with the first of: the record is not
 on the ledger (`ledger_mismatch`), an object is not intact (`store_corrupt`),
-the root does not cover the objects (`root_mismatch`), the manufacturer did
-not sign the record (`signature_invalid`), the endorsement does not decode
+the root does not cover the objects (`root_mismatch`), the stored cert is not
+the record's manufacturer key (refused before any verify) or that key did not
+sign the record (`signature_invalid`), the endorsement does not decode
 (`endorsement_malformed`), it does not name the product's digest
-(`digest_mismatch`). The hashed bytes hold the signature and the cert's
-address, and the cert is compared byte for byte, so the stored signature check
-is a pure function of (record bytes, cert); a different cert verifies again.
-Every other check runs on every query, since the store can be corrupted after
-a check was stored.
+(`digest_mismatch`). The hashed bytes hold the signature and that key, so the
+stored signature check is a pure function of the record bytes. Every other
+check runs on every query, since the store can be corrupted after a check was
+stored.
 """
 
 from __future__ import annotations
@@ -291,6 +291,8 @@ def verify_product(
     if merkle_root([addr for _, addr in record.object_refs]) != record.merkle_root:
         return False, "root_mismatch"
     cert = objects["manufacturer_cert"]
+    if cert != record.manufacturer.public_key:
+        return False, "signature_invalid"
     if ledger.verified_cert(data) != cert:
         if not verify_bytes(signed_part(data, record.signature), record.signature, cert):
             return False, "signature_invalid"

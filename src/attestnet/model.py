@@ -237,8 +237,8 @@ class Role(str, Enum):
 
 # The Ed25519 points of small order, as y with the sign bit clear: 0, 1, the
 # two of order 8, p - 1, and the non-canonical p and p + 1. OpenSSL accepts a
-# signature under such a key for any message (R = the identity and S = 0
-# under the identity, say), so no identity may hold one.
+# signature under such a key for any message (R = the identity and S = 0 under
+# the identity, say), so no identity holds one and `verify_bytes` refuses both.
 _SMALL_ORDER = frozenset(map(bytes.fromhex, (
     "0000000000000000000000000000000000000000000000000000000000000000",
     "0100000000000000000000000000000000000000000000000000000000000000",
@@ -250,8 +250,15 @@ _SMALL_ORDER = frozenset(map(bytes.fromhex, (
 )))
 
 
+def _small_order(point: bytes) -> bool:
+    """Whether the 32 bytes `point` encode a small-order point, of either sign."""
+    return point[:31] + bytes((point[31] & 0x7F,)) in _SMALL_ORDER
+
+
 @dataclass(frozen=True, slots=True)
 class EntityId:
+    """A role, a name and an Ed25519 public key that is not of small order."""
+
     role: Role
     name: str
     public_key: bytes
@@ -262,7 +269,7 @@ class EntityId:
         key = self.public_key
         if not isinstance(key, bytes) or len(key) != 32:
             raise ModelError("entity public key must be 32 bytes")
-        if key[:31] + bytes((key[31] & 0x7F,)) in _SMALL_ORDER:
+        if _small_order(key):
             raise ModelError("entity public key is of small order")
 
 
@@ -328,8 +335,8 @@ def _key_pair(seed: bytes) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]
     sign as RFC 8032 fixes (signing is deterministic, §5.1.6), so both give
     the same bytes, and libsodium at about half the cost. Handing it the seed
     exposes nothing new: the seed already sits in Python `bytes` and in
-    `SIGNING_KEY`'s encoding, and libsodium's acceptance of a signature
-    already stands alone (`verify_bytes`)."""
+    `SIGNING_KEY`'s encoding, and libsodium's verdict on a signature is
+    already the verdict (`verify_bytes`)."""
     if _sodium is None:
         key = Ed25519PrivateKey.from_private_bytes(seed)
         return key.public_key().public_bytes_raw(), key
@@ -355,22 +362,22 @@ class _SodiumKey:
 
 
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
-    """Whether `signature` is `public_key`'s Ed25519 signature of `data`, as
-    `cryptography` judges it. libsodium, where it is loaded (and then also
-    builds every key pair and signs, in `_key_pair`), answers first, at half
-    the cost: it accepts a strict subset of what OpenSSL accepts (it also
-    refuses small-order keys and R), so its acceptance stands, and anything
-    else, arguments it cannot take included, goes to `cryptography`."""
+    """Whether `signature` is `public_key`'s Ed25519 signature of `data`, by
+    one verify: libsodium's verdict where it is loaded (it then also builds
+    every key pair and signs, in `_key_pair`), at half the cost. Otherwise, and
+    for arguments it cannot take, `cryptography`'s, with a key or R of small
+    order refused as libsodium refuses it: OpenSSL's cofactorless check (RFC
+    8032 §5.1.7 allows it) accepts forgeries under them."""
     if (_sodium is not None and type(data) is type(signature) is type(public_key) is bytes
-            and len(signature) == 64 and len(public_key) == 32
-            and _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
-                                                            public_key) == 0):
-        return True
+            and len(signature) == 64 and len(public_key) == 32):
+        return _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
+                                                           public_key) == 0
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
-        return True
     except (InvalidSignature, ValueError):
         return False
+    # accepted, so the key is 32 `bytes` and the signature 64 bytes
+    return not (_small_order(public_key) or _small_order(bytes(signature[:32])))
 
 
 @dataclass(frozen=True, slots=True)

@@ -171,6 +171,8 @@ def verify_product_bruteforce(product: bytes, record: tuple, registered: list,
         objects[label] = value
     if merkle_root_bruteforce([address for _, address in record[5]]) != record[4]:
         return False, "root_mismatch"
+    if objects["manufacturer_cert"] != record[2]:
+        return False, "signature_invalid"
     try:
         key = Ed25519PublicKey.from_public_bytes(objects["manufacturer_cert"])
         key.verify(record[7], record_signing_bytes(record))

@@ -30,6 +30,7 @@ from attestnet.model import (
     Role,
     RuleKind,
     SignerIdentity,
+    Verdict,
     digest,
     make_endorsement,
 )
@@ -89,6 +90,21 @@ class TestPassportFlow:
             attester, env, verifier, rp, Transport(), clock=0, result_tamper=flip
         )
         assert not decision.granted
+
+    def test_forged_result_reasons_are_not_echoed(self, attester, env, rng):
+        """A forwarded result that decodes, says non-compliant for reasons of
+        its own and keeps the verifier's signature is reported as
+        `result_rejected`, not by its own reasons."""
+        verifier, rp = make_contexts(rng, env)
+
+        def spoof(raw: bytes) -> bytes:
+            result = AttestationResult.from_bytes(raw)
+            return replace(result, verdict=Verdict.NON_COMPLIANT, reasons=("spoofed",)).to_bytes()
+
+        decision = run_passport_flow(
+            attester, env, verifier, rp, Transport(), clock=0, result_tamper=spoof
+        )
+        assert decision == Decision(False, ("result_rejected",))
 
     def test_replayed_evidence_denied(self, attester, env, rng):
         verifier, rp = make_contexts(rng, env)

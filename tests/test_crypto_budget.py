@@ -13,6 +13,7 @@ import os
 import pkgutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -417,8 +418,15 @@ def test_one_flows_unit(budget, monkeypatch):
     stale shares, checked by the benchmark's own oracle."""
     workloads = _perfbench_module("workloads", monkeypatch)
     tracing = _perfbench_module("tracing", monkeypatch)
+    openssl_keys = []
+    from_public_bytes = model.Ed25519PublicKey.from_public_bytes
+    monkeypatch.setattr(model, "Ed25519PublicKey", SimpleNamespace(
+        from_public_bytes=lambda key: openssl_keys.append(key) or from_public_bytes(key)))
     unit = workloads.run_flows(workloads.generate_flows(1), tracing.Tracer())
     assert unit.failed == 0 and unit.tip.startswith("e7b62e23")
+    # where libsodium is loaded its verdict is the verdict, for the 25
+    # tampered passports too: `cryptography` verifies nothing
+    assert len(openssl_keys) == (902 if model._sodium is None else 0)
     # keys: the attester, the endorser, the verifier and the relying party;
     # per flow one evidence and one result signed (a replay neither), the
     # 2 endorsements once, and per appraised flow the evidence and the result

@@ -21,6 +21,7 @@ from attestnet.endorsement_ledger import (
 )
 from attestnet.model import (
     ClaimSet, ClaimValue, Digest, ModelError, Role, SignerIdentity, digest, make_endorsement,
+    verify_bytes,
 )
 
 from .oracles import (
@@ -423,22 +424,39 @@ class TestStoredSignatureCheck:
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
         assert len(verifies) == 1
 
-    def test_a_different_cert_verifies_again(self, rng, verifies, monkeypatch):
+    def test_a_different_cert_is_refused_without_a_verify(self, rng, verifies, monkeypatch):
         manufacturer, record, store, ledger, _ = _setup_registration(rng)
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
         # a store that does not re-hash its entries hands out another cert
-        # at the same address
+        # at the same address: it is not the record's manufacturer key
         monkeypatch.setattr(store, "check", lambda address: True)
         cert_address = dict(record.object_refs)["manufacturer_cert"]
-        other = MANUFACTURERS[0].entity.public_key
-        store._corrupt(cert_address, other)
+        store._corrupt(cert_address, MANUFACTURERS[0].entity.public_key)
         assert verify_product(b"firmware image v7", record, store, ledger) == (
             False, "signature_invalid")
-        assert verifies == [manufacturer.entity.public_key, other]
+        assert verifies == [manufacturer.entity.public_key]
         # the failed check stored nothing: the genuine cert is still a hit
         store._corrupt(cert_address, manufacturer.entity.public_key)
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
-        assert len(verifies) == 2
+        assert len(verifies) == 1
+
+    def test_a_record_signed_by_its_cert_but_naming_another_manufacturer(self, rng, verifies):
+        """A record that names acme, is signed by globex and stores globex's
+        key as its cert: the signature is valid under the cert, but the cert
+        is not the key the record names, so it is refused before a verify."""
+        acme, _, store, ledger, objects = _setup_registration(rng)
+        globex = MANUFACTURERS[1]
+        objects = [(label, globex.entity.public_key if label == "manufacturer_cert" else value)
+                   for label, value in objects]
+        signed = register_endorsement(globex, "widget-7", objects, store, ledger, 11)
+        forged = replace(signed, manufacturer=acme.entity, signature=b"")
+        forged = replace(forged, signature=globex.key.sign(forged.signing_bytes()))
+        ledger.append(forged.to_bytes())
+        assert verify_bytes(forged.signing_bytes(), forged.signature, globex.entity.public_key)
+        assert verify_product(b"firmware image v7", forged, store, ledger) == (
+            False, "signature_invalid")
+        assert verifies == []
+        assert verify_product(b"firmware image v7", signed, store, ledger) == (True, None)
 
     @pytest.mark.parametrize("change", ["cert", "signature"])
     def test_a_failed_check_is_not_stored(self, rng, verifies, change):
@@ -453,7 +471,8 @@ class TestStoredSignatureCheck:
         for _ in range(2):
             assert verify_product(b"firmware image v7", record, store, ledger) == (
                 False, "signature_invalid")
-        assert len(verifies) == 2
+        # a cert that is not the manufacturer key is refused before any verify
+        assert len(verifies) == (0 if change == "cert" else 2)
         assert ledger.verified_cert(record.to_bytes()) is None
 
     def test_a_record_not_appended_is_never_indexed(self, rng, verifies, monkeypatch):

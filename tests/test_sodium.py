@@ -1,15 +1,19 @@
-"""libsodium's Ed25519 changes no byte and no verdict.
+"""libsodium's Ed25519 changes no byte, and either path gives one verdict by
+one verify.
 
 Where libsodium is loaded, `model._key_pair` derives each key pair and signs
 through it, and must give `cryptography`'s public keys and signatures byte for
-byte. `model.verify_bytes` returns True when libsodium accepts, and otherwise
-the verdict of `cryptography` (OpenSSL). That is exact only because libsodium
-accepts a strict subset of what OpenSSL accepts. So each check here runs
-twice: with the library as loaded (skipped where it is not found) and with
-the handle patched to None, which is the path of a host without it. The
-small-order keys under which OpenSSL accepts forgeries are refused by
-`EntityId`, so no identity holds one."""
+byte. `model.verify_bytes` returns libsodium's verdict where it is loaded, and
+otherwise `cryptography`'s (OpenSSL's) with a key or R of small order
+refused: OpenSSL's check is cofactorless and accepts forgeries under them, which
+libsodium refuses. So each check here runs twice: with the library as loaded
+(skipped where it is not found) and with the handle patched to None, which is
+the path of a host without it. Both are held to `strict`, OpenSSL's verdict
+with the 14 small-order encodings refused, and to libsodium's raw function
+where it is installed. `EntityId` refuses the same keys, so no identity holds
+one."""
 
+import hashlib
 import os
 import random
 import runpy
@@ -65,7 +69,9 @@ SMALL_ORDER = [bytes.fromhex(h) for h in (
     "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
 )]
 IDENTITY = SMALL_ORDER[0]
-KEYS = [Ed25519PrivateKey.from_private_bytes(bytes([i]) * 32) for i in range(1, 5)]
+SEEDS = [bytes([i]) * 32 for i in range(1, 5)]
+KEYS = [Ed25519PrivateKey.from_private_bytes(seed) for seed in SEEDS]
+SODIUM = model._sodium  # libsodium as loaded, kept when a test patches the handle
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
@@ -93,6 +99,58 @@ def openssl(data, signature, public_key) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def strict(data, signature, public_key):
+    """The reference outcome: OpenSSL's, but refused for a key or R that is
+    one of the 14 small-order encodings."""
+    if bytes(public_key) in SMALL_ORDER or bytes(signature[:32]) in SMALL_ORDER:
+        return False
+    return outcome(openssl, data, signature, public_key)
+
+
+def raw_sodium(data, signature, public_key):
+    """libsodium's own verdict, where it is installed and can take the
+    arguments (`bytes` of the right lengths); else None."""
+    if SODIUM is None or not (type(data) is type(signature) is type(public_key) is bytes
+                              and len(signature) == 64 and len(public_key) == 32):
+        return None
+    return SODIUM.crypto_sign_ed25519_verify_detached(signature, data, len(data), public_key) == 0
+
+
+def assert_strict(case):
+    """`verify_bytes` gives `strict`'s outcome, and libsodium's raw verdict
+    where it can be had."""
+    got = outcome(verify_bytes, *case)
+    assert got == strict(*case), case
+    assert raw_sodium(*case) in (None, got), case
+
+
+def scalar(seed: bytes) -> int:
+    """The secret scalar a of `seed` (RFC 8032 §5.1.5), whose public key is aB."""
+    h = bytearray(hashlib.sha512(seed).digest()[:32])
+    h[0] &= 248
+    h[31] = h[31] & 127 | 64
+    return int.from_bytes(h, "little")
+
+
+def public(seed: bytes) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+
+
+def identity_r_signature(seed: bytes, data: bytes) -> bytes:
+    """The signature of `data` that the holder of `seed` makes with R = the
+    identity (nonce r = 0), built from RFC 8032 §5.1.6 by hand: S = k * a. It
+    needs the private key, and OpenSSL accepts it, as R + kA = kaB = SB."""
+    k = int.from_bytes(hashlib.sha512(IDENTITY + public(seed) + data).digest(), "little") % L
+    return IDENTITY + (k * scalar(seed) % L).to_bytes(32, "little")
+
+
+def any_r_under_the_identity(seed: bytes) -> bytes:
+    """A forgery under the identity key whose R is not of small order: R = aB
+    (`seed`'s public key) and S = a. OpenSSL accepts it for any message, as
+    R + k * identity = aB = SB."""
+    return public(seed) + (scalar(seed) % L).to_bytes(32, "little")
 
 
 @st.composite
@@ -145,30 +203,71 @@ def small_order(draw):
     return draw(st.binary(max_size=64)), signature, draw(st.sampled_from(SMALL_ORDER))
 
 
+@st.composite
+def identity_r(draw):
+    """A key holder's signature with R = the identity."""
+    seed, data = draw(st.sampled_from(SEEDS)), draw(st.binary(max_size=300))
+    return data, identity_r_signature(seed, data), public(seed)
+
+
+@st.composite
+def identity_key(draw):
+    """A forgery under the identity key whose R is not of small order."""
+    seed, data = draw(st.sampled_from(SEEDS)), draw(st.binary(max_size=300))
+    return data, any_r_under_the_identity(seed), IDENTITY
+
+
 @settings(derandomize=True, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.one_of(honest(), changed(), odd_arguments(), s_plus_l(), small_order()))
+@given(case=st.one_of(honest(), changed(), odd_arguments(), s_plus_l(), small_order(),
+                      identity_r(), identity_key()))
 def test_verdict_is_cryptographys(path, case):
-    assert outcome(verify_bytes, *case) == outcome(openssl, *case)
+    """`cryptography`'s verdict, but for a small-order key or R, on either
+    path; libsodium's raw verdict where it is installed."""
+    assert_strict(case)
 
 
 def test_every_small_order_key_and_r(path):
     """Each of the 14 x 14 small-order key and R encodings, S = 0, over two
-    messages."""
+    messages: all refused, as libsodium refuses them."""
     for key in SMALL_ORDER:
         for r in SMALL_ORDER:
             for data in (b"", b"any message"):
                 case = (data, r + bytes(32), key)
-                assert verify_bytes(*case) == openssl(*case), case
+                assert verify_bytes(*case) is False, case
+                assert_strict(case)
 
 
 @pytest.mark.parametrize("data", [b"", b"any message", bytes(1000)],
                          ids=["empty", "short", "1000 zero bytes"])
 def test_identity_key_forgery_is_accepted(path, data):
     """OpenSSL's check is cofactorless and takes any key: under the identity
-    key, R = identity and S = 0 verify for any message. libsodium refuses it,
-    so this pins that its refusal is not the verdict."""
-    assert verify_bytes(data, IDENTITY + bytes(32), IDENTITY)
+    key, R = identity and S = 0 are accepted for any message. `verify_bytes`
+    refuses the forgery on either path."""
+    case = (data, IDENTITY + bytes(32), IDENTITY)
+    assert openssl(*case)
+    assert verify_bytes(*case) is False
+
+
+def test_a_key_holders_identity_r_is_refused(path):
+    """With an honest key, only its holder can make R = the identity verify
+    under OpenSSL; `verify_bytes` refuses the small-order R on either path,
+    while the holder's honest signature of the same message is accepted."""
+    for seed, key in zip(SEEDS, KEYS):
+        case = (b"any message", identity_r_signature(seed, b"any message"), public(seed))
+        assert openssl(*case)
+        assert verify_bytes(*case) is False
+        assert verify_bytes(b"any message", key.sign(b"any message"), public(seed))
+
+
+def test_identity_key_forgery_with_a_prime_order_r_is_refused(path):
+    """Under the identity key, any R = SB verifies with its S under OpenSSL,
+    so the key itself must be refused: R is not of small order here."""
+    for seed in SEEDS:
+        for data in (b"", b"any message"):
+            case = (data, any_r_under_the_identity(seed), IDENTITY)
+            assert openssl(*case)
+            assert verify_bytes(*case) is False
 
 
 @settings(derandomize=True, max_examples=300, deadline=None,
@@ -241,25 +340,33 @@ def test_entity_takes_a_key_one_bit_from_a_small_order_one():
 
 def test_identity_key_forged_endorsement_is_refused_when_decoded():
     """The forgery of `test_identity_key_forgery_is_accepted` carried in an
-    endorsement: its bytes decode to nothing, since its endorser key is the
+    endorsement: OpenSSL alone would accept its signature, `verify_bytes`
+    refuses it, and its bytes decode to nothing, since its endorser key is the
     identity."""
     endorser = SignerIdentity.create(Role.ENDORSER, "vendor", random.Random(5))
     genuine = make_endorsement(endorser, "widget", ClaimSet(), 0)
     unsigned = signed_part(genuine.to_bytes(), genuine.signature)
     forged = with_signature(unsigned.replace(genuine.endorser.public_key, IDENTITY),
                             IDENTITY + bytes(32))
-    assert verify_bytes(signed_part(forged, IDENTITY + bytes(32)), IDENTITY + bytes(32), IDENTITY)
+    case = (signed_part(forged, IDENTITY + bytes(32)), IDENTITY + bytes(32), IDENTITY)
+    assert openssl(*case)
+    assert verify_bytes(*case) is False
     with pytest.raises(ModelError, match="small order"):
         Endorsement.from_bytes(forged)
 
 
 def test_libsodium_accepts_without_cryptography(monkeypatch):
-    """Where libsodium is loaded, an honest signature is accepted by it
-    alone: `cryptography`'s verify is not reached."""
+    """Where libsodium is loaded, its verdict is the verdict: an honest
+    signature is accepted, and a bit-flipped one and the identity-key forgery
+    are refused, without `cryptography`'s verify being reached."""
     if model._sodium is None:
         pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
     monkeypatch.setattr(model, "Ed25519PublicKey", None)
-    assert verify_bytes(b"m", KEYS[0].sign(b"m"), KEYS[0].public_key().public_bytes_raw())
+    signature = KEYS[0].sign(b"m")
+    assert verify_bytes(b"m", signature, public(SEEDS[0]))
+    flipped = signature[:10] + bytes([signature[10] ^ 1]) + signature[11:]
+    assert verify_bytes(b"m", flipped, public(SEEDS[0])) is False
+    assert verify_bytes(b"m", IDENTITY + bytes(32), IDENTITY) is False
 
 
 def test_generated_module_is_current(tmp_path):
