@@ -64,7 +64,7 @@ class TargetEnvironment:
         return encode(_TARGET, self)
 
     def config_digest(self) -> Digest:
-        return _once(self, "config_digest", _digest_of)
+        return _once(self, "_config_digest", _digest_of)
 
 
 _TARGET = Table(
@@ -81,7 +81,7 @@ _TARGET = Table(
 def measure(env: TargetEnvironment) -> ClaimSet:
     """Measure a target environment into its standard claim set, stored on
     the environment (`model._once`)."""
-    return _once(env, "claims", _measure)
+    return _once(env, "_claims", _measure)
 
 
 def _measure(env: TargetEnvironment) -> ClaimSet:

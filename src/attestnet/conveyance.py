@@ -9,6 +9,10 @@ decision (`_decide`). In the passport flow the relying party appraises the
 signed result that the verifier sent when the attester forwards its bytes
 unchanged (decoding is canonical-only, so they would decode to an equal
 result), and decodes only a forward with any byte changed.
+
+A signed, accepted, fresh and compliant result is granted only if it names the
+requester and echoes the session's challenge (RFC 9334 §5.1), else denied with
+`binding`. An accomplice attesting with the requester's key still passes.
 """
 
 from __future__ import annotations
@@ -164,11 +168,11 @@ class RelyingPartyContext:
 
 def _exchange(attester: AttestingEnvironment, env: TargetEnvironment, verifier_ctx: VerifierContext,
               transport: Transport, clock: int, evidence_override: Optional[Evidence],
-              relays: tuple[EntityId, ...] = ()) -> Optional[tuple[AttestationResult, ResultMsg]]:
+              relays: tuple[EntityId, ...] = ()) -> Optional[tuple[AttestationResult, ResultMsg, Nonce]]:
     """The verifier's half of a session: the access request; the challenge and
     the evidence, each passed on by `relays` (the relying party in the
-    background-check model); the replay check, the appraisal and the result
-    message. None means the evidence is a replay."""
+    background-check model); the replay check, the appraisal, the result
+    message and the challenge. None means the evidence is a replay."""
     transport.send(AccessRequest(attester.identity, RESOURCE_ID))
     challenge = verifier_ctx.issue_challenge(clock)
     for sender in (verifier_ctx.identity.entity, *relays):
@@ -181,13 +185,15 @@ def _exchange(attester: AttestingEnvironment, env: TargetEnvironment, verifier_c
     if evidence.verify_signature() and not verifier_ctx.consume_nonce(evidence.nonce_echo):
         return None
     result = verifier_ctx.appraise(evidence, challenge, clock)
-    return result, transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes()))
+    return result, transport.send(ResultMsg(verifier_ctx.identity.entity, result.to_bytes())), challenge
 
 
-def _decide(result: AttestationResult, rp_ctx: RelyingPartyContext, clock: int) -> Decision:
+def _decide(result: AttestationResult, rp_ctx: RelyingPartyContext, clock: int,
+            requester: EntityId, challenge: Nonce) -> Decision:
     """The relying party's decision; a forged result gives no reasons of its own."""
-    if appraise_result(result, rp_ctx.result_policy, clock):
-        return Decision(True)
+    if appraise_result(result, rp_ctx.result_policy, clock):  # then the binding, last
+        bound = result.attester == requester and result.appraised_nonce == challenge
+        return Decision(bound, () if bound else ("binding",))
     return Decision(False, result.verify_signature() and result.reasons or ("result_rejected",))
 
 
@@ -210,14 +216,14 @@ def run_passport_flow(
     exchanged = _exchange(attester, env, verifier_ctx, transport, clock, evidence_override)
     if exchanged is None:
         return _REPLAY
-    result, carried = exchanged
+    result, carried, challenge = exchanged
     forwarded = result_tamper(carried.result_bytes) if result_tamper else carried.result_bytes
     if forwarded != carried.result_bytes:
         try:
             result = AttestationResult.from_bytes(forwarded)
         except ModelError:
             return Decision(False, ("result_decode",))
-    decision = _decide(result, rp_ctx, clock)
+    decision = _decide(result, rp_ctx, clock, attester.identity, challenge)
     if decision.granted:
         transport.send(ResultMsg(attester.identity, forwarded))
     return decision
@@ -238,4 +244,4 @@ def run_background_check_flow(
                           (rp_ctx.identity.entity,))
     if exchanged is None:
         return _REPLAY
-    return _decide(exchanged[0], rp_ctx, clock)
+    return _decide(exchanged[0], rp_ctx, clock, attester.identity, exchanged[2])

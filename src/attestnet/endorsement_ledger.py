@@ -23,9 +23,9 @@ the record's manufacturer key (refused before any verify) or that key did not
 sign the record (`signature_invalid`), the endorsement does not decode
 (`endorsement_malformed`), it does not name the product's digest
 (`digest_mismatch`). The hashed bytes hold the signature and that key, so the
-stored signature check is a pure function of the record bytes. Every other
-check runs on every query, since the store can be corrupted after a check was
-stored.
+signature check is a pure function of the record bytes, and the ledger keeps
+it as a flag per record. Every other check runs on every query, since the
+store can be corrupted after a check was stored.
 """
 
 from __future__ import annotations
@@ -215,33 +215,32 @@ def _key(record_bytes: bytes) -> bytes:
 class EndorsementsLedger:
     """Append-only ledger of endorsement records: an index from the SHA-256 of
     their canonical bytes (not the bytes, about 310 of them), so that a
-    membership check is one dict lookup, to
-    the `manufacturer_cert` bytes that the record's signature verified under
-    (None before the first check), and an append count."""
+    membership check is one dict lookup, to a flag set once the record's
+    signature has verified under its manufacturer key, and an append count."""
 
     def __init__(self):
-        self._index: dict[bytes, Optional[bytes]] = {}
+        self._index: dict[bytes, bool] = {}
         self._appends = 0
 
     def append(self, record_bytes: bytes):
         """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`).
-        Appending a record again keeps its stored signature check."""
-        self._index.setdefault(_key(record_bytes), None)
+        Appending a record again keeps its flag."""
+        self._index.setdefault(_key(record_bytes), False)
         self._appends += 1
 
     def includes(self, record_bytes: bytes) -> bool:
         """Whether a record's canonical bytes were appended."""
         return _key(record_bytes) in self._index
 
-    def verified_cert(self, record_bytes: bytes) -> Optional[bytes]:
-        """The cert that the record's signature verified under, if it did."""
-        return self._index.get(_key(record_bytes))
+    def verified(self, record_bytes: bytes) -> bool:
+        """Whether the record's signature verified under its manufacturer key."""
+        return self._index.get(_key(record_bytes), False)
 
-    def store_verified_cert(self, record_bytes: bytes, cert: bytes):
-        """Store that the record's signature verified under `cert`. Bytes never
-        appended stay out of the index."""
+    def mark_verified(self, record_bytes: bytes):
+        """Flag that the record's signature verified. Bytes never appended stay
+        out of the index."""
         if (key := _key(record_bytes)) in self._index:
-            self._index[key] = cert
+            self._index[key] = True
 
     def __len__(self) -> int:
         return self._appends
@@ -293,10 +292,10 @@ def verify_product(
     cert = objects["manufacturer_cert"]
     if cert != record.manufacturer.public_key:
         return False, "signature_invalid"
-    if ledger.verified_cert(data) != cert:
+    if not ledger.verified(data):
         if not verify_bytes(signed_part(data, record.signature), record.signature, cert):
             return False, "signature_invalid"
-        ledger.store_verified_cert(data, cert)
+        ledger.mark_verified(data)
     try:
         endorsement = Endorsement.from_bytes(objects["endorsement"])
     except ModelError:

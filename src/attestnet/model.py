@@ -18,19 +18,20 @@ signature checks to a helper process (`_Helper`).
 
 Because messages never change, what is derived from them is worked out at most
 once per object and stored on it by `_once`: the signing bytes and signature
-validity of evidence, endorsements and results, the digest and rule plan of a
-policy, and the encoded entries of a claim set (which every evidence or
-endorsement holding that claim set appends to its signing bytes). They sit in
-the instance dict, outside the dataclass fields, so equality and repr ignore
-them. A stored read is two dict reads and builds nothing: a caller passes a
-function of the value made once (`Table.encode`, say), since a closure made
-per call would take a stored read of the signing bytes from about 150 ns to
-400 ns. A changed message is a new object built with `dataclasses.replace`,
-and a changed claim set a new `ClaimSet`; either starts with nothing stored,
-so a stored value can never describe other field values.
+validity of evidence, endorsements and results, a policy's digest and rule
+plan, a signing key's key pair, and a claim set's encoded entries (which every
+evidence or endorsement holding that claim set appends to its signing bytes).
+Each is an entry of the instance dict, outside the dataclass fields (equality
+and repr ignore it), named with a leading underscore so that it hides no
+member (`_signing_bytes`, not `signing_bytes`). A stored read is one dict
+read, with no memo dict, and builds nothing: a caller passes a function of the
+value made once (`Table.encode`, say), since a closure made per call would
+take a stored read of the signing bytes from about 150 ns to 400 ns. A changed
+message or claim set is a new object (`dataclasses.replace`, a new `ClaimSet`)
+with nothing stored, so a stored value never describes other field values.
 
-Only the message types above, policies, claim sets and (elsewhere) target
-environments store values. Every other frozen value type
+Only the message types above, policies, claim sets, signing keys and
+(elsewhere) target environments store values. Every other frozen value type
 (`Digest`, `Nonce`, `GeoPoint`, `ClaimValue`, `EntityId`, `LayerRecord`,
 `GeoFence`, `PolicyRule`, ...) is a slotted dataclass with no instance dict, as
 a long run holds many of them (on CPython 3.11 a `Digest` takes 40 bytes
@@ -123,12 +124,11 @@ def keyed_digest(key: bytes, data: bytes) -> bytes:
 
 
 def _once(value, name: str, compute):
-    """`compute(value)`, stored on the immutable `value` at the first request
-    (see the module docstring); nothing stored is None."""
-    memo = value.__dict__.get("_memo") or value.__dict__.setdefault("_memo", {})
-    stored = memo.get(name)
+    """`compute(value)`, stored on the immutable `value` under `name` at the
+    first request (see the module docstring); nothing stored is None."""
+    stored = value.__dict__.get(name)
     if stored is None:
-        memo[name] = stored = compute(value)
+        value.__dict__[name] = stored = compute(value)
     return stored
 
 
@@ -285,23 +285,17 @@ class SigningKey:
         if len(private_bytes) != 32:
             raise ModelError("signing key seed must be 32 bytes")
         self.private_bytes = private_bytes
-        self._pair = None  # the public key and what signs, once built
 
     @staticmethod
     def generate(rng) -> "SigningKey":
         return SigningKey(rng.randbytes(32))
 
-    def _built(self) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]:
-        if self._pair is None:
-            self._pair = _key_pair(self.private_bytes)
-        return self._pair
-
     @property
     def public_bytes(self) -> bytes:
-        return self._built()[0]
+        return _once(self, "_pair", _pair_of)[0]
 
     def sign(self, data: bytes) -> bytes:
-        return self._built()[1].sign(data)
+        return _once(self, "_pair", _pair_of)[1].sign(data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SigningKey) and self.private_bytes == other.private_bytes
@@ -327,6 +321,10 @@ def _load_sodium():
 
 
 _sodium = _load_sodium()
+
+
+def _pair_of(key: SigningKey) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]:
+    return _key_pair(key.private_bytes)
 
 
 def _key_pair(seed: bytes) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]:
@@ -708,7 +706,7 @@ def _encode_claims(cs: ClaimSet) -> bytes:
 
 
 def _put_claims(out: list, cs: ClaimSet):
-    out.append(_once(cs, "encoded", _encode_claims))
+    out.append(_once(cs, "_encoded", _encode_claims))
 
 
 # A claim set: its entries in ascending key byte order, each key once.
@@ -722,7 +720,7 @@ def _signed(table: Table, signer: str):
     the benchmark rebinds each one by name in the class's own namespace;
     `from_bytes` is a staticmethod, the one wrapper that it unwraps."""
     cls = table.args[0]
-    cls.signing_bytes = lambda self: _once(self, "signing_bytes", table.encode)
+    cls.signing_bytes = lambda self: _once(self, "_signing_bytes", table.encode)
     cls.to_bytes = lambda self: with_signature(self.signing_bytes(), self.signature)
     cls.from_bytes = staticmethod(lambda data: _decode_signed(table, data))
     cls.verify_signature = _signature_valid
@@ -734,7 +732,7 @@ def _signature_valid(message) -> bool:
     message's may be the helper's answer."""
     while id(message) in _helper.queued:  # read in send order, up to its batch
         _helper.read_oldest()
-    return _once(message, "signature_valid", _verify_message)
+    return _once(message, "_signature_valid", _verify_message)
 
 
 def _verify_message(message) -> bool:
@@ -747,7 +745,7 @@ def _decode_signed(table: Table, data: bytes, depth: int = 1):
     canonical-only, so those are exactly the bytes that encoding the decoded
     value would give, and checking a received message never re-encodes it."""
     message = decode(table, data, depth)
-    _once(message, "signing_bytes", lambda m: signed_part(data, m.signature))
+    message.__dict__["_signing_bytes"] = signed_part(data, message.signature)
     return message
 
 
@@ -778,7 +776,7 @@ def sign_message(message, key: SigningKey):
         raise ModelError(f"{type(message).__name__} is already signed")
     signature = key.sign(message.signing_bytes())
     object.__setattr__(message, "signature", signature)  # the dataclass is frozen
-    message.__dict__.get("_memo", {}).pop("signature_valid", None)
+    message.__dict__.pop("_signature_valid", None)
     return message
 
 
@@ -883,7 +881,7 @@ class _Helper:
             self.flags[slot : slot + len(batch)] = bytes(len(batch))
             for message, answer in zip(batch, answers):
                 if answer != _SKIPPED:
-                    _once(message, "signature_valid", lambda m: answer == 1)
+                    message.__dict__.setdefault("_signature_valid", answer == 1)
         else:
             self.stop(kill=True)
 
@@ -970,7 +968,7 @@ def check_signatures(messages: Sequence) -> None:
     other thread is alive (a forked child could deadlock on a lock one
     holds); elsewhere each check is made in process when it is asked for."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
-                  and "signature_valid" not in m.__dict__.get("_memo", {})}.values())
+                  and "_signature_valid" not in m.__dict__}.values())
     if (batch and hasattr(os, "fork")
             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
             and threading.active_count() == 1):
@@ -1214,7 +1212,7 @@ class EvidencePolicy:
         return decode(_POLICY, data)
 
     def digest(self) -> Digest:
-        return _once(self, "digest", _digest_of)
+        return _once(self, "_digest", _digest_of)
 
 
 _RULE = Table(

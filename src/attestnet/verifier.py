@@ -5,14 +5,15 @@ Appraisals take the reference claims already merged from the endorsements
 (`merge_reference_claims`), which `conveyance.VerifierContext` merges once
 per endorsement set.
 
-The rules are judged from a plan made once per policy object and stored on it:
-claim_present, version_at_least and geo_fence rules on every claim set, and
-reference_match rules, vacuous on an absent claim, by claim key, in one walk
-over the claim set's entries; the reasons keep policy order. They judge only
-the claim set, the merged references and the policy, so they are worked out
-once per (claim set, reference map, policy) and stored on the claim set, which
-every evidence of an unchanged configuration shares, but only when the
-reference map is a `MappingProxyType`: the read-only view that
+The rules are judged from a plan made once per policy object and stored on it
+(`_rule_plan`): claim_present, version_at_least and geo_fence rules on every
+claim set, and reference_match rules, vacuous on an absent claim, by claim
+key, in one walk over the claim set's entries; the reasons keep policy order.
+They judge only the claim set, the merged references and the policy, so they
+are worked out once per (claim set, reference map, policy) and stored on the
+claim set, which every evidence of an unchanged configuration shares, in its
+`_rule_reasons` dict keyed by the identities of the map and the policy; but
+only when the reference map is a `MappingProxyType`: the read-only view that
 `merge_reference_claims` returns over a dict that nothing else holds. (A
 caller passing a view of its own must not change the dict under it.) Any other
 mapping is evaluated at every appraisal. A changed endorsement set is a new
@@ -123,7 +124,7 @@ def _evaluate_rules(
     for key in policy.required_claims:
         if key not in claims:
             reasons.append(f"missing_claim:{key}")
-    every, by_key = _once(policy, "rule_plan", _rule_plan)
+    every, by_key = _once(policy, "_rule_plan", _rule_plan)
     failed = []
     for place, rule_id, key, kind, test in every:
         claim = claims.get(key)
@@ -154,15 +155,11 @@ def _rule_reasons(
         return _evaluate_rules(claims, references, policy)
     # Keyed by identity: each entry holds both objects, so neither id can name
     # another object while the claim set lives.
-    stored = _once(claims, "rule_reasons", _new_store)
+    stored = claims.__dict__.setdefault("_rule_reasons", {})
     key = (id(references), id(policy))
     if key not in stored:
         stored[key] = (references, policy, tuple(_evaluate_rules(claims, references, policy)))
     return stored[key][2]
-
-
-def _new_store(claims: ClaimSet) -> dict:
-    return {}
 
 
 def _evaluate_evidence(

@@ -522,7 +522,8 @@ def check_simulate(doc: dict, code: int, reports, ledger_hex):
 # ---------------------------------------------------------------------------
 
 
-def flow_decision(override, clock: int, window: int, consumed: set) -> tuple:
+def flow_decision(override, clock: int, window: int, consumed: set, presented=None,
+                  max_age: int = 0) -> tuple:
     """The (granted, reasons) of a passport or background-check flow whose
     challenge is issued at tick `clock`, under a policy with freshness
     `window` and no rules, given the nonce values `consumed` before it.
@@ -531,15 +532,26 @@ def flow_decision(override, clock: int, window: int, consumed: set) -> tuple:
     tick); an override never echoes the new challenge. Authentic evidence
     consumes the value it echoes, once: adds it to `consumed`. Forged evidence
     consumes nothing. A flow without override consumes the new challenge,
-    which the caller adds."""
-    if override is None:
-        return True, ()
-    authentic, value, tick = override
-    if authentic:
-        if value in consumed:
-            return False, ("replay",)
-        consumed.add(value)
-    reasons = ("nonce",) if authentic else ("sig", "nonce")
-    if clock - min(tick, clock) > window:
-        reasons += ("stale",)
-    return False, reasons
+    which the caller adds.
+
+    `presented` is None when the relying party receives this session's
+    result, or else the result of another session that a passport holder
+    forwards instead, as (its reasons, the tick it was made at), judged under
+    a relying-party age limit of `max_age`. Bound to another challenge, it is
+    never granted: denied with its own reasons, as too old
+    (`result_rejected`), or else for its binding."""
+    reasons = ()
+    if override is not None:
+        authentic, value, tick = override
+        if authentic:
+            if value in consumed:
+                return False, ("replay",)
+            consumed.add(value)
+        reasons = ("nonce",) if authentic else ("sig", "nonce")
+        if clock - min(tick, clock) > window:
+            reasons += ("stale",)
+    if presented is not None:
+        reasons, made = presented
+        if not reasons:
+            reasons = ("result_rejected",) if clock - made > max_age else ("binding",)
+    return not reasons, reasons

@@ -135,6 +135,61 @@ class TestPassportFlow:
             run_passport_flow(attester, env, verifier, rp, transport, clock=0)
 
 
+class TestBinding:
+    """The relying party grants a result only to the session that it was
+    appraised in: its attester is the requester and its nonce the session's
+    challenge."""
+
+    @staticmethod
+    def _granted_result(attester, env, verifier, rp, clock):
+        transport = Transport()
+        assert run_passport_flow(attester, env, verifier, rp, transport, clock) == Decision(True)
+        return next(m.result_bytes for m in transport.log if isinstance(m, ResultMsg))
+
+    def test_another_attesters_result_is_denied(self, attester, env, rng):
+        """`other`, whose bootloader is tampered, is denied on its own result,
+        and on the result of `attester`'s earlier granted flow."""
+        verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
+        stolen = self._granted_result(attester, env, verifier, rp, clock=0)
+        other = AttestingEnvironment.create("other", rng)
+        tampered = replace(env, sw_images=(("bootloader", b"tampered boot"), env.sw_images[1]))
+        own = run_passport_flow(other, tampered, verifier, rp, Transport(), clock=1)
+        assert own == Decision(False, ("ref.bootloader",))
+        transport = Transport()
+        decision = run_passport_flow(other, tampered, verifier, rp, transport, clock=1,
+                                     result_tamper=lambda raw: stolen)
+        assert decision == Decision(False, ("binding",))
+        assert [m.sender for m in transport.log if isinstance(m, ResultMsg)] == [
+            verifier.identity.entity]  # nothing forwarded
+
+    def test_own_result_from_an_earlier_session_is_denied(self, attester, env, rng):
+        """A holder whose bootloader changed after a granted session presents
+        that session's result, still within the relying party's age limit."""
+        verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
+        earlier = self._granted_result(attester, env, verifier, rp, clock=0)
+        changed = replace(env, sw_images=(("bootloader", b"changed boot"), env.sw_images[1]))
+        decision = run_passport_flow(attester, changed, verifier, rp, Transport(), clock=5,
+                                     result_tamper=lambda raw: earlier)
+        assert decision == Decision(False, ("binding",))
+
+    def test_a_result_for_this_challenge_naming_another_attester_is_denied(
+            self, attester, env, rng):
+        """An accomplice with a key of its own answers this session's
+        challenge, relayed to it, and the verifier appraises that evidence:
+        the result echoes the challenge but names the accomplice."""
+        verifier, rp = make_contexts(rng, env)
+        thief, transport = AttestingEnvironment.create("thief", rng), Transport()
+
+        def relayed(raw: bytes) -> bytes:
+            challenge = next(m.nonce for m in transport.log if isinstance(m, ChallengeNonce))
+            evidence = attester.generate_evidence(env, challenge, 0)
+            return verifier.appraise(evidence, challenge, 0).to_bytes()
+
+        decision = run_passport_flow(thief, env, verifier, rp, transport, clock=0,
+                                     result_tamper=relayed)
+        assert decision == Decision(False, ("binding",))
+
+
 class TestBackgroundCheckFlow:
     def test_compliant_node_granted(self, attester, env, rng):
         verifier, rp = make_contexts(rng, env, ref_rules(env), [endorse_env(rng, env)])
@@ -415,7 +470,7 @@ def test_any_result_tamper_is_denied_never_raised(position, value, truncate):
     assert not decision.granted
 
 
-FLOW_VARIANTS = ("fresh", "replay", "old", "later", "forged")
+FLOW_VARIANTS = ("fresh", "replay", "old", "later", "forged", "other")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -435,14 +490,17 @@ FLOW_VARIANTS = ("fresh", "replay", "old", "later", "forged")
 def test_flow_decisions_match_the_freshness_oracle(window, flows):
     """Against one verifier, flows of either kind whose attester answers the
     challenge, replays an earlier flow's evidence, sends old evidence (up to
-    twice the window), echoes a later tick or sends forged evidence each get
-    `oracles.flow_decision`'s decision, and the verifier consumes the nonce
-    values that the oracle does."""
+    twice the window), echoes a later tick or sends forged evidence, and
+    passport flows whose attester answers the challenge but forwards the
+    result of another session ("other"), each get `oracles.flow_decision`'s
+    decision, and the verifier consumes the nonce values that the oracle
+    does."""
     rng = random.Random(0xF1E5)
     env = TargetEnvironment("oracle-hw", 3, (("os", b"os image"),), GeoPoint(1.0, 2.0, 3.0))
     attester = AttestingEnvironment.create("oracle-attester", rng)
     verifier, rp = make_contexts(rng, env, freshness=window)
     sent, consumed = [], set()  # each flow's evidence with its oracle description
+    results = []  # each session's result bytes, with its oracle description
     for i, (kind, variant, pick, value) in enumerate(flows):
         clock = 2 * window + i
         if variant == "replay" and sent or variant == "forged" and sent and pick % 2:
@@ -456,14 +514,22 @@ def test_flow_decisions_match_the_freshness_oracle(window, flows):
         if variant == "forged":  # a copy of old or earlier evidence, its signature now wrong
             override = replace(override, created_at=override.created_at + 1)
             described = (False, *described[1:])
+        presented = forward = None
+        if variant == "other" and kind == "passport" and results:
+            stolen, presented = results[pick % len(results)]
+            forward = lambda raw: stolen
         transport = Transport()
         if kind == "passport":
             decision = run_passport_flow(attester, env, verifier, rp, transport, clock,
-                                         evidence_override=override)
+                                         evidence_override=override, result_tamper=forward)
         else:
             decision = run_background_check_flow(attester, env, rp, verifier, transport, clock,
                                                  evidence_override=override)
-        expected = oracles.flow_decision(described, clock, window, consumed)
+        expected = oracles.flow_decision(described, clock, window, consumed, presented,
+                                         rp.result_policy.max_result_age)
+        result = next((m.result_bytes for m in transport.log if isinstance(m, ResultMsg)), None)
+        if result is not None:  # the verifier's, first; its reasons are the session's own
+            results.append((result, (() if presented else expected[1], clock)))
         if described is None:
             challenge = next(m.nonce for m in transport.log if isinstance(m, ChallengeNonce))
             consumed.add(challenge.value)

@@ -242,7 +242,7 @@ def misses(monkeypatch):
     counts = {}
 
     def counting_once(value, name, compute):
-        if (value.__dict__.get("_memo") or {}).get(name) is None:
+        if value.__dict__.get(name) is None:
             counts[name] = counts.get(name, 0) + 1
         return ONCE(value, name, compute)
 
@@ -305,12 +305,12 @@ def test_simulate_one_sim_catalog_unit(budget, misses, decodes, tmp_path, monkey
     # configurations and the faulted one, each judged by 2 verifiers
     assert budget == {"keys": 46, "signs": 500, "verifies": 260, "result_decodes": 0,
                       "rule_evaluations": 82}
-    # claims, their encoding and rule reasons once per configuration (and the
-    # encoding of the 20 endorsements' claims); a digest and a rule plan once
-    # per policy
-    assert misses == {"signing_bytes": 500, "signature_valid": 260, "config_digest": 41,
-                      "claims": 41, "encoded": 61, "rule_reasons": 41, "digest": 5,
-                      "rule_plan": 5}
+    # claims and their encoding once per configuration (and the encoding of
+    # the 20 endorsements' claims); a digest and a rule plan once per policy;
+    # a key pair once per key
+    assert misses == {"_signing_bytes": 500, "_signature_valid": 260, "_config_digest": 41,
+                      "_claims": 41, "_encoded": 61, "_digest": 5, "_rule_plan": 5,
+                      "_pair": 46}
     assert decodes == {}  # `simulate` only writes bytes
 
 
@@ -323,9 +323,9 @@ def test_simulate_one_sim_fleet_unit(budget, misses, decodes, tmp_path, monkeypa
     # domains' verifiers had not yet judged
     assert budget == {"keys": 606, "signs": 4802, "verifies": 2402, "result_decodes": 0,
                       "rule_evaluations": 1203}
-    assert misses == {"signing_bytes": 4802, "signature_valid": 2402, "config_digest": 600,
-                      "claims": 600, "encoded": 602, "rule_reasons": 600, "digest": 5,
-                      "rule_plan": 5}
+    assert misses == {"_signing_bytes": 4802, "_signature_valid": 2402, "_config_digest": 600,
+                      "_claims": 600, "_encoded": 602, "_digest": 5, "_rule_plan": 5,
+                      "_pair": 606}
     assert decodes == {}
 
 
@@ -345,12 +345,12 @@ def test_simulate_200_nodes(budget, misses, encodes, decodes, tmp_path, monkeypa
     assert budget == {"keys": 206, "signs": 8020, "verifies": 4020, "result_decodes": 0,
                       "rule_evaluations": 402}
     # each signed message's bytes once, and each evidence's and endorsement's
-    # signature check once; claims, their encoding and rule reasons once per
-    # configuration (and the encoding of the 20 endorsements' claims); a
-    # digest and a rule plan once per policy
-    assert misses == {"signing_bytes": 8020, "signature_valid": 4020, "config_digest": 201,
-                      "claims": 201, "encoded": 221, "rule_reasons": 201, "digest": 5,
-                      "rule_plan": 5}
+    # signature check once; claims and their encoding once per configuration
+    # (and the encoding of the 20 endorsements' claims); a digest and a rule
+    # plan once per policy; a key pair once per key
+    assert misses == {"_signing_bytes": 8020, "_signature_valid": 4020, "_config_digest": 201,
+                      "_claims": 201, "_encoded": 221, "_digest": 5, "_rule_plan": 5,
+                      "_pair": 206}
     # per signed message, its fields once; the claims of each configuration
     # and endorsement, and each configuration's environment, once; each
     # policy once, for its digest; per epoch, each domain's audit log, and

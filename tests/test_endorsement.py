@@ -267,10 +267,9 @@ class TestRegisterEndorsement:
         changed = bytes(changed)
         for asked in (copy, changed, data, changed, copy):
             assert ledger.includes(asked) is (asked == data)
-            assert ledger.verified_cert(asked) == (record.manufacturer.public_key
-                                                   if asked == data else None)
-        ledger.store_verified_cert(changed, b"cert")
-        assert not ledger.includes(changed) and ledger.verified_cert(changed) is None
+            assert ledger.verified(asked) is (asked == data)
+        ledger.mark_verified(changed)
+        assert not ledger.includes(changed) and not ledger.verified(changed)
         assert len(verifies) == 1
 
     def test_missing_mandatory_label_rejected(self, rng):
@@ -387,15 +386,15 @@ def verifies(monkeypatch):
 
 
 class TestStoredSignatureCheck:
-    """The ledger stores each record's signature check under the cert it
-    verified with; every other check still runs on every query."""
+    """The ledger flags each record whose signature verified; every other
+    check still runs on every query."""
 
     def test_a_record_queried_again_is_verified_once(self, rng, verifies):
         manufacturer, record, store, ledger, _ = _setup_registration(rng)
         for _ in range(3):
             assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
         assert verifies == [manufacturer.entity.public_key]
-        assert ledger.verified_cert(record.to_bytes()) == manufacturer.entity.public_key
+        assert ledger.verified(record.to_bytes()) is True
 
     def test_appending_again_keeps_the_stored_check(self, rng, verifies):
         _, record, store, ledger, _ = _setup_registration(rng)
@@ -409,7 +408,7 @@ class TestStoredSignatureCheck:
         other = EndorsementsLedger()
         other.append(record.to_bytes())
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
-        assert other.verified_cert(record.to_bytes()) is None
+        assert other.verified(record.to_bytes()) is False
         assert verify_product(b"firmware image v7", record, store, other) == (True, None)
         assert len(verifies) == 2
 
@@ -473,7 +472,7 @@ class TestStoredSignatureCheck:
                 False, "signature_invalid")
         # a cert that is not the manufacturer key is refused before any verify
         assert len(verifies) == (0 if change == "cert" else 2)
-        assert ledger.verified_cert(record.to_bytes()) is None
+        assert ledger.verified(record.to_bytes()) is False
 
     def test_a_record_not_appended_is_never_indexed(self, rng, verifies, monkeypatch):
         # `includes` patched to say yes to anything: the check still runs,

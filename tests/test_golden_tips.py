@@ -5,6 +5,7 @@ byte format of every message, digest and block the simulation produces. A
 change to any of them must show up here.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 import attestnet
 from attestnet.cli import EXIT_OK, main
+from attestnet.model import signed_part
 
 from .conftest import NODES_200, one_signed_message_of_each_type, write_generated_scenario
 
@@ -44,13 +46,19 @@ def test_signed_messages_store_nothing_with_nothing_stored(
     """The members of evidence, endorsements and results reach `model._once`
     through the module when they run, so with nothing stored, signing,
     encoding, decoding and checking a message of each type leaves no stored
-    value on it: the tip test above then covers signed messages too."""
+    value on it: the tip test above then covers signed messages too. A
+    decoded message holds only the bytes it was received as, which are not
+    worked out, and which nothing reads back here."""
     messages = one_signed_message_of_each_type(rng, attester, env, verifier_identity)
     for message in messages:
-        decoded = type(message).from_bytes(message.to_bytes())
+        data = message.to_bytes()
+        decoded = type(message).from_bytes(data)
         assert decoded == message
         assert message.verify_signature() and decoded.verify_signature()
-        assert "_memo" not in vars(message) and "_memo" not in vars(decoded)
+        fields = {field.name for field in dataclasses.fields(message)}
+        assert vars(message).keys() == fields
+        assert vars(decoded).keys() - fields == {"_signing_bytes"}
+        assert decoded._signing_bytes == signed_part(data, decoded.signature)
 
 
 def test_generated_200_node_tip(tmp_path, monkeypatch, capsys):

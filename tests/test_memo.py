@@ -314,6 +314,45 @@ def test_plain_dict_changed_in_place_changes_next_verdict(rng, attester, env, ve
     assert verdicts == [Verdict.COMPLIANT, Verdict.UNKNOWN]
 
 
+def _stored(value) -> set:
+    """The names in `value`'s instance dict that an equal value built anew
+    does not hold: the values stored on it."""
+    if isinstance(value, ClaimSet):
+        fresh = ClaimSet(dict(value.items()))
+    elif isinstance(value, model.SigningKey):
+        fresh = model.SigningKey(value.private_bytes)
+    else:
+        fresh = replace(value)
+    return vars(value).keys() - vars(fresh).keys()
+
+
+def test_stored_names_hide_no_member(rng, attester, env, verifier_identity):
+    """With every value computed that each storing type stores, each stored
+    entry starts with an underscore and names no attribute of its class, so
+    an entry never hides a member (`_signing_bytes`, not `signing_bytes`)."""
+    ctx = _reference_context(rng, env, [_endorse_env(rng, env)])
+    result = _appraise(ctx, attester, env)  # the evidence and the endorsement verified
+    assert result.verdict == Verdict.COMPLIANT and result.verify_signature()
+    evidence_bytes = attester.generate_evidence(env, new_nonce(0, rng), 0).to_bytes()
+    decoded = model.Evidence.from_bytes(evidence_bytes)
+    assert decoded.verify_signature()
+    checked = {"_signing_bytes", "_signature_valid"}
+    values = [
+        (decoded, checked),
+        (ctx.endorsements[0], checked),
+        (result, checked),
+        (ctx.policy, {"_digest", "_rule_plan"}),
+        (env, {"_config_digest", "_claims"}),
+        (measure(env), {"_encoded", "_rule_reasons"}),
+        (ctx.identity.key, {"_pair"}),
+    ]
+    assert {type(value).__name__ for value, _ in values} == STORING | {"ClaimSet", "SigningKey"}
+    for value, names in values:
+        assert _stored(value) == names, type(value).__name__
+        for name in names:
+            assert name.startswith("_") and not hasattr(type(value), name), name
+
+
 # Value types that store derived values keep their instance dict; every other
 # frozen dataclass is slotted, so that a long run's many small values carry none.
 STORING = {"Evidence", "Endorsement", "AttestationResult", "TargetEnvironment",

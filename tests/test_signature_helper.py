@@ -72,7 +72,7 @@ def fresh_check(ev) -> bool:
 
 
 def stored_check(ev):
-    return ev.__dict__.get("_memo", {}).get("signature_valid")
+    return ev.__dict__.get("_signature_valid")
 
 
 @pytest.fixture
