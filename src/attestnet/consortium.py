@@ -27,7 +27,6 @@ from .model import (
     U64,
     AttestationResult,
     Digest,
-    EvidencePolicy,
     GeoPoint,
     ModelError,
     Table,
@@ -207,7 +206,6 @@ class Universe:
         # faults not yet applied, in (tick, node_id) order; `run_epoch` pops the due ones
         self.faults: list[FaultInjection] = list(config.faults)
         self.epoch_index = 0
-        self._recorded_policy_digests: set[bytes] = set()
 
     def sorted_nodes(self) -> list[Node]:
         return [self.nodes[nid] for nid in sorted(self.nodes)]
@@ -219,32 +217,17 @@ class Universe:
 
 
 def distribute_policies(universe: Universe):
-    """Anchor the consortium and domain policy digests on the ledger
-    (idempotent by digest). A domain rule conflicting with a consortium rule
-    is recorded and loses: the domain verifier gets the consortium's copy.
-    A scenario's policies share one rule set, so only a domain's
-    fw_min_version override conflicts; a shared rule is matched by identity."""
-    consortium_policy = universe.consortium_verifier.policy
-    _record_policy_digest(universe, consortium_policy)
-    by_id = {r.rule_id: r for r in consortium_policy.rules}
-    for domain in universe.domains.values():
-        dv = domain.domain_verifier
-        resolved = tuple(by_id.get(r.rule_id, r) for r in dv.policy.rules)
-        for rule, winner in zip(dv.policy.rules, resolved):
-            if winner is not rule and winner != rule:
-                universe.pending_records.append(
-                    LedgerRecord("policy.conflict", f"{domain.domain_id}:{rule.rule_id}".encode())
-                )
-        if resolved != dv.policy.rules:
-            dv.policy = replace(dv.policy, rules=resolved)
-        _record_policy_digest(universe, dv.policy)
-
-
-def _record_policy_digest(universe: Universe, policy: EvidencePolicy):
-    d = policy.digest()
-    if d.value not in universe._recorded_policy_digests:
-        universe._recorded_policy_digests.add(d.value)
-        universe.pending_records.append(LedgerRecord("policy_digest", d.value))
+    """Anchor the consortium's policy digest, then each domain's in scenario
+    order, once per universe. The consortium sets its domains' policy, so each
+    verifier holds its rules from the start (`scenario._rules`); a domain's own
+    fw_min_version other than the scenario's is recorded, before that domain's
+    digest, as a `policy.conflict` that loses."""
+    cfg, anchor = universe.config, universe.pending_records.append
+    anchor(LedgerRecord("policy_digest", universe.consortium_verifier.policy.digest().value))
+    for domain_id, domain in universe.domains.items():
+        if cfg.domains[domain_id].fw_min_version not in (None, cfg.fw_min_version):
+            anchor(LedgerRecord("policy.conflict", f"{domain_id}:fw.min".encode()))
+        anchor(LedgerRecord("policy_digest", domain.domain_verifier.policy.digest().value))
 
 
 # ---------------------------------------------------------------------------

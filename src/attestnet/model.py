@@ -54,13 +54,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import ItemsView, Optional, Sequence, Union
+from typing import TYPE_CHECKING, ItemsView, Optional, Sequence, Union
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+if TYPE_CHECKING:  # `cryptography` is imported where it judges: `_key_pair`, `verify_bytes`
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 DIGEST_LEN = 32
 NONCE_LEN = 16
@@ -282,7 +279,7 @@ class SigningKey:
     """
 
     def __init__(self, private_bytes: bytes):
-        if len(private_bytes) != 32:
+        if not isinstance(private_bytes, bytes) or len(private_bytes) != 32:
             raise ModelError("signing key seed must be 32 bytes")
         self.private_bytes = private_bytes
 
@@ -336,6 +333,7 @@ def _key_pair(seed: bytes) -> tuple[bytes, Union[_SodiumKey, Ed25519PrivateKey]]
     `SIGNING_KEY`'s encoding, and libsodium's verdict on a signature is
     already the verdict (`verify_bytes`)."""
     if _sodium is None:
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
         key = Ed25519PrivateKey.from_private_bytes(seed)
         return key.public_key().public_bytes_raw(), key
     public, secret = _ffi.new("unsigned char[32]"), _ffi.new("unsigned char[64]")
@@ -370,6 +368,8 @@ def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
             and len(signature) == 64 and len(public_key) == 32):
         return _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
                                                            public_key) == 0
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
     except (InvalidSignature, ValueError):

@@ -204,7 +204,7 @@ ProductSpec = _spec(
 DomainSpec = _spec(
     "DomainSpec",
     ("domain_id", _text, _REQUIRED),
-    # null or absent: the scenario's own; a differing value induces a policy conflict
+    # the domain's own bound; one other than the scenario's is recorded as a conflict, and loses
     ("fw_min_version", _or_null(_integer()), None),
 )
 NodeSpec = _spec(
@@ -293,20 +293,19 @@ def load_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _rules_by_bound(cfg: ScenarioConfig) -> dict[int, tuple[PolicyRule, ...]]:
-    """The policy rules for each firmware bound in use: fw.min, one
-    reference_match rule per sw image, then the geo_fence rule. Every tuple
-    shares the rules after fw.min, and each bound has one fw.min rule: the
-    benchmark's sim-catalog scenario builds 61 rules for its 5 policies."""
-    rest = tuple(
+def _rules(cfg: ScenarioConfig) -> tuple[PolicyRule, ...]:
+    """The rules of every verifier's policy, since the consortium sets its
+    domains' policy: fw.min at the scenario's bound, one reference_match rule
+    per sw image, then the geo_fence rule. The benchmark's sim-catalog
+    scenario builds 61 rules for its 5 policies."""
+    rules = (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", cfg.fw_min_version),)
+    rules += tuple(
         PolicyRule(f"ref.sw.{name}", RuleKind.REFERENCE_MATCH, f"sw.{name}.digest")
         for product in cfg.products.values() for name, _ in product.sw_images
     )
     if cfg.geo_fence is not None:
-        rest += (PolicyRule("geo.fence", RuleKind.GEO_FENCE, "geo", fence=cfg.geo_fence),)
-    bounds = {cfg.fw_min_version} | {d.fw_min_version for d in cfg.domains.values()} - {None}
-    return {bound: (PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", bound),) + rest
-            for bound in bounds}
+        rules += (PolicyRule("geo.fence", RuleKind.GEO_FENCE, "geo", fence=cfg.geo_fence),)
+    return rules
 
 
 def _policy_for(cfg: ScenarioConfig, policy_id: str, rules) -> EvidencePolicy:
@@ -327,10 +326,10 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
             make_endorsement(endorser, product.product_id, ClaimSet(refs), issued_at=0)
         )
 
-    rules = _rules_by_bound(cfg)
+    rules = _rules(cfg)
     cv = VerifierContext(
         SignerIdentity.create(Role.VERIFIER, "consortium-verifier", rng),
-        _policy_for(cfg, "consortium", rules[cfg.fw_min_version]), list(endorsements), rng,
+        _policy_for(cfg, "consortium", rules), list(endorsements), rng,
     )
     universe = Universe(cfg, cv)
 
@@ -338,10 +337,9 @@ def build_universe(cfg: ScenarioConfig) -> Universe:
     # (the bare `rng.randbytes(32)` below): the tips are a function of this
     # rng's stream.
     for dspec in cfg.domains.values():
-        fw_min = dspec.fw_min_version if dspec.fw_min_version is not None else cfg.fw_min_version
         dv = VerifierContext(
             SignerIdentity.create(Role.VERIFIER, f"dv-{dspec.domain_id}", rng),
-            _policy_for(cfg, f"domain-{dspec.domain_id}", rules[fw_min]), list(endorsements), rng,
+            _policy_for(cfg, f"domain-{dspec.domain_id}", rules), list(endorsements), rng,
         )
         rng.randbytes(32)
         universe.domains[dspec.domain_id] = Domain(dspec.domain_id, dv)

@@ -661,3 +661,14 @@ class TestLedgerCommand:
     def test_inspect_prints_blocks(self, export, capsys):
         assert main(["ledger", str(export), "--height", "0"]) == EXIT_OK
         assert "block 0" in capsys.readouterr().out
+
+    def test_export_prints_every_block_as_simulate_renders_them(self, tmp_path, capsys):
+        """With neither --verify nor --height, the command prints each block of
+        the export: on clone-attack, the `ledger.txt` that `simulate` wrote,
+        byte for byte."""
+        scenario, out = SCENARIO_DIR / "clone-attack.json", tmp_path / "clone"
+        assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["ledger", str(out / "ledger.hex")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == (out / "ledger.txt").read_text() and captured.err == ""

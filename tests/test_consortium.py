@@ -98,22 +98,23 @@ class TestDistributePolicies:
         assert any(r.payload == consortium_digest.value for r in records)
 
     def test_conflicting_domain_rule_recorded_and_overridden(self):
-        """A domain's fw_min_version override is its only rule of its own;
-        distributing the policies records one conflict, and the domain
-        verifier then holds the consortium's rules."""
-        universe = build_universe(base_scenario(
-            domains=[{"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2"}]))
+        """A domain's fw_min_version override is no rule of its own: every
+        domain verifier holds the consortium's rules tuple itself from the
+        moment it is built, and distributing the policies records one
+        conflict, for the override that differs from the scenario's bound (2).
+        An override equal to that bound records none."""
+        universe = build_universe(base_scenario(domains=[
+            {"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2"},
+            {"domain_id": "d3", "fw_min_version": 2}]))
         consortium_rules = universe.consortium_verifier.policy.rules
-        d1 = universe.domains["d1"].domain_verifier
-        own, *shared = d1.policy.rules
-        assert own.rule_id == "fw.min" and own.bound == 9 and own is not consortium_rules[0]
-        assert all(a is b for a, b in zip(shared, consortium_rules[1:], strict=True))
-        assert universe.domains["d2"].domain_verifier.policy.rules is consortium_rules
+        assert consortium_rules[0].rule_id == "fw.min" and consortium_rules[0].bound == 2
+        for domain in universe.domains.values():
+            assert domain.domain_verifier.policy.rules is consortium_rules
         distribute_policies(universe)
         conflicts = [r.payload for r in universe.pending_records if r.kind == "policy.conflict"]
         assert conflicts == [b"d1:fw.min"]
-        assert all(a is b for a, b in zip(d1.policy.rules, consortium_rules, strict=True))
-        assert d1.policy.rules[0].bound == 2  # consortium parameter wins
+        assert [r.kind for r in universe.pending_records] == [
+            "policy_digest", "policy.conflict", "policy_digest", "policy_digest", "policy_digest"]
 
     def test_catalog_policies_share_one_rule_set(self, tmp_path, monkeypatch):
         """The benchmark's sim-catalog scenario at seed 1 has a consortium and
@@ -145,20 +146,6 @@ class TestDistributePolicies:
         for domain in universe.domains.values():
             assert domain.domain_verifier.policy.rules is consortium_rules
         assert not [r for r in universe.pending_records if r.kind == "policy.conflict"]
-
-    def test_domains_with_one_override_share_its_rule(self):
-        universe = build_universe(base_scenario(domains=[
-            {"domain_id": "d1", "fw_min_version": 9}, {"domain_id": "d2", "fw_min_version": 9}]))
-        d1, d2 = (universe.domains[d].domain_verifier.policy.rules for d in ("d1", "d2"))
-        assert d1[0] is d2[0] and d1[0].bound == 9
-        assert d1[0] is not universe.consortium_verifier.policy.rules[0]
-
-    def test_redistribution_idempotent(self):
-        universe = fresh_universe()
-        before = len([r for r in universe.pending_records if r.kind == "policy_digest"])
-        distribute_policies(universe)
-        after = len([r for r in universe.pending_records if r.kind == "policy_digest"])
-        assert before == after == 2
 
 
 class TestRunEpoch:

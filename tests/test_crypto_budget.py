@@ -16,6 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 import attestnet
 from attestnet import consortium, endorsement_ledger, model, verifier as verifier_module
@@ -419,8 +420,8 @@ def test_one_flows_unit(budget, monkeypatch):
     workloads = _perfbench_module("workloads", monkeypatch)
     tracing = _perfbench_module("tracing", monkeypatch)
     openssl_keys = []
-    from_public_bytes = model.Ed25519PublicKey.from_public_bytes
-    monkeypatch.setattr(model, "Ed25519PublicKey", SimpleNamespace(
+    from_public_bytes = ed25519.Ed25519PublicKey.from_public_bytes
+    monkeypatch.setattr(ed25519, "Ed25519PublicKey", SimpleNamespace(
         from_public_bytes=lambda key: openssl_keys.append(key) or from_public_bytes(key)))
     unit = workloads.run_flows(workloads.generate_flows(1), tracing.Tracer())
     assert unit.failed == 0 and unit.tip.startswith("e7b62e23")

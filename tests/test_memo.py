@@ -12,7 +12,7 @@ import pytest
 from attestnet import attester as attester_module
 from attestnet import consortium, conveyance, endorsement_ledger, model, verifier
 from attestnet.attester import measure
-from attestnet.consortium import FaultInjection, _apply_fault, distribute_policies
+from attestnet.consortium import FaultInjection, _apply_fault
 from attestnet.conveyance import VerifierContext
 from attestnet.endorsement_ledger import (
     MANDATORY_LABELS,
@@ -265,15 +265,28 @@ def test_stored_reasons_follow_endorsement_changes(rng, attester, env, monkeypat
     assert evaluated == [claims] * 4
 
 
-def test_policy_replaced_by_distribution_changes_next_verdict(monkeypatch):
-    universe = build_universe(base_scenario(domains=[{"domain_id": "d1", "fw_min_version": 9}]))
-    node = universe.nodes["n1"]
+def test_replaced_policy_changes_next_verdict(monkeypatch):
+    """The stored reasons are keyed by the policy itself: a domain policy
+    replaced by one whose fw.min the node fails, then by one it passes,
+    changes its next verdict each time, and each policy's rules are
+    evaluated once."""
+    universe = build_universe(base_scenario())
+    node = universe.nodes["n1"]  # firmware 3
     dv = universe.domains["d1"].domain_verifier
+
+    def with_fw_min(bound):
+        fw_min = PolicyRule("fw.min", RuleKind.VERSION_AT_LEAST, "fw.version", bound)
+        return replace(dv.policy, rules=(fw_min,) + dv.policy.rules[1:])
+
     evaluated = _counting_rules(monkeypatch)
-    assert _appraise(dv, node.attesting_env, node.target_env).reasons == ("fw.min",)
-    distribute_policies(universe)  # the consortium's fw.min (bound 2) wins the conflict
     assert _appraise(dv, node.attesting_env, node.target_env).verdict == Verdict.COMPLIANT
-    assert evaluated == [measure(node.target_env)] * 2
+    dv.policy = with_fw_min(9)
+    for _ in range(2):
+        assert _appraise(dv, node.attesting_env, node.target_env).reasons == ("fw.min",)
+    dv.policy = with_fw_min(3)
+    for _ in range(2):
+        assert _appraise(dv, node.attesting_env, node.target_env).verdict == Verdict.COMPLIANT
+    assert evaluated == [measure(node.target_env)] * 3
 
 
 def test_verifiers_with_different_policies_each_get_their_own_reasons(rng, attester, env):

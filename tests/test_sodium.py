@@ -72,6 +72,7 @@ IDENTITY = SMALL_ORDER[0]
 SEEDS = [bytes([i]) * 32 for i in range(1, 5)]
 KEYS = [Ed25519PrivateKey.from_private_bytes(seed) for seed in SEEDS]
 SODIUM = model._sodium  # libsodium as loaded, kept when a test patches the handle
+ED25519 = "cryptography.hazmat.primitives.asymmetric.ed25519"
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
@@ -312,9 +313,36 @@ def test_libsodium_signs_without_cryptography(monkeypatch):
     `cryptography`'s private key class is not reached."""
     if model._sodium is None:
         pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
-    monkeypatch.setattr(model, "Ed25519PrivateKey", None)
+    monkeypatch.setitem(sys.modules, ED25519, None)  # importing it now fails
     key = SigningKey(bytes(32))
     assert verify_bytes(b"m", key.sign(b"m"), key.public_bytes)
+
+
+@pytest.mark.parametrize("seed", [bytearray(32), memoryview(bytes(32)), "s" * 32],
+                         ids=["bytearray", "memoryview", "str"])
+def test_signing_key_seed_must_be_32_bytes(path, seed):
+    """Either path refuses a seed that is not `bytes` when the key is made,
+    as `EntityId` refuses such a key, rather than libsodium's binding raising
+    `TypeError` on first use while `cryptography` signs with it."""
+    with pytest.raises(ModelError, match="must be 32 bytes"):
+        SigningKey(seed)
+
+
+def test_simulate_imports_no_cryptography_where_libsodium_is_loaded(tmp_path):
+    """libsodium builds every key, signs and verifies where it is loaded, so a
+    fresh process that imports the CLI and simulates healthy-4nodes never
+    imports `cryptography`."""
+    if model._sodium is None:
+        pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
+    src = str(Path(attestnet.__file__).resolve().parents[1])
+    argv = ["simulate", str(SCENARIO_DIR / "healthy-4nodes.json"), "--out", str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from attestnet import cli; "
+         f"code = cli.main({argv!r}); "
+         "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'cryptography'))"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"tip: {GOLDEN_TIPS['healthy-4nodes']}\n0 []\n"
 
 
 @pytest.mark.parametrize("public_key", [b"", b"\x05" * 7, bytes(31), bytes(33), bytearray(32)],
@@ -361,7 +389,7 @@ def test_libsodium_accepts_without_cryptography(monkeypatch):
     are refused, without `cryptography`'s verify being reached."""
     if model._sodium is None:
         pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
-    monkeypatch.setattr(model, "Ed25519PublicKey", None)
+    monkeypatch.setitem(sys.modules, ED25519, None)  # importing it now fails
     signature = KEYS[0].sign(b"m")
     assert verify_bytes(b"m", signature, public(SEEDS[0]))
     flipped = signature[:10] + bytes([signature[10] ^ 1]) + signature[11:]
