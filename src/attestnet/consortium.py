@@ -314,11 +314,10 @@ def select_validator(universe: Universe, round_seed: int) -> Optional[str]:
     total = sum(n.target_env.stake for n in candidates)
     draw = random.Random(round_seed).random() * total
     acc = 0
-    for node in candidates:  # already in ascending node_id order
+    for node in candidates:  # ascending node_id; random() < 1, so draw < total and one returns
         acc += node.target_env.stake
         if draw < acc:
             return node.node_id
-    return candidates[-1].node_id
 
 
 def forge_block(universe: Universe, validator: str, records: Sequence[LedgerRecord]) -> LedgerBlock:

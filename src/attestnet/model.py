@@ -359,23 +359,23 @@ class _SodiumKey:
 
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
     """Whether `signature` is `public_key`'s Ed25519 signature of `data`, by
-    one verify: libsodium's verdict where it is loaded (it then also builds
-    every key pair and signs, in `_key_pair`), at half the cost. Otherwise, and
-    for arguments it cannot take, `cryptography`'s, with a key or R of small
-    order refused as libsodium refuses it: OpenSSL's cofactorless check (RFC
-    8032 §5.1.7 allows it) accepts forgeries under them."""
-    if (_sodium is not None and type(data) is type(signature) is type(public_key) is bytes
-            and len(signature) == 64 and len(public_key) == 32):
-        return _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data),
-                                                           public_key) == 0
-    from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-    try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
-    except (InvalidSignature, ValueError):
-        return False
-    # accepted, so the key is 32 `bytes` and the signature 64 bytes
-    return not (_small_order(public_key) or _small_order(bytes(signature[:32])))
+    one verify: libsodium's verdict where it is loaded (it also builds every key
+    pair and signs, in `_key_pair`), on any bytes-like arguments. Elsewhere
+    `cryptography`'s, with a key or R of small order refused as libsodium does:
+    OpenSSL's cofactorless check (RFC 8032 §5.1.7) accepts forgeries under them."""
+    if _sodium is None:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+        try:
+            Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
+        except (InvalidSignature, ValueError):
+            return False
+        # accepted, so the key is 32 `bytes` and the signature 64 bytes
+        return not (_small_order(public_key) or _small_order(bytes(signature[:32])))
+    if not (type(data) is type(signature) is type(public_key) is bytes):  # str, int, None: TypeError
+        data, signature, public_key = (bytes(memoryview(a)) for a in (data, signature, public_key))
+    return (len(signature) == 64 and len(public_key) == 32  # libsodium reads 64 and 32 bytes
+            and _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data), public_key) == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -807,6 +807,12 @@ def _take(flags, slot: int) -> bool:
     return True
 
 
+def _parent_cpu() -> int:
+    """The CPU that this process's parent last ran on (`/proc/<ppid>/stat`, field 39)."""
+    with open(f"/proc/{os.getppid()}/stat", "rb") as stat:
+        return int(stat.read().rpartition(b")")[2].split()[36])
+
+
 def _ready(stream, timeout: float = 0) -> bool:
     """Whether reading `stream` would not block, within `timeout` seconds: it
     holds data, or its end."""
@@ -832,12 +838,13 @@ class _Helper:
     flags. The flags hold no message bytes, and no answer rests on them: every
     stored check is what `verify_bytes` gave in one process or the other, a 2
     is never stored, and if both sides take a check, the first stored answer
-    stands. At most two batches stay unread, so the pipes never fill. A
-    forked process drops the helper. A bad answer, a read cut short, or
-    answers not all in within `_ANSWER_WAIT_S` seconds (from a helper that is
-    stopped, or answers short) kill the helper and reap it; a check that
-    nobody stored is made here when it is asked for, and the next batch forks
-    a new helper."""
+    stands. At most two batches stay unread, so the pipes never fill. A forked
+    process drops the helper. A bad answer, a read cut short, or answers not
+    all in within `_ANSWER_WAIT_S` seconds (from a helper that is stopped, or
+    answers short) kill the helper and reap it; a check that nobody stored is
+    made here when it is asked for, and the next batch forks a new helper.
+    Each request moves the helper off this process's CPU (`_parent_cpu`),
+    where a forked child starts, and stays on a host that never balances load."""
 
     def __init__(self):
         self.pid, self.requests, self.answers, self.flags = 0, None, None, None
@@ -915,6 +922,9 @@ class _Helper:
                 self.drop()  # holding the request pipe open, it would never see its end
                 requests, answers = open(request_r, "rb"), open(answer_w, "wb", buffering=0)
                 while header := requests.read(_U32.size):  # until the parent closes the pipe
+                    with contextlib.suppress(OSError, ValueError, IndexError, AttributeError):
+                        if (cpu := _parent_cpu()) in os.sched_getaffinity(0):
+                            os.sched_setaffinity(0, os.sched_getaffinity(os.getppid()) - {cpu})
                     slot, checks = decode(_REQUEST, requests.read(_U32.unpack(header)[0]))
                     answers.write(bytes(
                         verify_bytes(*check) if _take(flags, slot + i) else _SKIPPED
@@ -961,11 +971,11 @@ def check_signatures(messages: Sequence) -> None:
     endorsements or results) neither checked nor queued yet, each once, in
     batches of at most `_HALF`; their stored checks read the answers.
 
-    libsodium's calls release the GIL, but the Python around each check
-    holds it, and `cryptography`'s verify holds it throughout, so only a
-    second process reaches a second CPU. The helper is forked on first use,
-    and only where `os.fork` exists, more than one CPU may be used and no
-    other thread is alive (a forked child could deadlock on a lock one
+    libsodium's calls release the GIL, but the Python around each check holds
+    it, and `cryptography`'s verify holds it throughout, so only a second
+    process, kept off this one's CPU, reaches another. The helper is forked on
+    first use, and only where `os.fork` exists, more than one CPU may be used
+    and no other thread is alive (a forked child could deadlock on a lock one
     holds); elsewhere each check is made in process when it is asked for."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
                   and "_signature_valid" not in m.__dict__}.values())

@@ -32,7 +32,7 @@ from attestnet.model import (
     make_endorsement,
     new_nonce,
 )
-from attestnet.consortium import SimError
+from attestnet.consortium import GENESIS_PREV, LedgerBlock, LedgerRecord, SimError, export_ledger
 from attestnet.scenario import ScenarioError, build_universe, parse_scenario
 
 SCENARIO_DIR = Path("src/attestnet/scenarios")
@@ -661,6 +661,21 @@ class TestLedgerCommand:
     def test_inspect_prints_blocks(self, export, capsys):
         assert main(["ledger", str(export), "--height", "0"]) == EXIT_OK
         assert "block 0" in capsys.readouterr().out
+
+    def test_a_record_payload_over_32_bytes_prints_its_first_64_hex_digits(self, tmp_path,
+                                                                           capsys):
+        """A one-block export whose record payload is 40 bytes: the record
+        line shows its first 32 bytes in hex, then `...`."""
+        payload = bytes(range(40))
+        block = LedgerBlock.seal(0, GENESIS_PREV, (LedgerRecord("audit_digest", payload),),
+                                 "n1", 10)
+        export = tmp_path / "long.hex"
+        export.write_text(export_ledger([block]))
+        assert main(["ledger", str(export)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"block 0 tick 10 forger n1\n  prev   {'00' * 32}\n"
+            f"  digest {block.block_digest.hex()}\n"
+            f"  record audit_digest {payload[:32].hex()}...\n")
 
     def test_export_prints_every_block_as_simulate_renders_them(self, tmp_path, capsys):
         """With neither --verify nor --height, the command prints each block of

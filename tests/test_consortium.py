@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attestnet.consortium import (
     LedgerBlock,
@@ -291,6 +291,28 @@ class TestValidatorSelection:
         assert all(
             select_validator(universe, rng.getrandbits(64)) != "n2" for _ in range(10_000)
         )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(total=st.integers(1, 2**70))
+    @example(total=2**53 + 1)
+    @example(total=2**63 - 1)
+    @example(total=2**70)
+    def test_the_largest_draw_is_below_any_total(self, total):
+        """`random()` is at most 1 - 2**-53, and that times any total stake up
+        to 2**70 is below the total, so the last candidate's running sum
+        always exceeds the draw: `select_validator`'s loop always returns."""
+        assert (1 - 2**-53) * total < total
+
+    def test_the_largest_draw_picks_the_last_candidate(self, monkeypatch):
+        universe = fresh_universe(
+            nodes=[
+                {"node_id": "a", "domain_id": "d1", "product_id": "pa", "stake": 1},
+                {"node_id": "b", "domain_id": "d1", "product_id": "pb", "stake": 3},
+            ]
+        )
+        run_epoch(universe)
+        monkeypatch.setattr(random.Random, "random", lambda self: 1 - 2**-53)
+        assert select_validator(universe, 1) == "b"
 
     def test_no_eligible_outcome(self):
         universe = fresh_universe()

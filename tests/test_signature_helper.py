@@ -183,6 +183,27 @@ def _kinds(n: int) -> list[str]:
     return [KINDS[i % len(KINDS)] for i in range(n)]
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two CPUs")
+def test_the_helper_keeps_off_its_parents_cpu(signed, monkeypatch, tmp_path):
+    """A forked child starts on its parent's CPU, where a host that never
+    balances load keeps it. With the parent read to be on one CPU (the reader,
+    patched before the fork, reads a file), the helper's affinity after one
+    batch is every other CPU of this process's; with the parent read on
+    another at the next batch, the same helper moves off that one. This
+    process's own affinity never changes."""
+    cpus, reading = os.sched_getaffinity(0), tmp_path / "parent_cpu"
+    monkeypatch.setattr(model, "_parent_cpu", lambda: int(reading.read_text()))
+    helpers = set()
+    for parent_cpu in (max(cpus), min(cpus)):
+        reading.write_text(str(parent_cpu))
+        check(batch(signed, _kinds(BATCH)))
+        helpers.add(model._helper.pid)
+        assert os.sched_getaffinity(model._helper.pid) == cpus - {parent_cpu}
+        assert os.sched_getaffinity(0) == cpus
+    assert len(helpers) == 1
+
+
 def _reaped(pid: int) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)

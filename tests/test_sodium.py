@@ -3,15 +3,19 @@ one verify.
 
 Where libsodium is loaded, `model._key_pair` derives each key pair and signs
 through it, and must give `cryptography`'s public keys and signatures byte for
-byte. `model.verify_bytes` returns libsodium's verdict where it is loaded, and
-otherwise `cryptography`'s (OpenSSL's) with a key or R of small order
-refused: OpenSSL's check is cofactorless and accepts forgeries under them, which
-libsodium refuses. So each check here runs twice: with the library as loaded
-(skipped where it is not found) and with the handle patched to None, which is
-the path of a host without it. Both are held to `strict`, OpenSSL's verdict
-with the 14 small-order encodings refused, and to libsodium's raw function
-where it is installed. `EntityId` refuses the same keys, so no identity holds
-one."""
+byte. `model.verify_bytes` returns libsodium's verdict where it is loaded, for
+every argument: it reads a `bytearray` or `memoryview` as `bytes`, refuses a
+signature that is not 64 bytes or a key that is not 32, and never imports
+`cryptography`. Otherwise it returns `cryptography`'s (OpenSSL's) verdict on
+the arguments as given, with a key or R of small order refused: OpenSSL's check
+is cofactorless and accepts forgeries under them, which libsodium refuses. So
+each check here runs twice: with the library as loaded (skipped where it is not
+found) and with the handle patched to None, which is the path of a host
+without it. Both are held to `strict`, OpenSSL's verdict with the 14
+small-order encodings refused, on the arguments as the path reads them; the
+libsodium path is also held to libsodium's raw function, which reads them the
+same way. On either path a `str`, `int` or `None` argument raises `TypeError`.
+`EntityId` refuses the same keys, so no identity holds one."""
 
 import hashlib
 import os
@@ -110,21 +114,36 @@ def strict(data, signature, public_key):
     return outcome(openssl, data, signature, public_key)
 
 
+def read(argument) -> bytes:
+    """An argument as libsodium's path reads it: a copy as `bytes`, or
+    `TypeError` for one that is not bytes-like."""
+    return bytes(memoryview(argument))
+
+
 def raw_sodium(data, signature, public_key):
-    """libsodium's own verdict, where it is installed and can take the
-    arguments (`bytes` of the right lengths); else None."""
-    if SODIUM is None or not (type(data) is type(signature) is type(public_key) is bytes
-                              and len(signature) == 64 and len(public_key) == 32):
+    """libsodium's own verdict, where it is installed, on the arguments read
+    as `bytes`: a signature that is not 64 bytes or a key that is not 32 is
+    refused unread, as libsodium reads exactly 64 and 32. Else None."""
+    if SODIUM is None:
         return None
-    return SODIUM.crypto_sign_ed25519_verify_detached(signature, data, len(data), public_key) == 0
+    data, signature, public_key = map(read, (data, signature, public_key))
+    return (len(signature) == 64 and len(public_key) == 32
+            and SODIUM.crypto_sign_ed25519_verify_detached(signature, data, len(data),
+                                                           public_key) == 0)
 
 
 def assert_strict(case):
-    """`verify_bytes` gives `strict`'s outcome, and libsodium's raw verdict
-    where it can be had."""
+    """`verify_bytes` gives `strict`'s outcome on the arguments as the path
+    reads them. Where libsodium is loaded, that is also its raw verdict; on
+    `cryptography`'s path, which takes the arguments as given (and raises
+    `TypeError` for a key that is not `bytes`), it is so for `bytes` cases."""
     got = outcome(verify_bytes, *case)
+    if model._sodium is not None:
+        assert got == strict(*map(read, case)) == raw_sodium(*case), case
+        return
     assert got == strict(*case), case
-    assert raw_sodium(*case) in (None, got), case
+    if all(type(argument) is bytes for argument in case):
+        assert raw_sodium(*case) in (None, got), case
 
 
 def scalar(seed: bytes) -> int:
@@ -216,6 +235,25 @@ def identity_key(draw):
     """A forgery under the identity key whose R is not of small order."""
     seed, data = draw(st.sampled_from(SEEDS)), draw(st.binary(max_size=300))
     return data, any_r_under_the_identity(seed), IDENTITY
+
+
+def odd_cases():
+    """Cases with their verdicts: an honest signature and a bit-flipped one,
+    with each argument in turn a `bytearray` and a `memoryview`; and the
+    signature or the key a byte short or long, as `bytes` and as a
+    `bytearray`."""
+    data, signature, key = b"any message", KEYS[0].sign(b"any message"), public(SEEDS[0])
+    flipped = signature[:10] + bytes([signature[10] ^ 1]) + signature[11:]
+    for signed, verdict in ((signature, True), (flipped, False)):
+        for i in range(3):
+            for kind in (bytearray, memoryview):
+                case = [data, signed, key]
+                case[i] = kind(case[i])
+                yield tuple(case), verdict
+    for kind in (bytes, bytearray):
+        for case in ((data, signature[:63], key), (data, signature + b"\0", key),
+                     (data, signature, key[:31]), (data, signature, key + b"\0")):
+            yield tuple(case[:1]) + tuple(map(kind, case[1:])), False
 
 
 @settings(derandomize=True, max_examples=400, deadline=None,
@@ -318,6 +356,15 @@ def test_libsodium_signs_without_cryptography(monkeypatch):
     assert verify_bytes(b"m", key.sign(b"m"), key.public_bytes)
 
 
+@pytest.mark.parametrize("value", ["m" * 64, 64, None], ids=["str", "int", "None"])
+@pytest.mark.parametrize("place", [0, 1, 2], ids=["data", "signature", "key"])
+def test_a_str_int_or_none_argument_raises_type_error(path, place, value):
+    case = [b"any message", KEYS[0].sign(b"any message"), public(SEEDS[0])]
+    case[place] = value
+    with pytest.raises(TypeError):
+        verify_bytes(*case)
+
+
 @pytest.mark.parametrize("seed", [bytearray(32), memoryview(bytes(32)), "s" * 32],
                          ids=["bytearray", "memoryview", "str"])
 def test_signing_key_seed_must_be_32_bytes(path, seed):
@@ -330,15 +377,19 @@ def test_signing_key_seed_must_be_32_bytes(path, seed):
 
 def test_simulate_imports_no_cryptography_where_libsodium_is_loaded(tmp_path):
     """libsodium builds every key, signs and verifies where it is loaded, so a
-    fresh process that imports the CLI and simulates healthy-4nodes never
-    imports `cryptography`."""
+    fresh process that imports the CLI, simulates healthy-4nodes, then
+    verifies `odd_cases` never imports `cryptography`."""
     if model._sodium is None:
         pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
     src = str(Path(attestnet.__file__).resolve().parents[1])
     argv = ["simulate", str(SCENARIO_DIR / "healthy-4nodes.json"), "--out", str(tmp_path)]
+    cases = [([type(a).__name__ for a in case], [bytes(a) for a in case], verdict)
+             for case, verdict in odd_cases()]
     run = subprocess.run(
-        [sys.executable, "-c", "import sys; from attestnet import cli; "
+        [sys.executable, "-c", "import builtins, sys; from attestnet import cli, model; "
          f"code = cli.main({argv!r}); "
+         "assert all(model.verify_bytes(*(getattr(builtins, t)(v) for t, v in zip(types, values)))"
+         f" is verdict for types, values, verdict in {cases!r}); "
          "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'cryptography'))"],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
@@ -386,15 +437,20 @@ def test_identity_key_forged_endorsement_is_refused_when_decoded():
 def test_libsodium_accepts_without_cryptography(monkeypatch):
     """Where libsodium is loaded, its verdict is the verdict: an honest
     signature is accepted, and a bit-flipped one and the identity-key forgery
-    are refused, without `cryptography`'s verify being reached."""
+    are refused, without `cryptography`'s verify being reached. So are
+    `odd_cases`, with their arguments read as `bytes`: a `bytearray` key,
+    which `cryptography` refuses with `TypeError`, is judged too."""
     if model._sodium is None:
         pytest.skip("libsodium (libsodium.so.26 or libsodium.so.23) is not installed")
     monkeypatch.setitem(sys.modules, ED25519, None)  # importing it now fails
+    monkeypatch.setitem(sys.modules, "cryptography.exceptions", None)
     signature = KEYS[0].sign(b"m")
     assert verify_bytes(b"m", signature, public(SEEDS[0]))
     flipped = signature[:10] + bytes([signature[10] ^ 1]) + signature[11:]
     assert verify_bytes(b"m", flipped, public(SEEDS[0])) is False
     assert verify_bytes(b"m", IDENTITY + bytes(32), IDENTITY) is False
+    for case, verdict in odd_cases():
+        assert verify_bytes(*case) is raw_sodium(*case) is verdict, case
 
 
 def test_generated_module_is_current(tmp_path):
