@@ -843,8 +843,8 @@ class _Helper:
     all in within `_ANSWER_WAIT_S` seconds (from a helper that is stopped, or
     answers short) kill the helper and reap it; a check that nobody stored is
     made here when it is asked for, and the next batch forks a new helper.
-    Each request moves the helper off this process's CPU (`_parent_cpu`),
-    where a forked child starts, and stays on a host that never balances load."""
+    The helper leaves this process's CPU (`_parent_cpu`) when forked: a forked
+    child starts there, and a host that never balances load keeps it there."""
 
     def __init__(self):
         self.pid, self.requests, self.answers, self.flags = 0, None, None, None
@@ -920,11 +920,10 @@ class _Helper:
                 # the fork handler has already dropped the helper, map
                 # included: the child holds the map through `flags`
                 self.drop()  # holding the request pipe open, it would never see its end
+                with contextlib.suppress(OSError, ValueError, IndexError, AttributeError):
+                    os.sched_setaffinity(0, os.sched_getaffinity(0) - {_parent_cpu()})
                 requests, answers = open(request_r, "rb"), open(answer_w, "wb", buffering=0)
                 while header := requests.read(_U32.size):  # until the parent closes the pipe
-                    with contextlib.suppress(OSError, ValueError, IndexError, AttributeError):
-                        if (cpu := _parent_cpu()) in os.sched_getaffinity(0):
-                            os.sched_setaffinity(0, os.sched_getaffinity(os.getppid()) - {cpu})
                     slot, checks = decode(_REQUEST, requests.read(_U32.unpack(header)[0]))
                     answers.write(bytes(
                         verify_bytes(*check) if _take(flags, slot + i) else _SKIPPED

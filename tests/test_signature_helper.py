@@ -185,23 +185,16 @@ def _kinds(n: int) -> list[str]:
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="needs two CPUs")
-def test_the_helper_keeps_off_its_parents_cpu(signed, monkeypatch, tmp_path):
+def test_the_helper_keeps_off_its_parents_cpu(signed, monkeypatch):
     """A forked child starts on its parent's CPU, where a host that never
-    balances load keeps it. With the parent read to be on one CPU (the reader,
-    patched before the fork, reads a file), the helper's affinity after one
-    batch is every other CPU of this process's; with the parent read on
-    another at the next batch, the same helper moves off that one. This
-    process's own affinity never changes."""
-    cpus, reading = os.sched_getaffinity(0), tmp_path / "parent_cpu"
-    monkeypatch.setattr(model, "_parent_cpu", lambda: int(reading.read_text()))
-    helpers = set()
-    for parent_cpu in (max(cpus), min(cpus)):
-        reading.write_text(str(parent_cpu))
-        check(batch(signed, _kinds(BATCH)))
-        helpers.add(model._helper.pid)
-        assert os.sched_getaffinity(model._helper.pid) == cpus - {parent_cpu}
-        assert os.sched_getaffinity(0) == cpus
-    assert len(helpers) == 1
+    balances load keeps it. With the parent read to be on one CPU (the reader
+    is patched before the fork), the helper's affinity after one batch is
+    every other CPU of this process's, and this process's own is unchanged."""
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(model, "_parent_cpu", lambda: max(cpus))
+    check(batch(signed, _kinds(BATCH)))
+    assert os.sched_getaffinity(model._helper.pid) == cpus - {max(cpus)}
+    assert os.sched_getaffinity(0) == cpus
 
 
 def _reaped(pid: int) -> bool:
@@ -519,15 +512,21 @@ def test_a_skipped_check_is_never_stored(signed, two_cpus, parent_verifies, help
     assert model._helper.pid == helper
 
 
+def _no_cpu() -> int:
+    raise OSError("no /proc")
+
+
 def test_shared_flags_under_preemption(signed, monkeypatch):
     """This process and its helper pinned to one CPU, so that they
     interleave at every preemption, while the gate still sees two: 300
     batches mixing valid, tampered and wrong-key evidence, each asked for
     while the next one is queued, as `run_epoch` does. Every stored check is
-    the fresh one, no flag is left marked, and the helper exits cleanly. A
-    missing answer hangs; that fails after 60 s."""
-    cpus = os.sched_getaffinity(0)
+    the fresh one, no flag is left marked, and the helper, kept on this
+    process's CPU by a CPU reader that fails, exits cleanly. A missing answer
+    hangs; that fails after 60 s."""
+    cpus, affinity = os.sched_getaffinity(0), os.sched_getaffinity
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(model, "_parent_cpu", _no_cpu)  # so the helper stays on this CPU
     kinds = ("valid", "tampered", "wrong_key")
     queued = []
     previous = signal.signal(signal.SIGALRM, _timeout)
@@ -539,6 +538,7 @@ def test_shared_flags_under_preemption(signed, monkeypatch):
             check_signatures(queued[-1])
             for ev in queued[-2] if i else ():
                 ev.verify_signature()
+        assert affinity(model._helper.pid) == {min(cpus)}
         for ev in queued[-1]:
             ev.verify_signature()
         assert not any(model._helper.flags[:])
