@@ -347,10 +347,11 @@ def run_epoch(universe: Universe) -> EpochReport:
     (`model.check_signatures`), then the previous batch is appraised while the
     helper checks this one. The first batch is a quarter of the others, so
     that the helper starts sooner, and the verifiers' endorsements are queued
-    before it, so that the first appraisal does not verify them here. An
-    epoch of one batch queues nothing: no later batch would overlap its
-    checks. Appraisal draws no randomness, so every challenge, audit entry and
-    ledger record is that of attesting node by node."""
+    with it, so that the first appraisal does not verify them here and no
+    batch meets two unread (which `_Helper.send` may decline). An epoch of one
+    batch queues nothing: no later batch would overlap its checks. Appraisal
+    draws no randomness, so every challenge, audit entry and ledger record is
+    that of attesting node by node."""
     cfg = universe.config
     clock = universe.clock
     faults = universe.faults
@@ -364,11 +365,10 @@ def run_epoch(universe: Universe) -> EpochReport:
     cv = universe.consortium_verifier
     nodes = universe.sorted_nodes()
     overlap = len(nodes) > BATCH_NODES
-    if overlap:
-        check_signatures([end for v in (cv, *(d.domain_verifier for d in universe.domains.values()))
-                          for end in v.endorsements])
     # a short first batch; the last is empty, to appraise the one before it
     bounds = [0, *range(BATCH_NODES // 4, len(nodes) + 2 * BATCH_NODES, BATCH_NODES)]
+    endorsements = [end for v in (cv, *(d.domain_verifier for d in universe.domains.values()))
+                    for end in v.endorsements]
     attested = []
     for start, end in zip(bounds, bounds[1:]):
         previous, attested = attested, []
@@ -379,7 +379,8 @@ def run_epoch(universe: Universe) -> EpochReport:
                               for nonce in nonces)
             attested.append((node, dv, nonces, evidences))
         if overlap:
-            check_signatures([ev for *_, evs in attested for ev in evs])
+            check_signatures([*endorsements, *(ev for *_, evs in attested for ev in evs)])
+            endorsements = []
         for node, dv, (dv_nonce, cv_nonce), (dv_evidence, cv_evidence) in previous:
             dv_result = dv.appraise(dv_evidence, dv_nonce, clock)
             cv_result = cv.appraise(cv_evidence, cv_nonce, clock)

@@ -359,10 +359,12 @@ class _SodiumKey:
 
 def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
     """Whether `signature` is `public_key`'s Ed25519 signature of `data`, by
-    one verify: libsodium's verdict where it is loaded (it also builds every key
-    pair and signs, in `_key_pair`), on any bytes-like arguments. Elsewhere
-    `cryptography`'s, with a key or R of small order refused as libsodium does:
-    OpenSSL's cofactorless check (RFC 8032 §5.1.7) accepts forgeries under them."""
+    one verify of any bytes-like arguments, read as `bytes`: libsodium's verdict
+    where it is loaded (it also builds every key pair and signs, in `_key_pair`).
+    Elsewhere `cryptography`'s, with a key or R of small order refused as
+    libsodium does: OpenSSL's cofactorless check accepts forgeries under them."""
+    if not (type(data) is type(signature) is type(public_key) is bytes):  # str, int, None: TypeError
+        data, signature, public_key = (bytes(memoryview(a)) for a in (data, signature, public_key))
     if _sodium is None:
         from cryptography.exceptions import InvalidSignature
         from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -370,10 +372,8 @@ def verify_bytes(data: bytes, signature: bytes, public_key: bytes) -> bool:
             Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
         except (InvalidSignature, ValueError):
             return False
-        # accepted, so the key is 32 `bytes` and the signature 64 bytes
-        return not (_small_order(public_key) or _small_order(bytes(signature[:32])))
-    if not (type(data) is type(signature) is type(public_key) is bytes):  # str, int, None: TypeError
-        data, signature, public_key = (bytes(memoryview(a)) for a in (data, signature, public_key))
+        # accepted, so the key is 32 bytes and the signature 64
+        return not (_small_order(public_key) or _small_order(signature[:32]))
     return (len(signature) == 64 and len(public_key) == 32  # libsodium reads 64 and 32 bytes
             and _sodium.crypto_sign_ed25519_verify_detached(signature, data, len(data), public_key) == 0)
 
@@ -730,8 +730,7 @@ def _signed(table: Table, signer: str):
 def _signature_valid(message) -> bool:
     """The stored check of `message` under its signer's key; a queued
     message's may be the helper's answer."""
-    while id(message) in _helper.queued:  # read in send order, up to its batch
-        _helper.read_oldest()
+    helper_answer(message)  # read first, if it is queued
     return _once(message, "_signature_valid", _verify_message)
 
 
@@ -838,11 +837,14 @@ class _Helper:
     flags. The flags hold no message bytes, and no answer rests on them: every
     stored check is what `verify_bytes` gave in one process or the other, a 2
     is never stored, and if both sides take a check, the first stored answer
-    stands. At most two batches stay unread, so the pipes never fill. A forked
-    process drops the helper. A bad answer, a read cut short, or answers not
-    all in within `_ANSWER_WAIT_S` seconds (from a helper that is stopped, or
-    answers short) kill the helper and reap it; a check that nobody stored is
-    made here when it is asked for, and the next batch forks a new helper.
+    stands. At most two batches stay unread, one per half: with both taken,
+    `send` reads the oldest's answers if they are in, else declines the new
+    batch, so queueing never waits and no pipe fills (two ledger batches are
+    under the request pipe's 64 KiB). A forked process drops the helper. A bad
+    answer, a read cut short, or answers not all in within `_ANSWER_WAIT_S`
+    seconds (from a helper that is stopped, or answers short) kill the helper
+    and reap it; a check that nobody stored is made here when it is asked for,
+    and the next batch forks a new helper.
     The helper leaves this process's CPU (`_parent_cpu`) when forked: a forked
     child starts there, and a host that never balances load keeps it there."""
 
@@ -851,10 +853,12 @@ class _Helper:
         self.batches, self.queued = [], set()
 
     def send(self, batch: list):
-        """Queue the checks of `batch`'s messages, at most `_HALF`; on
-        failure, queue nothing."""
+        """Queue the checks of `batch`'s messages, at most `_HALF`, and return
+        True; on failure, or declined, queue nothing."""
         if len(self.batches) == 2:
-            self.read_oldest()  # answers left unread would fill both pipes and block
+            if not _ready(self.answers):
+                return  # declined: reading the oldest batch's answers would wait
+            self.read_oldest()
         slot = _HALF - self.batches[0][1] if self.batches else 0  # the half no batch holds
         request = encode(BLOB, encode(_REQUEST, (slot, [
             (m.signing_bytes(), m.signature, m.signer.public_key) for m in batch])))
@@ -865,6 +869,7 @@ class _Helper:
                 raise OSError("short write")
             self.batches.append((batch, slot))
             self.queued.update(map(id, batch))
+            return True
         except OSError:  # no process to fork, or the helper died
             self.stop()
 
@@ -965,24 +970,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper.drop)
 
 
-def check_signatures(messages: Sequence) -> None:
+def helper_usable() -> bool:
+    """Whether `os.fork` exists, more than one CPU may be used and no other
+    thread is alive (a forked child could deadlock on a lock one holds)."""
+    return (hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+            and threading.active_count() == 1)
+
+
+def check_signatures(messages: Sequence) -> bool:
     """Queue for the helper the checks of the signed `messages` (evidence,
-    endorsements or results) neither checked nor queued yet, each once, in
-    batches of at most `_HALF`; their stored checks read the answers.
+    endorsements, results, a ledger's record checks) neither checked nor queued
+    yet, each once, in batches of at most `_HALF`, whose stored checks read the
+    answers: whether it queued some and `_Helper.send` declined none (it does
+    with two unread; a ledger's batches stay near 25 KiB, so two fit the pipe).
 
     libsodium's calls release the GIL, but the Python around each check holds
     it, and `cryptography`'s verify holds it throughout, so only a second
     process, kept off this one's CPU, reaches another. The helper is forked on
-    first use, and only where `os.fork` exists, more than one CPU may be used
-    and no other thread is alive (a forked child could deadlock on a lock one
-    holds); elsewhere each check is made in process when it is asked for."""
+    first use, and only where `helper_usable`; elsewhere each check is made in
+    process when it is asked for."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
                   and "_signature_valid" not in m.__dict__}.values())
-    if (batch and hasattr(os, "fork")
-            and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
-            and threading.active_count() == 1):
-        for start in range(0, len(batch), _HALF):
-            _helper.send(batch[start : start + _HALF])
+    return bool(batch) and helper_usable() and all(
+        [_helper.send(batch[start : start + _HALF]) for start in range(0, len(batch), _HALF)])
+
+
+def helper_answer(message) -> Optional[bool]:
+    """The stored check of `message`, read first if it is queued; None if
+    there is none, as when its check never reached the helper."""
+    while id(message) in _helper.queued:  # read in send order, up to its batch
+        _helper.read_oldest()
+    return message.__dict__.get("_signature_valid")
 
 
 # ---------------------------------------------------------------------------

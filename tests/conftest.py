@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import pkgutil
 import random
 
@@ -18,6 +19,12 @@ def stop_signature_helper():
     helper still running must exit cleanly once its request pipe closes."""
     yield
     assert model._helper.stop() in (None, 0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The helper's gate sees two CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture

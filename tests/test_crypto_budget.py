@@ -168,15 +168,17 @@ def test_simulate_healthy_4nodes(budget, messages, tmp_path, capsys):
 
 @pytest.fixture
 def helper_checks(monkeypatch):
-    """Counts the signature checks queued for the helper, and the helper's
-    answers that this process reads: 0 or 1 for a check the helper made, 2
-    for one that it left to this process."""
+    """Counts the signature checks queued for the helper (a batch that `send`
+    declines queues none), and the helper's answers that this process reads:
+    0 or 1 for a check the helper made, 2 for one that it left to this
+    process."""
     counts = {"checks": 0, "answers": bytearray()}
     send, read = model._Helper.send, model._Helper._read
 
     def counting_send(self, batch):
-        counts["checks"] += len(batch)
-        return send(self, batch)
+        queued = send(self, batch)
+        counts["checks"] += len(batch) if queued else 0
+        return queued
 
     def recording_read(self, n):
         data = read(self, n)

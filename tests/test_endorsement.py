@@ -1,14 +1,18 @@
 import gc
+import os
 import random
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from attestnet import endorsement_ledger
+from attestnet import endorsement_ledger, model
 from attestnet.endorsement_ledger import (
+    CHECKS_PER_BATCH,
     ContentStore,
     EndorsementRecord,
     EndorsementsLedger,
@@ -570,3 +574,141 @@ def test_verify_product_matches_oracle(data):
             registered.append(_plain(record))
         expected = verify_product_bruteforce(product, _plain(record), registered, mirror)
         assert verify_product(product, record, store, ledger) == expected
+
+
+# ---------------------------------------------------------------------------
+# Record checks made by the signature helper as records are appended
+# ---------------------------------------------------------------------------
+
+HOST_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0))  # before any patch
+ENDORSED = b"firmware image v7"
+
+
+def _objects(manufacturer, endorsement: bytes) -> list:
+    return [("endorsement", endorsement), ("manufacturer_cert", manufacturer.entity.public_key),
+            ("root_cert", b"root-ca-certificate")]
+
+
+def _endorsed_objects(manufacturer) -> list:
+    """Objects whose endorsement, by `manufacturer`, names `ENDORSED`'s digest."""
+    endorsement = make_endorsement(manufacturer, "widget", ClaimSet({
+        "product.digest": ClaimValue.of_digest(digest(ENDORSED))}), 1)
+    return _objects(manufacturer, endorsement.to_bytes())
+
+
+def _register_forged(manufacturer, product_id, objects, store, ledger, clock):
+    """A record registered with a signature that does not verify: it is signed
+    (on a ledger of its own), its signature is changed, and it is appended
+    with its check, as a registration appends a record."""
+    record = register_endorsement(manufacturer, product_id, objects, store,
+                                  EndorsementsLedger(), clock)
+    forged = replace(record, signature=bytes([record.signature[0] ^ 1]) + record.signature[1:])
+    ledger.append(forged.to_bytes(), (forged.signing_bytes(), forged.signature, manufacturer.entity))
+    return forged
+
+
+def _held_checks(ledger) -> int:
+    """The signature checks that the ledger's index holds, not yet flags."""
+    return sum(not isinstance(value, bool) for value in ledger._index.values())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_records_checked_by_the_helper_match_the_oracle(two_cpus, monkeypatch, data):
+    """A few batches of records (batches of 1, 3 or 8 here), some appended
+    with a forged signature, some store entries then corrupted, and every
+    record queried in random order, some twice: each outcome is the
+    oracle's, with the helper on and with it off. The registrations come in
+    a tight loop, so that batches are declined, or with a pause after each
+    batch, so that the helper answers them."""
+    per_batch = data.draw(st.sampled_from([1, 3, 8]))
+    monkeypatch.setattr(endorsement_ledger, "CHECKS_PER_BATCH", per_batch)
+    count = data.draw(st.integers(1, 5 * per_batch))
+    forged = data.draw(st.sets(st.integers(0, count - 1)))
+    makers = [MANUFACTURERS[data.draw(st.integers(0, 1))] for _ in range(count)]
+    products = [b"product %d" % i for i in range(count)]
+    objects = [_objects(maker, make_endorsement(maker, f"p{i}", ClaimSet({
+        "product.digest": ClaimValue.of_digest(digest(product))}), 1).to_bytes())
+        for i, (maker, product) in enumerate(zip(makers, products))]
+    values = sorted({value for objs in objects for _, value in objs})
+    corrupted = data.draw(st.sets(st.sampled_from(values), max_size=3))
+    queries = data.draw(st.permutations(list(range(count)) * 2))[: data.draw(st.integers(count, 2 * count))]
+    paced = data.draw(st.booleans())
+    outcomes = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        store, ledger, records = ContentStore(), EndorsementsLedger(), []
+        for i in range(count):
+            register = _register_forged if i in forged else register_endorsement
+            records.append(register(makers[i], f"p{i}", objects[i], store, ledger, i))
+            if paced and i % per_batch == per_batch - 1:
+                time.sleep(0.002)
+        mirror = {sha256(value): value for value in values}
+        for value in corrupted:
+            store._corrupt(Digest(sha256(value)), b"corrupted")
+            mirror[sha256(value)] = b"corrupted"
+        registered = [_plain(record) for record in records]
+        got = [verify_product(products[i], records[i], store, ledger) for i in queries]
+        assert got == [verify_product_bruteforce(products[i], _plain(records[i]), registered, mirror)
+                       for i in queries]
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
+
+
+def _timeout(signum, frame):
+    raise AssertionError("blocked past the alarm")
+
+
+def test_registration_never_waits_for_a_stopped_helper(two_cpus):
+    """The helper stopped after the first batch: 2,000 more records, one in
+    ten forged, are registered without waiting for it (a hang fails after
+    60 s, and a wait for its answers would kill it): a batch that finds two
+    unread is declined, and the ledger holds the checks of at most two
+    batches in flight and one unsent. Once the helper is continued, every
+    outcome is right."""
+    acme = MANUFACTURERS[0]
+    store, ledger, objects = ContentStore(), EndorsementsLedger(), _endorsed_objects(acme)
+    records = [register_endorsement(acme, f"sku-{i:06d}", objects, store, ledger, i)
+               for i in range(CHECKS_PER_BATCH)]
+    helper = model._helper.pid
+    assert helper != 0
+    os.kill(helper, signal.SIGSTOP)
+    os.waitpid(helper, os.WUNTRACED)  # until it is stopped
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(60)
+    try:
+        for i in range(CHECKS_PER_BATCH, CHECKS_PER_BATCH + 2000):
+            register = _register_forged if i % 10 == 0 else register_endorsement
+            records.append(register(acme, f"sku-{i:06d}", objects, store, ledger, i))
+        held, alive = _held_checks(ledger), model._helper.pid == helper
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.kill(helper, signal.SIGCONT)
+    assert alive
+    assert len(ledger._in_flight) <= 2 and len(ledger._unsent) < CHECKS_PER_BATCH
+    assert held <= 3 * CHECKS_PER_BATCH - 1
+    for i, record in enumerate(records):
+        expected = (False, "signature_invalid") if i % 10 == 0 and i >= CHECKS_PER_BATCH else (True, None)
+        assert verify_product(ENDORSED, record, store, ledger) == expected, i
+
+
+@pytest.mark.skipif(HOST_CPUS < 2, reason="needs two CPUs")
+def test_the_helper_answers_most_first_checks(two_cpus, verifies):
+    """4,000 records registered, one in seven forged, then each queried once:
+    every outcome is right, and the helper answered most of their signature
+    checks, so most first queries verify nothing. The registrations come in
+    over time, a pause after each batch, so that the helper keeps up: a
+    verify costs about twice a registration, so in a tight loop the helper
+    answers only what it keeps up with, and the rest is declined."""
+    acme = MANUFACTURERS[0]
+    store, ledger, objects = ContentStore(), EndorsementsLedger(), _endorsed_objects(acme)
+    records = []
+    for i in range(4000):
+        register = _register_forged if i % 7 == 0 else register_endorsement
+        records.append(register(acme, f"sku-{i:06d}", objects, store, ledger, i))
+        if i % CHECKS_PER_BATCH == CHECKS_PER_BATCH - 1:
+            time.sleep(0.01)
+    assert [verify_product(ENDORSED, record, store, ledger) for record in records] == [
+        (False, "signature_invalid") if i % 7 == 0 else (True, None) for i in range(len(records))]
+    assert len(verifies) < len(records) / 2

@@ -7,13 +7,13 @@ byte. `model.verify_bytes` returns libsodium's verdict where it is loaded, for
 every argument: it reads a `bytearray` or `memoryview` as `bytes`, refuses a
 signature that is not 64 bytes or a key that is not 32, and never imports
 `cryptography`. Otherwise it returns `cryptography`'s (OpenSSL's) verdict on
-the arguments as given, with a key or R of small order refused: OpenSSL's check
-is cofactorless and accepts forgeries under them, which libsodium refuses. So
-each check here runs twice: with the library as loaded (skipped where it is not
-found) and with the handle patched to None, which is the path of a host
-without it. Both are held to `strict`, OpenSSL's verdict with the 14
-small-order encodings refused, on the arguments as the path reads them; the
-libsodium path is also held to libsodium's raw function, which reads them the
+the arguments read the same way, with a key or R of small order refused:
+OpenSSL's check is cofactorless and accepts forgeries under them, which
+libsodium refuses. So each check here runs twice: with the library as loaded
+(skipped where it is not found) and with the handle patched to None, which is
+the path of a host without it. Both are held to `strict`, OpenSSL's verdict
+with the 14 small-order encodings refused, on the arguments read as `bytes`,
+and to libsodium's raw function where it is installed, which reads them the
 same way. On either path a `str`, `int` or `None` argument raises `TypeError`.
 `EntityId` refuses the same keys, so no identity holds one."""
 
@@ -133,17 +133,12 @@ def raw_sodium(data, signature, public_key):
 
 
 def assert_strict(case):
-    """`verify_bytes` gives `strict`'s outcome on the arguments as the path
-    reads them. Where libsodium is loaded, that is also its raw verdict; on
-    `cryptography`'s path, which takes the arguments as given (and raises
-    `TypeError` for a key that is not `bytes`), it is so for `bytes` cases."""
+    """`verify_bytes` gives `strict`'s outcome on the arguments read as
+    `bytes`, on either path, and libsodium's raw verdict where it is
+    installed (always on libsodium's path)."""
     got = outcome(verify_bytes, *case)
-    if model._sodium is not None:
-        assert got == strict(*map(read, case)) == raw_sodium(*case), case
-        return
-    assert got == strict(*case), case
-    if all(type(argument) is bytes for argument in case):
-        assert raw_sodium(*case) in (None, got), case
+    assert got == strict(*map(read, case)), case
+    assert raw_sodium(*case) in (None, got), case
 
 
 def scalar(seed: bytes) -> int:
@@ -451,6 +446,14 @@ def test_libsodium_accepts_without_cryptography(monkeypatch):
     assert verify_bytes(b"m", IDENTITY + bytes(32), IDENTITY) is False
     for case, verdict in odd_cases():
         assert verify_bytes(*case) is raw_sodium(*case) is verdict, case
+
+
+def test_odd_arguments_get_one_verdict_on_either_path(path):
+    """`odd_cases` get their verdicts on either path: a `bytearray` or
+    `memoryview` key is read as `bytes` before `cryptography` would refuse it
+    with `TypeError`."""
+    for case, verdict in odd_cases():
+        assert verify_bytes(*case) is verdict, case
 
 
 def test_generated_module_is_current(tmp_path):
