@@ -328,11 +328,10 @@ def forge_block(universe: Universe, validator: str, records: Sequence[LedgerReco
     return block
 
 
-# Nodes per batch of `run_epoch`. On a 2-vCPU host (unscaled benchmark wall
-# time, two rounds of 6 s runs), with 8, 16, 32 and 64: the 40-node
-# sim-catalog took 0.071, 0.068-0.090, 0.084-0.108 and 0.125 s (64 is one
-# batch per epoch, checked in process), and the 600-node sim-fleet 0.60-0.71,
-# 0.57-0.59, 0.55-0.62 and 0.54-0.67 s.
+# Nodes per batch of `run_epoch`. The first batch is a quarter of it, so that
+# the helper starts sooner: with equal batches, the 600-node sim-fleet's
+# scaled benchmark `wall_s` median rose from 0.3163 to 0.3236 s, worse in 6
+# of 6 pairs (8 s runs, 2-vCPU host).
 BATCH_NODES = 16
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from string import hexdigits
 from typing import Optional, Sequence
 
 from .model import (
@@ -135,9 +134,10 @@ class ContentStore:
         self._entries: dict[bytes, tuple[Digest, bytes]] = {}
         self._dir = Path(directory) if directory else None
         if self._dir is not None:
+            import string  # here: only a store on disk reads it
             self._dir.mkdir(parents=True, exist_ok=True)
             for f in self._dir.iterdir():
-                if not (f.is_file() and len(f.name) == 64 and set(f.name) <= set(hexdigits)):
+                if not (f.is_file() and len(f.name) == 64 and set(f.name) <= set(string.hexdigits)):
                     raise LedgerError(f"content store: {f.name!r} is not a file named by a hex address")
                 address = Digest(bytes.fromhex(f.name))
                 self._entries[address.value] = (address, f.read_bytes())

@@ -44,9 +44,7 @@ import atexit
 import contextlib
 import hashlib
 import hmac
-import mmap
 import os
-import select
 import struct
 import sys
 import threading
@@ -815,6 +813,7 @@ def _parent_cpu() -> int:
 def _ready(stream, timeout: float = 0) -> bool:
     """Whether reading `stream` would not block, within `timeout` seconds: it
     holds data, or its end."""
+    import select  # here: only a run with a helper needs it
     poll = select.poll()
     poll.register(stream, select.POLLIN)
     return bool(poll.poll(max(timeout, 0) * 1000))
@@ -908,6 +907,7 @@ class _Helper:
         return answers
 
     def _fork(self):
+        import mmap  # here: only a run with a helper needs it
         flags = mmap.mmap(-1, 2 * _HALF)  # anonymous, shared with the child
         request_r, request_w, answer_r, answer_w = os.pipe() + os.pipe()
         self.requests = open(request_w, "wb", buffering=0)  # so that closing it never writes
@@ -988,7 +988,9 @@ def check_signatures(messages: Sequence) -> bool:
     it, and `cryptography`'s verify holds it throughout, so only a second
     process, kept off this one's CPU, reaches another. The helper is forked on
     first use, and only where `helper_usable`; elsewhere each check is made in
-    process when it is asked for."""
+    process when it is asked for. The conveyance flows queue nothing: each
+    check there is needed at once, and an idle helper took 55-145 µs (10th to
+    90th percentile) to take a one-check batch, against a 52-65 µs verify."""
     batch = list({id(m): m for m in messages if m.signature and id(m) not in _helper.queued
                   and "_signature_valid" not in m.__dict__}.values())
     return bool(batch) and helper_usable() and all(

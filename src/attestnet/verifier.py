@@ -33,7 +33,6 @@ not judge; if only such reasons occur the verdict is `unknown` rather than
 
 from __future__ import annotations
 
-import logging
 from functools import partial
 from operator import le
 from types import MappingProxyType
@@ -57,8 +56,6 @@ from .model import (
     sign_message,
 )
 
-logger = logging.getLogger(__name__)
-
 NO_REFERENCE_SUFFIX = ".no_reference"
 NO_SECRET_REASON = "layer.no_secret"
 
@@ -75,6 +72,12 @@ def _verdict_from_reasons(reasons: Sequence[str]) -> Verdict:
     return Verdict.NON_COMPLIANT
 
 
+def _warn(message: str, *args) -> None:
+    """Log a warning; `logging` (about 0.6 MiB) is imported only when one is."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def merge_reference_claims(endorsements: Sequence[Endorsement]) -> Mapping[str, ClaimValue]:
     """Union of reference claims from signature-valid endorsements, as a
     read-only view of a dict that nothing else holds.
@@ -85,12 +88,12 @@ def merge_reference_claims(endorsements: Sequence[Endorsement]) -> Mapping[str, 
     merged: dict[str, tuple[int, ClaimValue]] = {}
     for end in endorsements:
         if not end.verify_signature():
-            logger.warning("discarding endorsement for %s: invalid signature", end.product_id)
+            _warn("discarding endorsement for %s: invalid signature", end.product_id)
             continue
         for key, value in end.reference_claims.items():
             prev = merged.get(key)
             if prev is not None and prev[1] != value:
-                logger.warning("endorsement.conflict on claim %s (product %s)", key, end.product_id)
+                _warn("endorsement.conflict on claim %s (product %s)", key, end.product_id)
             if prev is None or end.issued_at >= prev[0]:
                 merged[key] = (end.issued_at, value)
     return MappingProxyType({k: v for k, (_, v) in merged.items()})

@@ -391,6 +391,47 @@ def test_simulate_imports_no_cryptography_where_libsodium_is_loaded(tmp_path):
     assert run.stdout == f"tip: {GOLDEN_TIPS['healthy-4nodes']}\n0 []\n"
 
 
+# Simulates the scenario named in argv, runs one passport flow whose verifier
+# merges one valid endorsement, and prints the exit code, the decision and
+# which of the modules that attestnet imports only where needed are loaded.
+_LEAN_RUN = """import random, sys
+from attestnet import cli, model
+from attestnet.attester import AttestingEnvironment, TargetEnvironment
+from attestnet.conveyance import RelyingPartyContext, Transport, VerifierContext, run_passport_flow
+from attestnet.model import (ClaimSet, ClaimValue, EvidencePolicy, GeoPoint, PolicyRule,
+                             ResultPolicy, Role, RuleKind, SignerIdentity, digest, make_endorsement)
+if sys.argv[1] == "none":
+    model._sodium = None
+code = cli.main(sys.argv[2:])
+rng = random.Random(7)
+env = TargetEnvironment("srv-x1", 3, (("os", b"os v3"),), GeoPoint(48.15, 11.58, 520.0), 2, 5)
+references = ClaimSet({"sw.os.digest": ClaimValue.of_digest(digest(b"os v3"))})
+endorsement = make_endorsement(SignerIdentity.create(Role.ENDORSER, "e", rng), "srv-x1", references, 0)
+policy = EvidencePolicy("p", (PolicyRule("ref.os", RuleKind.REFERENCE_MATCH, "sw.os.digest"),), 10)
+verifier = VerifierContext(SignerIdentity.create(Role.VERIFIER, "v", rng), policy, [endorsement], rng)
+rp = RelyingPartyContext(SignerIdentity.create(Role.RELYING_PARTY, "rp", rng),
+                         ResultPolicy((verifier.identity.entity,), max_result_age=10))
+attester = AttestingEnvironment.create("node", rng, [env.config_digest()])
+decision = run_passport_flow(attester, env, verifier, rp, Transport(), clock=0)
+print(code, decision.granted, sorted({"logging", "mmap", "select", "string"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("handle", ["loaded", "none"])
+def test_simulate_and_a_flow_import_no_module_they_do_not_use(tmp_path, handle):
+    """`logging` (for a warning), `select` and `mmap` (for the signature
+    helper) and `string` (for a content store on disk) are imported where
+    first used, so a fresh process that simulates healthy-4nodes (one batch,
+    so no helper) and runs one granted passport flow loads none of them, with
+    libsodium as loaded or with the handle set to None."""
+    src = str(Path(attestnet.__file__).resolve().parents[1])
+    argv = ["simulate", str(SCENARIO_DIR / "healthy-4nodes.json"), "--out", str(tmp_path)]
+    run = subprocess.run([sys.executable, "-c", _LEAN_RUN, handle, *argv], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"tip: {GOLDEN_TIPS['healthy-4nodes']}\n0 True []\n"
+
+
 @pytest.mark.parametrize("public_key", [b"", b"\x05" * 7, bytes(31), bytes(33), bytearray(32)],
                          ids=["empty", "7 bytes", "31 bytes", "33 bytes", "bytearray"])
 def test_entity_key_must_be_32_bytes(public_key):
