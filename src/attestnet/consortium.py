@@ -70,18 +70,22 @@ class LedgerBlock:
     forger: str
     tick: int
     block_digest: Digest
+    # what `seal` hashed; none if not sealed (decoded, or copied by `replace`)
+    _content: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     @classmethod
     def seal(cls, height: int, prev_digest: Digest, records: tuple[LedgerRecord, ...],
              forger: str, tick: int) -> "LedgerBlock":
-        """The block over these fields, built once, with the digest of one
-        encode of its fields."""
+        """The block over these fields, built once, holding the one encode of
+        its fields that its digest hashes and its export writes."""
         fields = SimpleNamespace(height=height, prev_digest=prev_digest, records=records,
                                  forger=forger, tick=tick)
-        return cls(**vars(fields), block_digest=digest(encode(_BLOCK, fields)))
+        block = cls(**vars(fields), block_digest=digest(content := encode(_BLOCK, fields)))
+        object.__setattr__(block, "_content", content)  # the dataclass is frozen
+        return block
 
     def content_bytes(self) -> bytes:
-        return encode(_BLOCK, self)
+        return self._content or encode(_BLOCK, self)
 
     def to_bytes(self) -> bytes:
         return self.content_bytes() + self.block_digest.value

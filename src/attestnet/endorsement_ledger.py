@@ -13,10 +13,10 @@ bytes, root and signature check raised the supply-chain benchmark's peak RSS
 by 4.5%.
 
 A registration signs the record in place, as `model.sign_message` does for
-messages. `register_endorsement` and `verify_product` each encode the record
-once, and the ledger hashes those bytes at each of its lookups: two or three
-per query, each 0.4-0.5 µs on a 2-vCPU host with CPython 3.11, against a
-query's 0.03 ms. `verify_product` fails with the first of: the record is not
+messages, and encodes it once. A query encodes and hashes it once, passes the
+hash (`record_key`) to each ledger lookup and reads each stored object once
+(`ContentStore.read`): 0.033 ms, supply-chain's scaled median on a 2-vCPU host
+with CPython 3.11. `verify_product` fails with the first of: the record is not
 on the ledger (`ledger_mismatch`), an object is not intact (`store_corrupt`),
 the root does not cover the objects (`root_mismatch`), the stored cert is not
 the record's manufacturer key (refused before any verify) or that key did not
@@ -25,7 +25,7 @@ sign the record (`signature_invalid`), the endorsement does not decode
 (`digest_mismatch`). The hashed bytes hold the signature and that key, so the
 signature check is a pure function of the record bytes: the helper process
 makes it as the record is appended, and a query reads its flag. Every other
-check runs on every query, since the store can be corrupted after a check.
+check runs on every query: the store can be corrupted after one.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import (
     Table,
     check_signatures,
     decode,
-    digest,
     encode,
     helper_answer,
     helper_usable,
@@ -155,10 +154,14 @@ class ContentStore:
     def get(self, address: Digest) -> Optional[bytes]:
         return self._entries.get(address.value, (None, None))[1]
 
+    def read(self, address: Digest) -> Optional[bytes]:
+        """The bytes at `address` if they still hash to it, else None: one lookup."""
+        value = self.get(address)
+        return value if value is not None and sha256(value).digest() == address.value else None
+
     def check(self, address: Digest) -> bool:
         """True iff the entry exists and its bytes still hash to its address."""
-        value = self._entries.get(address.value, (None, None))[1]
-        return value is not None and sha256(value).digest() == address.value
+        return self.read(address) is not None
 
     def _corrupt(self, address: Digest, value: bytes):
         # test hook: overwrite an entry in place without re-addressing
@@ -207,7 +210,7 @@ _RECORD = Table(
 )
 
 
-def _key(record_bytes: bytes) -> bytes:
+def record_key(record_bytes: bytes) -> bytes:
     """The SHA-256 of a record's canonical bytes: its key in the ledger."""
     if not isinstance(record_bytes, bytes):
         raise LedgerError("the ledger takes a record's canonical bytes, not "
@@ -230,10 +233,10 @@ class _Check:
 
 
 class EndorsementsLedger:
-    """Append-only ledger of endorsement records: an index from the SHA-256 of
-    their canonical bytes (not the bytes, about 310 of them), so that a
-    membership check is one dict lookup, to a flag set once the record's
-    signature has verified under its manufacturer key, and an append count.
+    """Append-only ledger of endorsement records: an index from each one's
+    `record_key` (not its bytes, about 310 of them), so that a membership
+    check is one dict lookup, to a flag set once the record's signature has
+    verified under its manufacturer key, and an append count.
 
     The index holds a record's check until its query, or a later batch's
     queueing, reads the helper's answer; with none, the query verifies."""
@@ -246,7 +249,7 @@ class EndorsementsLedger:
     def append(self, record_bytes: bytes, signed: Optional[tuple[bytes, bytes, EntityId]] = None):
         """Register a record by its canonical bytes (`EndorsementRecord.to_bytes`),
         queueing the check of `signed` (`_Check`). Appending it again keeps its flag."""
-        key = _key(record_bytes)
+        key = record_key(record_bytes)
         if self._appends % CHECKS_PER_BATCH == 0:  # so that one CPU builds no checks
             self._queueing = helper_usable()
         if key not in self._index:
@@ -267,20 +270,19 @@ class EndorsementsLedger:
         self._index.update((check.key, helper_answer(check) is True)
                            for check in batch if self._index[check.key] is check)
 
-    def includes(self, record_bytes: bytes) -> bool:
-        """Whether a record's canonical bytes were appended."""
-        return _key(record_bytes) in self._index
+    def includes(self, key: bytes) -> bool:
+        """Whether the canonical bytes of `key` (`record_key`) were appended."""
+        return key in self._index
 
-    def verified(self, record_bytes: bytes) -> bool:
-        """Whether the record's signature verified under its manufacturer key."""
-        if not isinstance(flag := self._index.get(key := _key(record_bytes), False), bool):
+    def verified(self, key: bytes) -> bool:
+        """Whether the record of `key` has a signature verified under its maker's key."""
+        if not isinstance(flag := self._index.get(key, False), bool):
             flag = self._index[key] = helper_answer(flag) is True
         return flag
 
-    def mark_verified(self, record_bytes: bytes):
-        """Flag that the record's signature verified. Bytes never appended stay
-        out of the index."""
-        if (key := _key(record_bytes)) in self._index:
+    def mark_verified(self, key: bytes):
+        """Flag the signature of the record of `key` verified, if it was appended."""
+        if key in self._index:
             self._index[key] = True
 
     def __len__(self) -> int:
@@ -321,27 +323,27 @@ def verify_product(
     docstring. It reads only the ledger, the stored objects and the record, so
     it holds after the manufacturer is gone."""
     data = record.to_bytes()
-    if not ledger.includes(data):
+    if not ledger.includes(key := record_key(data)):
         return False, "ledger_mismatch"
     objects = {}
     for label, addr in record.object_refs:
-        if not store.check(addr):
+        if (value := store.read(addr)) is None:
             return False, "store_corrupt"
-        objects[label] = store.get(addr)
+        objects[label] = value
     if merkle_root([addr for _, addr in record.object_refs]) != record.merkle_root:
         return False, "root_mismatch"
     cert = objects["manufacturer_cert"]
     if cert != record.manufacturer.public_key:
         return False, "signature_invalid"
-    if not ledger.verified(data):
+    if not ledger.verified(key):
         if not verify_bytes(signed_part(data, record.signature), record.signature, cert):
             return False, "signature_invalid"
-        ledger.mark_verified(data)
+        ledger.mark_verified(key)
     try:
         endorsement = Endorsement.from_bytes(objects["endorsement"])
     except ModelError:
         return False, "endorsement_malformed"
     ref = endorsement.reference_claims.get(PRODUCT_DIGEST_CLAIM)
-    if ref is None or ref.kind != "digest" or ref.value != digest(product_bytes):
+    if ref is None or ref.kind != "digest" or ref.value.value != sha256(product_bytes).digest():
         return False, "digest_mismatch"
     return True, None

@@ -9,7 +9,10 @@ have one byte image and a signed message cannot be re-encoded under the same
 signature: claim keys strictly ascending in UTF-8 byte order, flag and
 presence bytes exactly 0 or 1, known tags, valid UTF-8, no trailing bytes, and
 component evidence nested at most `MAX_COMPONENT_DEPTH` deep, checked before
-it is decoded. Every decoding failure raises `ModelError`.
+it is decoded. Every decoding failure raises `ModelError`. The format makes
+the constructor checks of `Digest` (32 bytes), `ClaimValue` (a known tag, its
+type, int64 range) and `ClaimSet` (ascending `str` keys), so the decoder
+builds these directly, and checks only that the first claim key is not empty.
 
 Evidence, endorsements and results (RFC 9334's conveyed messages) are claims
 signed by their producer. `_signed` gives the three classes their members,
@@ -107,6 +110,11 @@ class Digest:
 def digest(data: bytes) -> Digest:
     """SHA-256 of `data`; the single hash used everywhere in the system."""
     return Digest(hashlib.sha256(data).digest())
+
+
+def _read_digest(value: bytes) -> Digest:  # built directly: see "the format" above
+    object.__setattr__(built := object.__new__(Digest), "value", value)
+    return built
 
 
 def _digest_of(value) -> Digest:
@@ -643,7 +651,7 @@ def decode(kind: Kind, data: bytes, depth: int = 1):
 
 U8, U64, I64, F64 = (Kind("fixed", struct.Struct(fmt)) for fmt in (">B", ">Q", ">q", ">d"))
 BOOL, BLOB, TEXT = Kind("bool", U8.args[0]), Kind("blob"), Kind("text")
-DIGEST = Table(Digest, ("value", Kind("fixed", struct.Struct(f"{DIGEST_LEN}s"))))
+DIGEST = Table(_read_digest, ("value", Kind("fixed", struct.Struct(f"{DIGEST_LEN}s"))))
 SIGNING_KEY = Table(SigningKey, ("private_bytes", BLOB))
 
 
@@ -684,19 +692,20 @@ def _put_claim(out: list, cv: ClaimValue):
 
 
 def _get_claim(dec: Decoder) -> ClaimValue:
-    kind = _CLAIM_KIND.get(dec)
-    return ClaimValue(kind, _CLAIM_KINDS[kind][2].get(dec))
+    object.__setattr__(claim := object.__new__(ClaimValue), "kind", kind := _CLAIM_KIND.get(dec))
+    object.__setattr__(claim, "value", _CLAIM_KINDS[kind][2].get(dec))  # built directly
+    return claim
 
 
 _CLAIM_ENTRIES = seq(pair(TEXT, Kind("call", _put_claim, _get_claim)))
 
 
 def _get_claims(dec: Decoder) -> ClaimSet:
-    entries = _CLAIM_ENTRIES.get(dec)
-    keys = [key for key, _ in entries]  # decoded, so valid UTF-8: str order is byte order
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise ModelError("claim keys are not strictly ascending")
-    return ClaimSet(dict(entries))
+    claims = object.__new__(ClaimSet)  # built directly: these are the constructor's checks
+    claims._entries = held = dict(entries := _CLAIM_ENTRIES.get(dec))  # str order is byte order
+    if len(held) < len(entries) or [*held] != sorted(held) or "" in held:  # "" sorts first
+        raise ModelError("claim keys are not non-empty and strictly ascending")
+    return claims
 
 
 def _encode_claims(cs: ClaimSet) -> bytes:

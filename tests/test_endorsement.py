@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import signal
+import struct
 import time
 import tracemalloc
 from dataclasses import replace
@@ -20,6 +21,7 @@ from attestnet.endorsement_ledger import (
     merkle_prove,
     merkle_root,
     merkle_verify,
+    record_key,
     register_endorsement,
     verify_product,
 )
@@ -29,6 +31,7 @@ from attestnet.model import (
 )
 
 from .oracles import (
+    _blob,
     merkle_member_bruteforce,
     merkle_root_bruteforce,
     sha256,
@@ -221,7 +224,7 @@ class TestRegisterEndorsement:
         assert len(record.object_refs) == 3
         expected = merkle_root_bruteforce([digest(data).value for _, data in objects])
         assert record.merkle_root.value == expected
-        assert ledger.includes(record.to_bytes())
+        assert ledger.includes(record_key(record.to_bytes()))
 
     def test_store_lookup_returns_original_bytes(self, rng):
         _, record, store, _, objects = _setup_registration(rng)
@@ -240,12 +243,12 @@ class TestRegisterEndorsement:
         manufacturer, record, store, ledger, objects = _setup_registration(rng)
         ledger.append(record.to_bytes())  # a duplicate append still counts
         assert len(ledger) == 2
-        assert ledger.includes(record.to_bytes())
-        assert ledger.includes(EndorsementRecord.from_bytes(record.to_bytes()).to_bytes())
+        assert ledger.includes(record_key(record.to_bytes()))
+        assert ledger.includes(record_key(EndorsementRecord.from_bytes(record.to_bytes()).to_bytes()))
         other = register_endorsement(
             manufacturer, "widget-7", objects, store, EndorsementsLedger(), clock=11
         )
-        assert not ledger.includes(other.to_bytes())
+        assert not ledger.includes(record_key(other.to_bytes()))
         assert len(ledger) == 2
 
     def test_ledger_append_takes_only_bytes(self, rng):
@@ -255,7 +258,7 @@ class TestRegisterEndorsement:
         with pytest.raises(LedgerError, match="bytearray"):
             ledger.append(bytearray(record.to_bytes()))
         with pytest.raises(LedgerError, match="bytearray"):
-            ledger.includes(bytearray(record.to_bytes()))
+            record_key(bytearray(record.to_bytes()))
         assert len(ledger) == 1
 
     def test_the_index_answers_for_the_bytes_not_the_object(self, rng, verifies):
@@ -270,10 +273,11 @@ class TestRegisterEndorsement:
         changed[len(data) // 2] ^= 1
         changed = bytes(changed)
         for asked in (copy, changed, data, changed, copy):
-            assert ledger.includes(asked) is (asked == data)
-            assert ledger.verified(asked) is (asked == data)
-        ledger.mark_verified(changed)
-        assert not ledger.includes(changed) and not ledger.verified(changed)
+            assert ledger.includes(record_key(asked)) is (asked == data)
+            assert ledger.verified(record_key(asked)) is (asked == data)
+        ledger.mark_verified(record_key(changed))
+        assert not ledger.includes(record_key(changed))
+        assert not ledger.verified(record_key(changed))
         assert len(verifies) == 1
 
     def test_missing_mandatory_label_rejected(self, rng):
@@ -398,7 +402,7 @@ class TestStoredSignatureCheck:
         for _ in range(3):
             assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
         assert verifies == [manufacturer.entity.public_key]
-        assert ledger.verified(record.to_bytes()) is True
+        assert ledger.verified(record_key(record.to_bytes())) is True
 
     def test_appending_again_keeps_the_stored_check(self, rng, verifies):
         _, record, store, ledger, _ = _setup_registration(rng)
@@ -412,7 +416,7 @@ class TestStoredSignatureCheck:
         other = EndorsementsLedger()
         other.append(record.to_bytes())
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
-        assert other.verified(record.to_bytes()) is False
+        assert other.verified(record_key(record.to_bytes())) is False
         assert verify_product(b"firmware image v7", record, store, other) == (True, None)
         assert len(verifies) == 2
 
@@ -432,7 +436,7 @@ class TestStoredSignatureCheck:
         assert verify_product(b"firmware image v7", record, store, ledger) == (True, None)
         # a store that does not re-hash its entries hands out another cert
         # at the same address: it is not the record's manufacturer key
-        monkeypatch.setattr(store, "check", lambda address: True)
+        monkeypatch.setattr(store, "read", store.get)
         cert_address = dict(record.object_refs)["manufacturer_cert"]
         store._corrupt(cert_address, MANUFACTURERS[0].entity.public_key)
         assert verify_product(b"firmware image v7", record, store, ledger) == (
@@ -476,7 +480,7 @@ class TestStoredSignatureCheck:
                 False, "signature_invalid")
         # a cert that is not the manufacturer key is refused before any verify
         assert len(verifies) == (0 if change == "cert" else 2)
-        assert ledger.verified(record.to_bytes()) is False
+        assert ledger.verified(record_key(record.to_bytes())) is False
 
     def test_a_record_not_appended_is_never_indexed(self, rng, verifies, monkeypatch):
         # `includes` patched to say yes to anything: the check still runs,
@@ -486,22 +490,23 @@ class TestStoredSignatureCheck:
                                           EndorsementsLedger(), clock=11)
         tampered = replace(record, registered_at=record.registered_at + 1)
         index = dict(ledger._index)
-        monkeypatch.setattr(EndorsementsLedger, "includes", lambda self, record_bytes: True)
+        monkeypatch.setattr(EndorsementsLedger, "includes", lambda self, key: True)
         assert verify_product(b"firmware image v7", tampered, store, ledger) == (
             False, "signature_invalid")
         assert verify_product(b"firmware image v7", unappended, store, ledger) == (True, None)
         monkeypatch.undo()
         assert ledger._index == index and len(ledger) == 1
-        assert not ledger.includes(tampered.to_bytes())
-        assert not ledger.includes(unappended.to_bytes())
+        assert not ledger.includes(record_key(tampered.to_bytes()))
+        assert not ledger.includes(record_key(unappended.to_bytes()))
 
 
 MANUFACTURERS = [SignerIdentity.create(Role.ENDORSER, name, random.Random(name))
                  for name in ("acme", "globex")]
 # the draws below repeat their untouched choice, so that a fair share of the
-# queries reaches the later checks
+# queries reaches the later checks; the last five are encoded by hand
 ENDORSEMENT_OBJECTS = ["genuine"] * 6 + ["other_product", "bytes_claim", "truncated", "trailing",
-                                         "junk"]
+                                         "junk", "every_kind", "empty_first_key", "repeated_key",
+                                         "descending_keys", "unknown_tag"]
 RECORD_CHANGES = {
     "registered_at": lambda r: replace(r, registered_at=r.registered_at + 100),
     "product_id": lambda r: replace(r, product_id=r.product_id + "x"),
@@ -522,10 +527,44 @@ def _plain(record: EndorsementRecord) -> tuple:
             record.registered_at, record.signature)
 
 
+def _claim(data, key: str, product: bytes, tag: int = 0) -> bytes:
+    """A claim entry, encoded by hand: the key, the tag (drawn if 0), and a
+    value drawn for its kind; a digest claim names `product`."""
+    tag = tag or data.draw(st.integers(1, 5))
+    value = {1: lambda: _blob(data.draw(st.binary(max_size=8))),
+             2: lambda: _blob(data.draw(st.text(max_size=4)).encode()),
+             3: lambda: struct.pack(">q", data.draw(st.integers(-2**63, 2**63 - 1))),
+             4: lambda: sha256(product),
+             5: lambda: struct.pack(">ddd", data.draw(st.floats(-90, 90)),
+                                    data.draw(st.floats(-180, 180)), data.draw(st.floats()))}
+    return _blob(key.encode()) + bytes([tag]) + value.get(tag, lambda: b"")()
+
+
+def _hand_encoded(data, manufacturer, product: bytes, kind: str) -> bytes:
+    """An endorsement by `manufacturer`, encoded by hand, whose claims are
+    those that `kind` names; the query reads no endorsement signature."""
+    digest_claim = _claim(data, "product.digest", product, 4)
+    entries = {  # only the chosen case draws its values
+        "every_kind": lambda: [*(_claim(data, f"{tag}", product, tag) for tag in range(1, 6)),
+                               digest_claim],
+        "empty_first_key": lambda: [_claim(data, "", product), digest_claim],
+        "repeated_key": lambda: [digest_claim, _claim(data, "product.digest", product)],
+        "descending_keys": lambda: [digest_claim, _claim(data, "a", product)],
+        "unknown_tag": lambda: [_claim(data, "product.digest", product,
+                                       data.draw(st.sampled_from([6, 7, 0x80, 0xFF])))],
+    }[kind]()
+    entity = manufacturer.entity
+    return (_blob(entity.role.value.encode()) + _blob(entity.name.encode())
+            + _blob(entity.public_key) + _blob(b"widget") + struct.pack(">Q", len(entries))
+            + b"".join(entries) + b"\x00" + struct.pack(">Q", 1) + _blob(bytes(64)))
+
+
 def _endorsement_object(data, manufacturer, product: bytes) -> bytes:
     kind = data.draw(st.sampled_from(ENDORSEMENT_OBJECTS))
     if kind == "junk":
         return data.draw(st.binary(max_size=40))
+    if kind in ENDORSEMENT_OBJECTS[-5:]:
+        return _hand_encoded(data, manufacturer, product, kind)
     claim = ClaimValue.of_digest(digest(product + b"x" if kind == "other_product" else product))
     if kind == "bytes_claim":
         claim = ClaimValue("bytes", digest(product).value)

@@ -521,6 +521,12 @@ class TestCanonicalOnly:
         with pytest.raises(ModelError, match="ascending"):
             Evidence.from_bytes(blob)
 
+    def test_empty_first_claim_key_rejected(self):
+        # every later key is greater than the first, so only the first can be empty
+        blob = self._with_claim_entries([_claim_entry("", 1), _claim_entry("k", 1)])
+        with pytest.raises(ModelError, match="non-empty"):
+            Evidence.from_bytes(blob)
+
     @pytest.mark.parametrize("flag", [0x02, 0x07, 0xFF])
     def test_bool_byte_must_be_0_or_1(self, flag):
         endorsement = make_endorsement(SignerIdentity(_FUZZ_VERIFIER, _FUZZ_KEY), "p",
